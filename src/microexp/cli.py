@@ -375,18 +375,10 @@ def extract_sample_feature(sample: SampleData, record: SampleRecord,
     window = preprocess2d.FrameVolume(sample.video.data[record.onset:])
     marks = sample.landmarks2d[record.onset][list(cfg.landmark_subset)]
     weights = mean_difference_weights(window, marks, cfg.weight_radius_px)
-    if kind in ("3d-si", "3d-hk"):
+    if kind in ("3d-si", "3d-hk", "3d-sihk"):
         return curvature3d.sequence_feature(
             sample, record, weights, kind.removeprefix("3d-"), cfg.curvature,
             frames=cfg.curvature_frames, subset=cfg.landmark_subset)
-    if kind == "3d-sihk":
-        si = curvature3d.sequence_feature(
-            sample, record, weights, "si", cfg.curvature,
-            frames=cfg.curvature_frames, subset=cfg.landmark_subset)
-        hk = curvature3d.sequence_feature(
-            sample, record, weights, "hk", cfg.curvature,
-            frames=cfg.curvature_frames, subset=cfg.landmark_subset)
-        return si.concat(hk, tag="3d-sihk")
     raise UsageError(f"unknown feature kind {kind!r}")
 
 

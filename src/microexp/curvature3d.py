@@ -13,6 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -114,51 +115,32 @@ class CurvatureConfig:
 
 def _curvatures_from_neighbors(neighbors: np.ndarray, point: np.ndarray,
                                toward: np.ndarray) -> PrincipalCurvatures:
-    """Principal curvatures at ``point`` from its neighborhood.
-
-    The neighborhood covariance gives a local frame (normal = smallest
-    principal axis, oriented along ``toward``); the height field over the
-    tangent plane is fit with a full cubic bivariate polynomial, and the
-    Weingarten map is assembled from the fit's first- and second-order
-    coefficients at the origin.
-    """
+    """Principal curvatures at ``point`` from its neighborhood: the fit of
+    _fit_block for a single vertex."""
     if neighbors.shape[0] < 10:
         raise ValueError(f"need at least 10 neighbors, got {neighbors.shape[0]}")
-
-    centered = neighbors - neighbors.mean(axis=0)
-    cov = centered.T @ centered
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    normal = eigvecs[:, 0]
-    if normal @ toward < 0:
-        normal = -normal
-    e1, e2 = eigvecs[:, 2], eigvecs[:, 1]
-
-    rel = neighbors - point
-    scale = max(np.linalg.norm(rel, axis=1).max(), 1e-12)
-    u = (rel @ e1) / scale
-    v = (rel @ e2) / scale
-    z = (rel @ normal) / scale
-
-    basis = np.column_stack([
-        np.ones_like(u), u, v,
-        u * u, u * v, v * v,
-        u ** 3, u * u * v, u * v * v, v ** 3,
-    ])
-    coeffs, _, rank, _ = np.linalg.lstsq(basis, z, rcond=None)
-    if rank < basis.shape[1]:
+    p_min, p_max, valid = _fit_block(neighbors, point[None], [np.arange(neighbors.shape[0])],
+                                     toward)
+    if not valid[0]:
         raise DegenerateSurfaceError(
-            f"rank-deficient cubic fit (rank {rank}); neighborhood is degenerate")
+            "rank-deficient cubic fit or non-finite curvature; neighborhood is degenerate")
+    return PrincipalCurvatures(p_min=float(p_min[0]), p_max=float(p_max[0]))
 
+
+def _weingarten(coeffs, scale):
+    """(p_min, p_max) from cubic height-field coefficients (last axis, in
+    _fit_block's basis order) fitted in coordinates divided by ``scale``.
+    Works elementwise on arrays of fits."""
     # Derivatives at the origin; cubic terms contribute nothing there.
-    h_u, h_v = coeffs[1], coeffs[2]
-    h_uu = 2.0 * coeffs[3] / scale
-    h_uv = coeffs[4] / scale
-    h_vv = 2.0 * coeffs[5] / scale
+    h_u, h_v = coeffs[..., 1], coeffs[..., 2]
+    h_uu = 2.0 * coeffs[..., 3] / scale
+    h_uv = coeffs[..., 4] / scale
+    h_vv = 2.0 * coeffs[..., 5] / scale
 
     e = 1.0 + h_u * h_u
     f = h_u * h_v
     g = 1.0 + h_v * h_v
-    norm = math.sqrt(1.0 + h_u * h_u + h_v * h_v)
+    norm = np.sqrt(1.0 + h_u * h_u + h_v * h_v)
     l = h_uu / norm
     m = h_uv / norm
     n = h_vv / norm
@@ -166,9 +148,8 @@ def _curvatures_from_neighbors(neighbors: np.ndarray, point: np.ndarray,
     det_i = e * g - f * f
     k = (l * n - m * m) / det_i
     h = (e * n - 2.0 * f * m + g * l) / (2.0 * det_i)
-    disc = max(h * h - k, 0.0)
-    root = math.sqrt(disc)
-    return PrincipalCurvatures(p_min=h - root, p_max=h + root)
+    root = np.sqrt(np.maximum(h * h - k, 0.0))
+    return h - root, h + root
 
 
 def estimate_principal_curvatures(cloud: PointCloudFrame, point, radius: float,
@@ -190,6 +171,22 @@ def gaussian_mean_curvature(pc: PrincipalCurvatures) -> tuple[float, float]:
     return pc.p_min * pc.p_max, 0.5 * (pc.p_min + pc.p_max)
 
 
+# Surface type by the signs (-1, 0, 1) of K and H.
+_HK_TABLE = {
+    (1, 1): SurfaceType.PEAK,
+    (0, 1): SurfaceType.RIDGE,
+    (-1, 1): SurfaceType.SADDLE_RIDGE,
+    (1, 0): SurfaceType.UNDEFINED,
+    (0, 0): SurfaceType.FLAT,
+    (-1, 0): SurfaceType.MINIMAL_SURFACE,
+    (1, -1): SurfaceType.PIT,
+    (0, -1): SurfaceType.VALLEY,
+    (-1, -1): SurfaceType.SADDLE_VALLEY,
+}
+# The same table as bin numbers, indexed by [sign K + 1, sign H + 1].
+_HK_SIGN_BINS = np.array([[_HK_TABLE[sk, sh].value for sh in (-1, 0, 1)] for sk in (-1, 0, 1)])
+
+
 def hk_classify(k: float, h: float, zero_eps: float = 0.5) -> SurfaceType:
     """Nine-way surface type from the signs of K and H; values within
     zero_eps of zero count as zero."""
@@ -197,18 +194,14 @@ def hk_classify(k: float, h: float, zero_eps: float = 0.5) -> SurfaceType:
         raise ValueError("zero_eps must be positive")
     sk = 0 if abs(k) <= zero_eps else (1 if k > 0 else -1)
     sh = 0 if abs(h) <= zero_eps else (1 if h > 0 else -1)
-    table = {
-        (1, 1): SurfaceType.PEAK,
-        (0, 1): SurfaceType.RIDGE,
-        (-1, 1): SurfaceType.SADDLE_RIDGE,
-        (1, 0): SurfaceType.UNDEFINED,
-        (0, 0): SurfaceType.FLAT,
-        (-1, 0): SurfaceType.MINIMAL_SURFACE,
-        (1, -1): SurfaceType.PIT,
-        (0, -1): SurfaceType.VALLEY,
-        (-1, -1): SurfaceType.SADDLE_VALLEY,
-    }
-    return table[(sk, sh)]
+    return _HK_TABLE[(sk, sh)]
+
+
+def _hk_bins(k: np.ndarray, h: np.ndarray, zero_eps: float) -> np.ndarray:
+    """hk_classify(k, h, zero_eps).value, elementwise."""
+    sk = np.where(np.abs(k) <= zero_eps, 0, np.where(k > 0, 1, -1))
+    sh = np.where(np.abs(h) <= zero_eps, 0, np.where(h > 0, 1, -1))
+    return _HK_SIGN_BINS[sk + 1, sh + 1]
 
 
 def shape_index(pc: PrincipalCurvatures) -> float:
@@ -246,6 +239,124 @@ def quantize_si(si: float) -> int:
     return best
 
 
+def _shape_indices(p_min: np.ndarray, p_max: np.ndarray) -> np.ndarray:
+    """shape_index over arrays of principal-curvature pairs, bit for bit."""
+    spread = p_max - p_min
+    total = p_max + p_min
+    ratio = np.divide(total, spread, out=np.zeros_like(total), where=spread != 0.0)
+    # math.atan rather than np.arctan: numpy's SIMD arctan can differ from
+    # libm's by an ulp, which could move a shape index across a bin edge.
+    atan = np.fromiter(map(math.atan, ratio), dtype=np.float64, count=ratio.shape[0])
+    si = np.clip(0.5 - atan / math.pi, 0.0, 1.0)
+    umbilic = np.where(total > 0.0, 0.0, np.where(total < 0.0, 1.0, 0.5))
+    return np.where(spread == 0.0, umbilic, si)
+
+
+def _quantize_si_bins(si: np.ndarray) -> np.ndarray:
+    """quantize_si over an array of shape indices in [0, 1]."""
+    centers = np.asarray(SI_BIN_CENTERS)
+    low = np.floor(si * 8).astype(np.intp)
+    high = np.minimum(low + 1, 8)
+    d_low = np.abs(si - centers[low])
+    d_high = np.abs(si - centers[high])
+    toward_saddle = np.abs(centers[high] - 0.5) < np.abs(centers[low] - 0.5)
+    return np.where((d_high < d_low) | ((d_high == d_low) & toward_saddle), high, low)
+
+
+def _vertex_bins(kind: str, p_min: np.ndarray, p_max: np.ndarray,
+                 zero_eps: float) -> np.ndarray:
+    """Per-vertex histogram bin of the "si" or "hk" feature."""
+    if kind == "si":
+        return _quantize_si_bins(_shape_indices(p_min, p_max))
+    return _hk_bins(p_min * p_max, 0.5 * (p_min + p_max), zero_eps)
+
+
+# Vertices per batched fit. The padded neighbourhood arrays grow with the
+# block size times the largest neighbourhood, so a fixed block bounds memory.
+_FIT_BLOCK = 128
+
+
+def _batched_curvatures(points: np.ndarray, tree: cKDTree, vertex_idx, radius: float,
+                        toward: np.ndarray):
+    """Principal curvatures at ``points[vertex_idx]`` from the neighbors
+    within ``radius``, fitted _FIT_BLOCK vertices at a time.
+
+    Returns (p_min, p_max, valid) arrays. ``valid`` is False where the fit
+    fails: fewer than 10 neighbors within ``radius``, a rank-deficient cubic
+    fit, or non-finite curvatures; p_min and p_max are 0 there.
+    """
+    vertex_idx = np.asarray(vertex_idx, dtype=np.intp)
+    n = vertex_idx.shape[0]
+    p_min, p_max, valid = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    for start in range(0, n, _FIT_BLOCK):
+        block = slice(start, start + _FIT_BLOCK)
+        centres = points[vertex_idx[block]]
+        neighbourhoods = tree.query_ball_point(centres, r=radius)
+        p_min[block], p_max[block], valid[block] = _fit_block(points, centres,
+                                                              neighbourhoods, toward)
+    return p_min, p_max, valid
+
+
+def _fit_block(points, centres, neighbourhoods, toward):
+    """Principal curvatures at each of ``centres`` from the ``points`` listed
+    in its entry of ``neighbourhoods``; returns (p_min, p_max, valid).
+
+    The neighborhood covariance gives a local frame (normal = smallest
+    principal axis, oriented along ``toward``); the height field over the
+    tangent plane is fit with a full cubic bivariate polynomial, and the
+    Weingarten map is assembled from the fit's first- and second-order
+    coefficients at the origin. Neighbourhoods are padded to a common width;
+    padded rows are zero in every array below, so they add nothing to the
+    covariances and the fits.
+    """
+    counts = np.fromiter(map(len, neighbourhoods), dtype=np.intp, count=len(neighbourhoods))
+    mask = np.arange(max(int(counts.max()), 10)) < counts[:, None]
+    idx = np.zeros(mask.shape, dtype=np.intp)
+    idx[mask] = np.fromiter(chain.from_iterable(neighbourhoods), dtype=np.intp,
+                            count=int(counts.sum()))
+    inside = mask[..., None]
+    neighbors = np.where(inside, points[idx], 0.0)
+
+    mean = neighbors.sum(axis=1) / np.maximum(counts, 1)[:, None]
+    centered = np.where(inside, neighbors - mean[:, None, :], 0.0)
+    _, eigvecs = np.linalg.eigh(centered.transpose(0, 2, 1) @ centered)
+    normal = eigvecs[:, :, 0]
+    normal = np.where((normal @ toward < 0)[:, None], -normal, normal)
+    frame = np.stack([eigvecs[:, :, 2], eigvecs[:, :, 1], normal], axis=2)
+
+    rel = np.where(inside, neighbors - centres[:, None, :], 0.0)
+    scale = np.maximum(np.linalg.norm(rel, axis=2).max(axis=1), 1e-12)
+    u, v, z = np.moveaxis((rel @ frame) / scale[:, None, None], 2, 0)
+    basis = np.stack([mask.astype(np.float64), u, v,
+                      u * u, u * v, v * v,
+                      u ** 3, u * u * v, u * v * v, v ** 3], axis=2)
+
+    # Least squares through the SVD with lstsq's rank rule (rcond = eps times
+    # the larger dimension of the unpadded system).
+    left, sv, right_t = np.linalg.svd(basis, full_matrices=False)
+    keep = sv > sv[:, :1] * (np.maximum(counts, 10) * np.finfo(np.float64).eps)[:, None]
+    inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+    proj = (left.transpose(0, 2, 1) @ z[..., None])[..., 0] * inv_sv
+    coeffs = (right_t.transpose(0, 2, 1) @ proj[..., None])[..., 0]
+
+    p_min, p_max = _weingarten(coeffs, scale)
+    valid = ((counts >= 10) & keep.all(axis=1)
+             & np.isfinite(p_min) & np.isfinite(p_max))
+    return np.where(valid, p_min, 0.0), np.where(valid, p_max, 0.0), valid
+
+
+def _region_histogram(landmark, bins: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Nine-bin frequencies of one landmark region from its vertices' bins,
+    over the vertices with a valid estimate."""
+    where = np.asarray(landmark).tolist()
+    if bins.shape[0] < 10:
+        raise ValueError(f"landmark region at {where} has {bins.shape[0]} points, need >= 10")
+    n_ok = int(np.count_nonzero(valid))
+    if n_ok < 10:
+        raise ValueError(f"landmark region at {where}: only {n_ok} vertices had a valid estimate")
+    return np.bincount(bins[valid], minlength=9) / n_ok
+
+
 def landmark_local_histogram(cloud: PointCloudFrame, landmark, region_radius: float,
                              kind: str, config: CurvatureConfig,
                              toward=(0.0, 0.0, -1.0), tree: cKDTree | None = None) -> np.ndarray:
@@ -254,7 +365,8 @@ def landmark_local_histogram(cloud: PointCloudFrame, landmark, region_radius: fl
 
     ``kind`` is "si" (quantized shape index) or "hk" (surface types in
     SurfaceType order). Frequencies are counts divided by the number of
-    region vertices with a valid estimate, so the histogram sums to 1.
+    region vertices with a valid estimate, so the histogram sums to 1;
+    vertices whose fit fails (speckle, degenerate neighborhood) are dropped.
     A prebuilt KD-tree over cloud.points may be passed to amortize repeated
     calls on the same frame.
     """
@@ -268,31 +380,10 @@ def landmark_local_histogram(cloud: PointCloudFrame, landmark, region_radius: fl
     if tree is None:
         tree = cKDTree(cloud.points)
     region_idx = tree.query_ball_point(lm, r=region_radius)
-    if len(region_idx) < 10:
-        raise ValueError(
-            f"landmark region at {lm.tolist()} has {len(region_idx)} points, need >= 10")
-
-    toward_v = np.asarray(toward, dtype=np.float64)
-    hist = np.zeros(9)
-    n_ok = 0
-    for i in region_idx:
-        vertex = cloud.points[i]
-        neigh_idx = tree.query_ball_point(vertex, r=config.neighborhood_radius)
-        try:
-            pc = _curvatures_from_neighbors(cloud.points[neigh_idx], vertex, toward_v)
-        except (ValueError, DegenerateSurfaceError):
-            continue  # speckle vertex; drop it from the frequency base
-        if kind == "si":
-            hist[quantize_si(shape_index(pc))] += 1
-        else:
-            k, h = gaussian_mean_curvature(pc)
-            hist[hk_classify(k, h, config.zero_eps).value] += 1
-        n_ok += 1
-
-    if n_ok < 10:
-        raise ValueError(
-            f"landmark region at {lm.tolist()}: only {n_ok} vertices had a valid estimate")
-    return hist / n_ok
+    p_min, p_max, valid = _batched_curvatures(cloud.points, tree, region_idx,
+                                              config.neighborhood_radius,
+                                              np.asarray(toward, dtype=np.float64))
+    return _region_histogram(lm, _vertex_bins(kind, p_min, p_max, config.zero_eps), valid)
 
 
 def sequence_feature(sample, record, weights, kind: str, config: CurvatureConfig,
@@ -303,9 +394,17 @@ def sequence_feature(sample, record, weights, kind: str, config: CurvatureConfig
     For each landmark of the 32-point subset, the per-frame nine-bin
     histograms over the selected frames are concatenated and scaled by that
     landmark's weight; landmark blocks are then concatenated in subset
-    order. ``frames`` selects "onset-apex" (default; two frames) or "all"
-    (every frame from onset to offset).
+    order. ``kind`` is "si", "hk", or "sihk" (the si feature followed by the
+    hk feature). ``frames`` selects "onset-apex" (default; two frames) or
+    "all" (every frame from onset to offset).
+
+    Each selected frame is fitted once, over the union of its landmark
+    regions; every region and both kinds read their bins from that one fit.
     """
+    kind = kind.lower()
+    if kind not in ("si", "hk", "sihk"):
+        raise ValueError(f"kind must be 'si', 'hk' or 'sihk', got {kind!r}")
+    kinds = ("si", "hk") if kind == "sihk" else (kind,)
     subset = tuple(subset) if subset is not None else DEFAULT_LANDMARK_SUBSET
     weights = np.asarray(weights, dtype=np.float64).ravel()
     if weights.shape[0] != len(subset):
@@ -324,19 +423,31 @@ def sequence_feature(sample, record, weights, kind: str, config: CurvatureConfig
         if t >= len(sample.clouds):
             raise ValueError(f"frame {t} not present in the sample ({len(sample.clouds)} frames)")
 
-    trees = {t: cKDTree(sample.clouds[t].points) for t in set(frame_ids)}
-    parts = []
+    toward_v = np.asarray(toward, dtype=np.float64)
+    fits = {}
+    for t in dict.fromkeys(frame_ids):
+        points = sample.clouds[t].points
+        tree = cKDTree(points)
+        regions = tree.query_ball_point(sample.landmarks3d[t][list(subset)],
+                                        r=config.landmark_region_radius)
+        union = np.unique(np.fromiter(chain.from_iterable(regions), dtype=np.intp))
+        p_min, p_max, valid = _batched_curvatures(points, tree, union,
+                                                  config.neighborhood_radius, toward_v)
+        bins = {k: _vertex_bins(k, p_min, p_max, config.zero_eps) for k in kinds}
+        fits[t] = (regions, union, valid, bins)
+
+    parts = {k: [] for k in kinds}
     for j, lm_idx in enumerate(subset):
         for t in frame_ids:
-            lm = sample.landmarks3d[t][lm_idx]
-            try:
-                hist = landmark_local_histogram(sample.clouds[t], lm,
-                                                config.landmark_region_radius,
-                                                kind, config, toward=toward,
-                                                tree=trees[t])
-            except ValueError as exc:
-                raise ValueError(f"landmark {lm_idx} (frame {t}): {exc}") from None
-            parts.append(weights[j] * hist)
+            regions, union, valid, bins = fits[t]
+            pos = np.searchsorted(union, np.asarray(regions[j], dtype=np.intp))
+            for k in kinds:
+                try:
+                    hist = _region_histogram(sample.landmarks3d[t][lm_idx],
+                                             bins[k][pos], valid[pos])
+                except ValueError as exc:
+                    raise ValueError(f"landmark {lm_idx} (frame {t}): {exc}") from None
+                parts[k].append(weights[j] * hist)
 
-    return FeatureVector(np.concatenate(parts), tag=f"3d-{kind.lower()}",
-                         fingerprint=config.fingerprint)
+    return FeatureVector(np.concatenate([p for k in kinds for p in parts[k]]),
+                         tag=f"3d-{kind}", fingerprint=config.fingerprint)

@@ -5,9 +5,17 @@ per-center, per-plane, per-neighbor sampling into per-block histograms. It
 shares only the documented conventions with the library (neighbor angles,
 the 1e-9 integer snap, the canonical bilinear expression, block spans), so a
 bin-for-bin comparison checks the vectorized path exactly.
+
+The landmark-histogram reference at the end fits one vertex at a time: its
+own KD-tree query, np.linalg.lstsq cubic fit and scalar shape-index / HK
+binning. It shares only the documented curvature conventions with the
+library's batched path.
 """
 
 import math
+
+import numpy as np
+from scipy.spatial import cKDTree
 
 
 def _snap(value):
@@ -125,3 +133,100 @@ def lbp_code_reference(samples, center):
         if g - center >= 0:
             code += 2 ** p
     return code
+
+
+# --- landmark-local curvature histograms ----------------------------------
+
+# HK bin of each (sign K, sign H), in the library's SurfaceType order:
+# peak, ridge, saddle ridge, flat, minimal surface, pit, valley,
+# saddle valley, undefined.
+_HK_BIN = {(1, 1): 0, (0, 1): 1, (-1, 1): 2, (0, 0): 3, (-1, 0): 4,
+           (1, -1): 5, (0, -1): 6, (-1, -1): 7, (1, 0): 8}
+
+
+def curvature_reference(points, tree, i, radius, toward):
+    """(p_min, p_max) at vertex ``i`` from the points within ``radius``, or
+    None when there are fewer than 10 of them or the cubic fit is
+    rank-deficient.
+
+    Conventions: local frame from the eigenvectors of the neighborhood
+    scatter about its mean (normal = smallest axis, turned toward
+    ``toward``; u = largest axis, v = middle); coordinates relative to the
+    vertex divided by the farthest neighbor's distance; full cubic height
+    field z(u, v) by least squares; curvatures of the Weingarten map at the
+    origin.
+    """
+    vertex = points[i]
+    neighbors = points[tree.query_ball_point(vertex, r=radius)]
+    if len(neighbors) < 10:
+        return None
+    centered = neighbors - neighbors.mean(axis=0)
+    _, axes = np.linalg.eigh(centered.T @ centered)
+    normal = axes[:, 0] if axes[:, 0] @ toward >= 0 else -axes[:, 0]
+    rel = neighbors - vertex
+    scale = max(max(math.sqrt(float(r @ r)) for r in rel), 1e-12)
+    rows, heights = [], []
+    for r in rel:
+        u, v = (r @ axes[:, 2]) / scale, (r @ axes[:, 1]) / scale
+        rows.append([1.0, u, v, u * u, u * v, v * v, u ** 3, u * u * v, u * v * v, v ** 3])
+        heights.append((r @ normal) / scale)
+    coeffs, _, rank, _ = np.linalg.lstsq(np.array(rows), np.array(heights), rcond=None)
+    if rank < 10:
+        return None
+
+    hu, hv = float(coeffs[1]), float(coeffs[2])
+    huu, huv, hvv = 2.0 * coeffs[3] / scale, coeffs[4] / scale, 2.0 * coeffs[5] / scale
+    e, f, g = 1.0 + hu * hu, hu * hv, 1.0 + hv * hv
+    w = math.sqrt(1.0 + hu * hu + hv * hv)
+    l, m, n = huu / w, huv / w, hvv / w
+    k = (l * n - m * m) / (e * g - f * f)
+    h = (e * n - 2.0 * f * m + g * l) / (2.0 * (e * g - f * f))
+    root = math.sqrt(max(h * h - k, 0.0))
+    p_min, p_max = float(h - root), float(h + root)
+    if not (math.isfinite(p_min) and math.isfinite(p_max)):
+        return None
+    return p_min, p_max
+
+
+def si_bin_reference(p_min, p_max):
+    """Nearest of the centers b/8 to the shape index
+    1/2 - atan((p_max+p_min)/(p_max-p_min))/pi (umbilics: 0 for a positive
+    pair, 1 for a negative pair, 1/2 when flat); ties go to the center
+    nearer the saddle (1/2)."""
+    total, spread = p_max + p_min, p_max - p_min
+    if spread == 0.0:
+        si = 0.0 if total > 0 else 1.0 if total < 0 else 0.5
+    else:
+        si = min(max(0.5 - math.atan(total / spread) / math.pi, 0.0), 1.0)
+    return min(range(9), key=lambda b: (abs(si - b / 8), abs(b / 8 - 0.5)))
+
+
+def hk_bin_reference(p_min, p_max, zero_eps):
+    """HK bin from the signs of K = p_min * p_max and H = (p_min + p_max) / 2,
+    with |value| <= zero_eps counting as zero."""
+    def sign(x):
+        return 0 if abs(x) <= zero_eps else 1 if x > 0 else -1
+    return _HK_BIN[sign(p_min * p_max), sign(0.5 * (p_min + p_max))]
+
+
+def landmark_histogram_reference(points, landmark, region_radius, neighborhood_radius,
+                                 kind, zero_eps, toward=(0.0, 0.0, -1.0)):
+    """(frequencies, dropped): the nine-bin "si" or "hk" histogram over the
+    region vertices (within ``region_radius`` of ``landmark``) that have a
+    curvature estimate, divided by their number; and the sorted indices of
+    the region vertices without one."""
+    points = np.asarray(points, dtype=np.float64)
+    toward = np.asarray(toward, dtype=np.float64)
+    tree = cKDTree(points)
+    counts = [0] * 9
+    dropped = []
+    for i in sorted(tree.query_ball_point(landmark, r=region_radius)):
+        pc = curvature_reference(points, tree, i, neighborhood_radius, toward)
+        if pc is None:
+            dropped.append(i)
+        elif kind == "si":
+            counts[si_bin_reference(*pc)] += 1
+        else:
+            counts[hk_bin_reference(*pc, zero_eps)] += 1
+    n_ok = sum(counts)
+    return [c / n_ok for c in counts], dropped

@@ -117,7 +117,8 @@ class TestSynthAndPreprocess:
         for cfg in (cfg1, cfg2):
             cmd_synth(cfg)
             assert cmd_preprocess(cfg) == EXIT_OK
-            assert cmd_extract(cfg, "2d") == EXIT_OK
+            for kind in ("2d", "3d-sihk"):
+                assert cmd_extract(cfg, kind) == EXIT_OK
         for rel in [p.relative_to(cfg1.out_dir)
                     for p in Path(cfg1.out_dir).rglob("*.csv") if p.is_file()]:
             assert (Path(cfg1.out_dir) / rel).read_bytes() == \

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from microexp.curvature3d import (CurvatureConfig, DEFAULT_LANDMARK_SUBSET,
                                   DegenerateSurfaceError, PrincipalCurvatures,
-                                  SurfaceType, estimate_principal_curvatures,
+                                  SurfaceType, _batched_curvatures, _hk_bins,
+                                  _quantize_si_bins, _shape_indices, _vertex_bins,
+                                  estimate_principal_curvatures,
                                   gaussian_mean_curvature, hk_classify,
                                   landmark_local_histogram, load_landmark_subset,
                                   quantize_si, sequence_feature, shape_index)
@@ -13,7 +16,9 @@ from microexp.dataset import (NonObjectiveClass, ObjectiveClass, SampleData,
                               SampleRecord)
 from microexp.preprocess2d import FrameVolume
 from microexp.preprocess3d import PointCloudFrame
-from microexp.synth import make_surface
+from microexp.synth import SynthSpec, make_dataset, make_surface
+
+from .oracles import landmark_histogram_reference
 
 
 def _record(onset=0, apex=0, offset=1):
@@ -218,6 +223,17 @@ class TestSequenceFeature:
         assert len(both) == len(si) + len(hk)
         assert np.array_equal(both.values, np.concatenate([si.values, hk.values]))
 
+    def test_sihk_is_si_then_hk_in_one_call(self, tiny_dataset):
+        records, samples = tiny_dataset
+        cfg = CurvatureConfig()
+        weights = np.linspace(0.5, 1.5, 32)
+        si = sequence_feature(samples[1], records[1], weights, "si", cfg)
+        hk = sequence_feature(samples[1], records[1], weights, "hk", cfg)
+        both = sequence_feature(samples[1], records[1], weights, "sihk", cfg)
+        assert both.tag == "3d-sihk"
+        assert both.fingerprint == si.fingerprint == hk.fingerprint
+        assert both.values.tobytes() == np.concatenate([si.values, hk.values]).tobytes()
+
     def test_missing_frame_rejected(self, sphere_cap):
         sample = _single_landmark_sample(sphere_cap)
         cfg = CurvatureConfig(neighborhood_radius=0.01, landmark_region_radius=0.015)
@@ -283,3 +299,129 @@ class TestRotationInvariance:
         after = np.array(after)
         rel = np.abs(after - base) / np.abs(base)
         assert np.median(rel) < 0.01
+
+
+def _oracle_hist(points, landmark, cfg, kind):
+    hist, _ = landmark_histogram_reference(points, landmark, cfg.landmark_region_radius,
+                                           cfg.neighborhood_radius, kind, cfg.zero_eps)
+    return np.array(hist)
+
+
+class TestBatchedAgainstOracle:
+    """The batched per-frame fit against the plain-loop lstsq oracle, bin for bin."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_dataset_frames(self, seed):
+        records, samples = make_dataset(SynthSpec(n_subjects=1, samples_per_subject=1,
+                                                  n_points=700, signal="3d", seed=seed))
+        record, sample = records[0], samples[0]
+        cfg = CurvatureConfig()
+        subset = DEFAULT_LANDMARK_SUBSET[::4]
+        weights = np.linspace(0.5, 2.0, len(subset))
+        expected = {"si": [], "hk": []}
+        for j, lm_idx in enumerate(subset):
+            for t in (record.onset, record.apex):
+                cloud, lm = sample.clouds[t], sample.landmarks3d[t][lm_idx]
+                for kind in ("si", "hk"):
+                    ref = _oracle_hist(cloud.points, lm, cfg, kind)
+                    got = landmark_local_histogram(cloud, lm, cfg.landmark_region_radius,
+                                                   kind, cfg)
+                    assert np.array_equal(got, ref), (seed, lm_idx, t, kind)
+                    expected[kind].append(weights[j] * ref)
+        for kind in ("si", "hk", "sihk"):
+            fv = sequence_feature(sample, record, weights, kind, cfg, subset=subset)
+            want = np.concatenate([h for k in ("si", "hk") if k in kind for h in expected[k]])
+            assert np.array_equal(fv.values, want), (seed, kind)
+
+    # On a noiseless plane both curvatures are rounding residue (~1e-40), so
+    # its shape index is 0/0 and differs between any two implementations;
+    # only its HK type (flat) is defined. Jitter gives the plane a real one.
+    @pytest.mark.parametrize("surface, params, noise, kinds, cfg", [
+        ("sphere", {"radius": 0.05, "cap_deg": 150}, 0.0, ("si", "hk"),
+         CurvatureConfig(neighborhood_radius=0.01, landmark_region_radius=0.01)),
+        ("plane", None, 0.0, ("hk",),
+         CurvatureConfig(neighborhood_radius=0.012, zero_eps=1.0, landmark_region_radius=0.01)),
+        ("plane", None, 1e-4, ("si", "hk"),
+         CurvatureConfig(neighborhood_radius=0.012, zero_eps=1.0, landmark_region_radius=0.01)),
+        ("cylinder", {"radius": 0.05}, 0.0, ("si", "hk"),
+         CurvatureConfig(neighborhood_radius=0.01, landmark_region_radius=0.01)),
+    ])
+    def test_analytic_surfaces(self, surface, params, noise, kinds, cfg, rng):
+        cloud = make_surface(surface, params, n_points=4000, noise_sigma=noise, seed=4).cloud
+        for i in rng.choice(len(cloud.points), 3, replace=False):
+            lm = cloud.points[i]
+            for kind in kinds:
+                got = landmark_local_histogram(cloud, lm, cfg.landmark_region_radius, kind, cfg)
+                assert np.array_equal(got, _oracle_hist(cloud.points, lm, cfg, kind))
+
+    def test_speckle_and_collinear_vertices_dropped_alike(self):
+        rng = np.random.default_rng(7)
+        plane = np.column_stack([rng.uniform(-0.03, 0.03, (3000, 2)),
+                                 0.4 + rng.normal(0.0, 1e-4, 3000)])
+        # Isolated points above the plane: one neighbor each, themselves.
+        ang = np.arange(6) * np.pi / 3
+        speckle = np.column_stack([0.008 * np.cos(ang), 0.008 * np.sin(ang), np.full(6, 0.385)])
+        # A straight strip: collinear neighborhoods (rank-deficient fits),
+        # and fewer than 10 neighbors at its ends.
+        x = np.linspace(-0.005, 0.005, 21)
+        strip = np.column_stack([x, np.zeros_like(x), np.full_like(x, 0.392)])
+        points = np.vstack([plane, speckle, strip])
+        cfg = CurvatureConfig(neighborhood_radius=0.004, landmark_region_radius=0.02)
+        lm = np.array([0.0, 0.0, 0.4])
+
+        tree = cKDTree(points)
+        region = sorted(tree.query_ball_point(lm, r=cfg.landmark_region_radius))
+        _, _, valid = _batched_curvatures(points, tree, region, cfg.neighborhood_radius,
+                                          np.array([0.0, 0.0, -1.0]))
+        dropped = [i for i, ok in zip(region, valid) if not ok]
+        assert dropped == list(range(len(plane), len(points)))
+
+        cloud = PointCloudFrame(points)
+        for kind in ("si", "hk"):
+            ref, ref_dropped = landmark_histogram_reference(
+                points, lm, cfg.landmark_region_radius, cfg.neighborhood_radius,
+                kind, cfg.zero_eps)
+            assert ref_dropped == dropped
+            got = landmark_local_histogram(cloud, lm, cfg.landmark_region_radius, kind, cfg)
+            assert np.array_equal(got, np.array(ref))
+
+
+class TestVectorisedBinning:
+    """The array forms of shape_index / quantize_si / hk_classify against the
+    scalar functions, including exact bin edges and the zero_eps boundary."""
+
+    def test_quantize_si_grid(self):
+        mids = np.arange(17) / 16
+        si = np.concatenate([np.linspace(0.0, 1.0, 4001), mids,
+                             np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf)])
+        si = si[(si >= 0.0) & (si <= 1.0)]
+        assert np.array_equal(_quantize_si_bins(si), [quantize_si(x) for x in si])
+
+    def test_shape_index_grid_with_umbilics(self):
+        vals = np.concatenate([np.linspace(-3.0, 3.0, 61),
+                               [-1e3, -1e-9, 0.0, 1e-9, 1e3, -20.0, 20.0]])
+        a, b = np.meshgrid(vals, vals)
+        p_min, p_max = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+        umbilic = p_min == p_max
+        assert all(np.any(umbilic & cond) for cond in (p_min < 0, p_min == 0, p_min > 0))
+        scalar = [shape_index(PrincipalCurvatures(lo, hi)) for lo, hi in zip(p_min, p_max)]
+        assert np.array_equal(_shape_indices(p_min, p_max), scalar)
+        assert np.array_equal(_vertex_bins("si", p_min, p_max, 0.5),
+                              [quantize_si(x) for x in scalar])
+
+    @pytest.mark.parametrize("eps", [0.5, 1e-3])
+    def test_hk_grid_at_zero_eps(self, eps):
+        edges = np.array([eps, -eps])
+        vals = np.concatenate([np.linspace(-4 * eps, 4 * eps, 33), edges,
+                               np.nextafter(edges, 0.0), np.nextafter(edges, 2 * edges)])
+        k, h = (g.ravel() for g in np.meshgrid(vals, vals))
+        assert np.array_equal(_hk_bins(k, h, eps),
+                              [hk_classify(a, b, eps).value for a, b in zip(k, h)])
+
+    def test_hk_from_curvature_pairs(self):
+        vals = np.linspace(-2.0, 2.0, 41)
+        a, b = np.meshgrid(vals, vals)
+        p_min, p_max = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+        scalar = [hk_classify(*gaussian_mean_curvature(PrincipalCurvatures(lo, hi)), 0.5).value
+                  for lo, hi in zip(p_min, p_max)]
+        assert np.array_equal(_vertex_bins("hk", p_min, p_max, 0.5), scalar)
