@@ -15,9 +15,10 @@ from .dataset import (DurationRule, MappingTable, NonObjectiveClass, ObjectiveCl
                       SampleData, SampleRecord, coder_reliability, load_index,
                       nonobjective_label, objective_label, save_index,
                       validate_duration)
-from .learn import (ClassDistribution, EvalResult, FusionConfig, fuse, fusion_sweep,
-                    kfold_eval, loso_eval, loso_split, metrics, predict_proba,
-                    read_probabilities_csv, train, write_probabilities_csv)
+from .learn import (ClassDistribution, EvalResult, cross_val_runs, fuse, fusion_sweep,
+                    kfold_eval, kfold_splits, loso_eval, loso_split, metrics,
+                    predict_proba, read_probabilities_csv, select_fusion_weight, train,
+                    write_probabilities_csv)
 from .lbptop import (FeatureVector, LbpTopConfig, lbp_code, lbp_top_histogram,
                      mean_difference_weights)
 from .preprocess2d import (CropResult, FrameVolume, SimilarityTransform, crop_face,

@@ -425,22 +425,6 @@ def _labels_of(records, label_mode: str):
     return [r.nonobjective_label.value for r in records]
 
 
-def _kfold_runs(cfg: RunConfig, labels):
-    """Stratified fold sets for each k-fold repeat, reshuffled per repeat."""
-    seed_seq = np.random.SeedSequence(cfg.seed)
-    runs = []
-    for child in seed_seq.spawn(cfg.kfold_repeats):
-        rng = np.random.default_rng(child)
-        members = learn.stratified_kfold_indices(labels, cfg.kfold_k, rng)
-        folds = []
-        for f in range(cfg.kfold_k):
-            test = sorted(members[f])
-            train_idx = sorted(i for g in range(cfg.kfold_k) if g != f for i in members[g])
-            folds.append((train_idx, test))
-        runs.append(folds)
-    return runs
-
-
 def evaluate_features(cfg: RunConfig, records, features_by_kind, train_fn=None):
     """Per-kind and fused evaluation rows under the configured protocol.
 
@@ -448,11 +432,10 @@ def evaluate_features(cfg: RunConfig, records, features_by_kind, train_fn=None):
     features, protocol, accuracy, f1.
     """
     labels = _labels_of(records, cfg.label_mode)
-    subjects = [r.subject_id for r in records]
     if cfg.protocol == "loso":
-        fold_runs = [learn.loso_split(subjects)]
+        fold_runs = [learn.loso_split([r.subject_id for r in records])]
     else:
-        fold_runs = _kfold_runs(cfg, labels)
+        fold_runs = learn.kfold_splits(labels, cfg.kfold_k, cfg.kfold_repeats, cfg.seed)
 
     radius_str = repr(cfg.curvature.neighborhood_radius)
     proba_runs: dict[str, list] = {}
@@ -461,31 +444,19 @@ def evaluate_features(cfg: RunConfig, records, features_by_kind, train_fn=None):
                      "lbp_fingerprint": cfg.lbp.fingerprint,
                      "curvature_fingerprint": cfg.curvature.fingerprint}
 
+    def add_row(radius, features, result):
+        rows.append({"radius": radius, "features": features, "protocol": cfg.protocol,
+                     "accuracy": result.accuracy, "f1": result.f1})
+
     for kind in cfg.eval_features:
-        runs = []
-        accs, f1s, per_fold = [], [], []
-        for run_no, folds in enumerate(fold_runs):
-            probas, fold_accs = learn.cross_val_proba(
-                features_by_kind[kind], labels, folds,
-                seed=cfg.seed + 1000 * run_no, train_fn=train_fn)
-            result = learn.metrics([p.argmax_label for p in probas], labels)
-            runs.append(probas)
-            accs.append(result.accuracy)
-            f1s.append(result.f1)
-            per_fold.extend(fold_accs)
-        proba_runs[kind] = runs
-        rows.append({
-            "radius": "-" if kind == "2d" else radius_str,
-            "features": kind,
-            "protocol": cfg.protocol,
-            "accuracy": float(np.mean(accs)),
-            "f1": float(np.mean(f1s)),
-        })
-        details["per_kind"][kind] = {"per_fold": per_fold, "accuracy": float(np.mean(accs))}
+        proba_runs[kind], result = learn.cross_val_runs(
+            features_by_kind[kind], labels, fold_runs, seed=cfg.seed, train_fn=train_fn)
+        add_row("-" if kind == "2d" else radius_str, kind, result)
+        details["per_kind"][kind] = {"per_fold": result.per_fold, "accuracy": result.accuracy}
 
     fusion_grid = None
     if cfg.fusion_sweep:
-        fusion_grid = (0.1, 0.2, 0.3, 0.4, 0.5)
+        fusion_grid = learn.FUSION_WEIGHTS
     elif cfg.fusion_a is not None:
         fusion_grid = (cfg.fusion_a,)
 
@@ -493,25 +464,11 @@ def evaluate_features(cfg: RunConfig, records, features_by_kind, train_fn=None):
         for kind in cfg.eval_features:
             if kind == "2d":
                 continue
-            best_a, best_acc, best_f1 = None, -1.0, 0.0
-            for a in fusion_grid:
-                accs, f1s = [], []
-                for p2d, p3d in zip(proba_runs["2d"], proba_runs[kind]):
-                    fused = [learn.fuse(p1, p2, a) for p1, p2 in zip(p2d, p3d)]
-                    result = learn.metrics([f.argmax_label for f in fused], labels)
-                    accs.append(result.accuracy)
-                    f1s.append(result.f1)
-                if np.mean(accs) > best_acc:
-                    best_a, best_acc, best_f1 = a, float(np.mean(accs)), float(np.mean(f1s))
-            rows.append({
-                "radius": radius_str,
-                "features": f"2d+{kind}",
-                "protocol": cfg.protocol,
-                "accuracy": best_acc,
-                "f1": best_f1,
-            })
+            best_a, result = learn.select_fusion_weight(proba_runs["2d"], proba_runs[kind],
+                                                        labels, fusion_grid)
+            add_row(radius_str, f"2d+{kind}", result)
             details.setdefault("fusion", {})[f"2d+{kind}"] = {"best_a": best_a,
-                                                              "accuracy": best_acc}
+                                                              "accuracy": result.accuracy}
     return rows, details
 
 
@@ -525,7 +482,10 @@ def cmd_eval(cfg: RunConfig, train_fn=None) -> int:
     records = dataset.load_index(pre_root / "index.csv")
     features_by_kind = {kind: load_features(cfg, kind, records)
                         for kind in cfg.eval_features}
-    rows, details = evaluate_features(cfg, records, features_by_kind, train_fn=train_fn)
+    try:
+        rows, details = evaluate_features(cfg, records, features_by_kind, train_fn=train_fn)
+    except ValueError as exc:
+        raise DataError(f"cannot evaluate {cfg.protocol}: {exc}") from exc
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -596,6 +556,7 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
             overrides = dict(cfg.to_dict())
             overrides.update(point)
             prefix = ",".join(point[k] for k in grid_keys)
+            point_cfg = None
             try:
                 point_cfg = RunConfig.from_dict(overrides)
                 features_by_kind = {
@@ -607,7 +568,8 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
                 rows, _ = evaluate_features(point_cfg, records, features_by_kind)
             except (ValueError, KeyError):
                 n_failed += 1
-                error_row = f"-,error,{cfg.protocol},nan,nan"
+                protocol = cfg.protocol if point_cfg is None else point_cfg.protocol
+                error_row = f"-,error,{protocol},nan,nan"
                 csv_fh.write((prefix + "," if prefix else "") + error_row + "\n")
                 ledger_fh.write(point_id + "\n")
                 csv_fh.flush()

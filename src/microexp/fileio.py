@@ -7,7 +7,6 @@ rerun with the same inputs produces byte-identical files.
 
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -188,20 +187,6 @@ def read_feature_csv(path) -> FeatureVector:
         raise ValueError(f"{path}: not a feature CSV row")
     return FeatureVector(np.array([float(v) for v in parts[2:]]),
                          tag=parts[0], fingerprint=parts[1])
-
-
-def write_feature_bin(path, feature: FeatureVector) -> None:
-    """Little-endian float64 values behind an 8-byte length header."""
-    with Path(path).open("wb") as fh:
-        fh.write(struct.pack("<Q", len(feature)))
-        fh.write(feature.values.astype("<f8").tobytes())
-
-
-def read_feature_bin(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    (count,) = struct.unpack("<Q", data[:8])
-    values = np.frombuffer(data, dtype="<f8", count=count, offset=8)
-    return values.astype(np.float64)
 
 
 # --- flat config ----------------------------------------------------------

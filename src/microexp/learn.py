@@ -17,6 +17,9 @@ from scipy.optimize import minimize
 
 from .lbptop import FeatureVector
 
+# The paper's sweep of the fusion weight a.
+FUSION_WEIGHTS = (0.1, 0.2, 0.3, 0.4, 0.5)
+
 
 @dataclass(frozen=True)
 class ClassDistribution:
@@ -41,17 +44,6 @@ class ClassDistribution:
     def argmax_label(self) -> str:
         # Ties break toward the lowest class index, for reproducibility.
         return self.labels[int(np.argmax(self.probs))]
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    """Mixing weight for 2-d/3-d probability fusion; 0 = 2-d only, 1 = 3-d only."""
-
-    a: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0:
-            raise ValueError(f"fusion weight must lie in [0, 1], got {self.a}")
 
 
 @dataclass
@@ -286,54 +278,85 @@ def cross_val_proba(features, labels, folds, seed: int = 0, train_fn=None):
     return proba, per_fold
 
 
-def loso_eval(features, labels, subjects, seed: int = 0, train_fn=None) -> EvalResult:
-    """Leave-one-subject-out evaluation with the built-in classifier."""
-    folds = loso_split(subjects)
-    proba, per_fold = cross_val_proba(features, labels, folds, seed=seed, train_fn=train_fn)
-    result = metrics([p.argmax_label for p in proba], labels)
-    result.per_fold = per_fold
-    return result
+def kfold_splits(labels, k: int, repeats: int,
+                 seed: int) -> list[list[tuple[list[int], list[int]]]]:
+    """Repeated stratified k-fold: one list of k (train, test) folds per repeat.
 
-
-def kfold_eval(features, labels, k: int = 10, repeats: int = 10, seed: int = 0,
-               train_fn=None) -> EvalResult:
-    """Repeated stratified k-fold evaluation.
-
-    Folds are reshuffled each repeat with seeds derived from ``seed``;
-    reported accuracy and F1 are means over the repeats, the confusion
-    matrix accumulates over all repeats, and per_fold lists every individual
-    fold accuracy.
+    Folds are reshuffled each repeat with seeds spawned from ``seed``.
     """
-    labels = [str(l) for l in labels]
     n = len(labels)
     if k > n:
         raise ValueError(f"k={k} exceeds the sample count {n}")
     if k < 2:
         raise ValueError("k must be at least 2")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    runs = []
+    for child in np.random.SeedSequence(seed).spawn(repeats):
+        members = stratified_kfold_indices(labels, k, np.random.default_rng(child))
+        runs.append([(sorted(i for g in range(k) if g != f for i in members[g]),
+                      sorted(members[f])) for f in range(k)])
+    return runs
 
-    seed_seq = np.random.SeedSequence(seed)
-    accs, f1s, per_fold = [], [], []
-    confusion = None
-    classes = None
-    for repeat, child in enumerate(seed_seq.spawn(repeats)):
-        rng = np.random.default_rng(child)
-        fold_members = stratified_kfold_indices(labels, k, rng)
-        folds = []
-        for f in range(k):
-            test = sorted(fold_members[f])
-            train_idx = sorted(i for g in range(k) if g != f for i in fold_members[g])
-            folds.append((train_idx, test))
+
+def _run_mean(results, per_fold=()) -> EvalResult:
+    """Accuracy and F1 averaged over runs, confusion summed over runs."""
+    return EvalResult(accuracy=float(np.mean([r.accuracy for r in results])),
+                      f1=float(np.mean([r.f1 for r in results])),
+                      confusion=sum(r.confusion for r in results),
+                      classes=results[-1].classes, per_fold=list(per_fold))
+
+
+def cross_val_runs(features, labels, fold_runs, seed: int = 0, train_fn=None):
+    """Out-of-fold probabilities for each run of folds (one run for LOSO, one
+    per repeat for k-fold); run ``r`` trains with seeds from ``seed + 1000*r``.
+
+    Returns (per-run probability lists, EvalResult): accuracy and F1 are
+    means over the runs, the confusion matrix accumulates over all runs, and
+    per_fold lists every individual fold accuracy.
+    """
+    proba_runs, results, per_fold = [], [], []
+    for run, folds in enumerate(fold_runs):
         proba, fold_accs = cross_val_proba(features, labels, folds,
-                                           seed=seed + 1000 * repeat, train_fn=train_fn)
-        result = metrics([p.argmax_label for p in proba], labels)
-        accs.append(result.accuracy)
-        f1s.append(result.f1)
+                                           seed=seed + 1000 * run, train_fn=train_fn)
+        proba_runs.append(proba)
+        results.append(metrics([p.argmax_label for p in proba], labels))
         per_fold.extend(fold_accs)
-        confusion = result.confusion if confusion is None else confusion + result.confusion
-        classes = result.classes
+    return proba_runs, _run_mean(results, per_fold)
 
-    return EvalResult(accuracy=float(np.mean(accs)), f1=float(np.mean(f1s)),
-                      confusion=confusion, classes=classes, per_fold=per_fold)
+
+def select_fusion_weight(p1_runs, p2_runs, truths,
+                         weights=FUSION_WEIGHTS) -> tuple[float, EvalResult]:
+    """Pick the fusion weight with the best run-mean fused accuracy.
+
+    ``p1_runs`` and ``p2_runs`` hold one per-sample probability list per run,
+    aligned with ``truths``. Ties go to the smaller weight, i.e. the first in
+    ``weights``. Returns the weight and its run-averaged EvalResult.
+    """
+    if not p1_runs or len(p1_runs) != len(p2_runs) or any(
+            not len(p1) == len(p2) == len(truths) for p1, p2 in zip(p1_runs, p2_runs)):
+        raise ValueError("probability lists and truths must be aligned, in at least one run")
+    best_a = None
+    best_result = None
+    for a in weights:
+        result = _run_mean([
+            metrics([fuse(x, y, a).argmax_label for x, y in zip(p1, p2)], truths)
+            for p1, p2 in zip(p1_runs, p2_runs)])
+        if best_result is None or result.accuracy > best_result.accuracy:
+            best_a, best_result = a, result
+    return best_a, best_result
+
+
+def loso_eval(features, labels, subjects, seed: int = 0, train_fn=None) -> EvalResult:
+    """Leave-one-subject-out evaluation with the built-in classifier."""
+    return cross_val_runs(features, labels, [loso_split(subjects)], seed, train_fn)[1]
+
+
+def kfold_eval(features, labels, k: int = 10, repeats: int = 10, seed: int = 0,
+               train_fn=None) -> EvalResult:
+    """Repeated stratified k-fold evaluation; see kfold_splits and cross_val_runs."""
+    return cross_val_runs(features, labels, kfold_splits(labels, k, repeats, seed),
+                          seed, train_fn)[1]
 
 
 def write_probabilities_csv(path, sample_ids, distributions) -> None:
@@ -386,19 +409,7 @@ def read_probabilities_csv(path, labels) -> dict[str, ClassDistribution]:
 
 
 def fusion_sweep(p1_per_sample, p2_per_sample, truths,
-                 weights=(0.1, 0.2, 0.3, 0.4, 0.5)) -> tuple[float, EvalResult]:
-    """Pick the fusion weight with the best accuracy over the grid.
-
-    Evaluates the fused predictions at each weight and returns the argmax
-    (ties resolved toward the smaller weight) together with its EvalResult.
-    """
-    if not (len(p1_per_sample) == len(p2_per_sample) == len(truths)):
-        raise ValueError("probability lists and truths must be aligned")
-    best_a = None
-    best_result = None
-    for a in weights:
-        fused = [fuse(p1, p2, a) for p1, p2 in zip(p1_per_sample, p2_per_sample)]
-        result = metrics([f.argmax_label for f in fused], truths)
-        if best_result is None or result.accuracy > best_result.accuracy:
-            best_a, best_result = a, result
-    return best_a, best_result
+                 weights=FUSION_WEIGHTS) -> tuple[float, EvalResult]:
+    """Pick the fusion weight with the best accuracy over the grid: the
+    one-run case of select_fusion_weight."""
+    return select_fusion_weight([p1_per_sample], [p2_per_sample], truths, weights)

@@ -41,6 +41,34 @@ def pipeline(tmp_path_factory):
     return cfg
 
 
+@pytest.fixture(scope="module")
+def noisy_3d_pipeline(tmp_path_factory):
+    """3-d class signal under 3 mm cloud noise: no row scores 1.0 and the
+    fused row differs from both single-stream rows."""
+    base = tmp_path_factory.mktemp("noisy_3d")
+    cfg = _pipeline_cfg(base, seed=4, synth=SynthSpec(
+        n_subjects=3, samples_per_subject=4, n_classes=2, signal="3d",
+        noise_3d=0.003, n_points=900, seed=4))
+    assert cmd_synth(cfg) == EXIT_OK
+    assert cmd_preprocess(cfg) == EXIT_OK
+    assert cmd_extract(cfg, "2d") == EXIT_OK
+    assert cmd_extract(cfg, "3d-si") == EXIT_OK
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def one_subject(tmp_path_factory):
+    """A preprocessed dataset with a single subject (4 samples, 2d features)."""
+    base = tmp_path_factory.mktemp("one_subject")
+    cfg = _pipeline_cfg(base, eval_features=("2d",), fusion_sweep=False, synth=SynthSpec(
+        n_subjects=1, samples_per_subject=4, n_classes=2, signal="both",
+        n_points=700, seed=3))
+    assert cmd_synth(cfg) == EXIT_OK
+    assert cmd_preprocess(cfg) == EXIT_OK
+    assert cmd_extract(cfg, "2d") == EXIT_OK
+    return cfg
+
+
 class TestRunConfig:
     def test_file_round_trip_lossless(self, tmp_path):
         cfg = _pipeline_cfg(tmp_path, fusion_a=0.3, fusion_sweep=False,
@@ -248,6 +276,25 @@ class TestEval:
         lines = (Path(cfg.out_dir) / "results.csv").read_text().splitlines()
         assert lines[1].split(",")[2] == "kfold"
 
+    # Exact outputs on a fixed dataset: they pin fold construction, per-run
+    # training seeds and the run-averaged choice of the fusion weight.
+    @pytest.mark.parametrize("protocol, results, best_a", [
+        ("loso", ["-,2d,loso,0.5833,0.5556",
+                  "0.02,3d-si,loso,0.5833,0.5804",
+                  "0.02,2d+3d-si,loso,0.6667,0.6250"], 0.3),
+        ("kfold", ["-,2d,kfold,0.3958,0.3798",
+                   "0.02,3d-si,kfold,0.6667,0.6606",
+                   "0.02,2d+3d-si,kfold,0.5625,0.5360"], 0.5),
+    ])
+    def test_outputs_pinned(self, noisy_3d_pipeline, protocol, results, best_a):
+        cfg = replace(noisy_3d_pipeline, protocol=protocol, kfold_k=3, kfold_repeats=4)
+        assert cmd_eval(cfg) == EXIT_OK
+        out = Path(cfg.out_dir)
+        assert (out / "results.csv").read_text() == \
+            "\n".join(["radius,features,protocol,accuracy,f1"] + results) + "\n"
+        details = json.loads((out / "eval_details.json").read_text())
+        assert details["fusion"]["2d+3d-si"]["best_a"] == best_a
+
 
 class TestSweep:
     def test_rows_ledger_and_resume(self, pipeline, tmp_path):
@@ -287,10 +334,22 @@ class TestSweep:
                         Path(cfg.out_dir) / "preprocessed")
         assert cmd_sweep(cfg, grid) == EXIT_PARTIAL
         lines = (Path(cfg.out_dir) / "sweep.csv").read_text().splitlines()
-        assert any(",error," in line for line in lines)
+        # the point's config does not parse, so its row names the base protocol
+        assert "0,0,0,-,error,loso,nan,nan" in lines
         assert any(",2d," in line for line in lines)  # the good point still ran
         done = (Path(cfg.out_dir) / "sweep.done").read_text().splitlines()
         assert len(done) == 2  # both points ledgered, no retry loop
+
+    def test_error_row_names_the_points_protocol(self, one_subject, tmp_path):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("eval.k=2\neval.protocol=loso|kfold\n", encoding="utf-8")
+        cfg = replace(one_subject, out_dir=str(tmp_path / "sweep_out"), protocol="kfold")
+        shutil.copytree(Path(one_subject.out_dir) / "preprocessed",
+                        Path(cfg.out_dir) / "preprocessed")
+        assert cmd_sweep(cfg, grid) == EXIT_PARTIAL
+        lines = (Path(cfg.out_dir) / "sweep.csv").read_text().splitlines()
+        assert lines[1] == "2,loso,-,error,loso,nan,nan"  # LOSO needs 2 subjects
+        assert lines[2].startswith("2,kfold,-,2d,kfold,")
 
     def test_twelve_point_radii_grid(self, pipeline, tmp_path):
         grid = tmp_path / "radii.txt"
@@ -325,6 +384,19 @@ class TestMainEntry:
     def test_data_error_exit_code(self, tmp_path, capsys):
         assert main(["preprocess", "--root", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "out")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("overrides, reason", [
+        ({"protocol": "loso"}, "LOSO needs at least 2 distinct subjects"),
+        ({"protocol": "kfold", "kfold_k": 10}, "k=10 exceeds the sample count 4"),
+    ])
+    def test_eval_data_error_exit_code(self, one_subject, tmp_path, capsys,
+                                       overrides, reason):
+        cfg_path = tmp_path / "run.cfg"
+        replace(one_subject, **overrides).to_file(cfg_path)
+        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert reason in err
 
     def test_synth_writes_tree(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

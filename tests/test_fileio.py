@@ -112,14 +112,6 @@ class TestFeatures:
         fileio.write_feature_csv(path, fv)
         assert path.read_text() == "t,fp,0.5,0.25\n"
 
-    def test_binary_round_trip(self, tmp_path, rng):
-        fv = FeatureVector(rng.standard_normal(100), tag="t", fingerprint="fp")
-        path = tmp_path / "f.bin"
-        fileio.write_feature_bin(path, fv)
-        back = fileio.read_feature_bin(path)
-        assert np.array_equal(back, fv.values)
-        assert path.stat().st_size == 8 + 100 * 8
-
 
 class TestConfig:
     def test_round_trip(self):

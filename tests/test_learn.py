@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microexp.learn import (ClassDistribution, FusionConfig, fuse,
-                            fusion_sweep, kfold_eval, loso_eval, loso_split,
-                            metrics, predict_proba, read_probabilities_csv,
-                            stratified_kfold_indices, train,
+from microexp.learn import (ClassDistribution, fuse, fusion_sweep, kfold_eval,
+                            kfold_splits, loso_eval, loso_split, metrics,
+                            predict_proba, read_probabilities_csv,
+                            select_fusion_weight, stratified_kfold_indices, train,
                             write_probabilities_csv)
 
 
@@ -123,8 +123,6 @@ class TestFuse:
         p = ClassDistribution(("a", "b"), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             fuse(p, p, 1.5)
-        with pytest.raises(ValueError):
-            FusionConfig(a=-0.2)
 
     @given(st.lists(st.floats(0.001, 1.0), min_size=2, max_size=5),
            st.lists(st.floats(0.001, 1.0), min_size=2, max_size=5),
@@ -254,10 +252,33 @@ class TestKfold:
                             train_fn=_perfect_train_fn(x, y))
         assert result.accuracy == 1.0
 
+    def test_splits_partition_each_repeat(self):
+        labels = ["a"] * 7 + ["b"] * 5
+        runs = kfold_splits(labels, k=3, repeats=4, seed=5)
+        assert len(runs) == 4
+        for folds in runs:
+            assert len(folds) == 3
+            for train_idx, test_idx in folds:
+                assert not set(train_idx) & set(test_idx)
+                assert sorted(train_idx + test_idx) == list(range(12))
+            assert sorted(i for _, test_idx in folds for i in test_idx) == list(range(12))
+        assert kfold_splits(labels, k=3, repeats=4, seed=5) == runs
+
     def test_k_exceeds_samples_rejected(self):
         x, y = _blobs(n_per=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds"):
+            kfold_splits(y, k=10, repeats=1, seed=0)
+        with pytest.raises(ValueError, match="exceeds"):
             kfold_eval(x, y, k=10, repeats=1, seed=0)
+
+    def test_k_below_two_or_no_repeats_rejected(self):
+        x, y = _blobs(n_per=2)
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            kfold_splits(y, k=1, repeats=1, seed=0)
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            kfold_eval(x, y, k=1, repeats=1, seed=0)
+        with pytest.raises(ValueError, match="repeats"):
+            kfold_splits(y, k=2, repeats=0, seed=0)
 
 
 class TestFusionSweep:
@@ -292,10 +313,40 @@ class TestFusionSweep:
             per_a.append(metrics([f.argmax_label for f in fused], truths).accuracy)
         assert result.accuracy == max(per_a)
 
+    def test_run_mean_argmax_beats_each_runs_own_best(self):
+        # Every truth is "a"; each sample is (p1("a"), p2("a")) and is fused
+        # correctly on a fixed range of the grid (0.1 .. 0.5):
+        only_low = (0.55, 0.2)    # a = 0.1
+        only_high = (0.1, 0.98)   # a = 0.5
+        from_03 = (0.3, 1.0)      # a >= 0.3
+        to_03 = (0.8, 0.0)        # a <= 0.3
+        bumps = [from_03, to_03] * 2
+        run1 = [only_low] * 3 + bumps    # correct counts 5, 2, 4, 2, 2
+        run2 = [only_high] * 3 + bumps   # correct counts 2, 2, 4, 2, 5
+
+        def streams(run):
+            return ([ClassDistribution(("a", "b"), np.array([u, 1 - u])) for u, _ in run],
+                    [ClassDistribution(("a", "b"), np.array([v, 1 - v])) for _, v in run])
+
+        truths = ["a"] * 7
+        (p1_r1, p2_r1), (p1_r2, p2_r2) = streams(run1), streams(run2)
+        assert fusion_sweep(p1_r1, p2_r1, truths)[0] == 0.1
+        assert fusion_sweep(p1_r2, p2_r2, truths)[0] == 0.5
+        best_a, result = select_fusion_weight([p1_r1, p1_r2], [p2_r1, p2_r2], truths)
+        assert best_a == 0.3
+        assert result.accuracy == pytest.approx(4 / 7)
+        assert result.confusion.sum() == 14
+
     def test_misaligned_inputs_rejected(self):
         p = [ClassDistribution(("a", "b"), np.array([0.5, 0.5]))]
         with pytest.raises(ValueError):
             fusion_sweep(p, p + p, ["a"])
+        with pytest.raises(ValueError):
+            select_fusion_weight([p, p], [p], ["a"])
+        with pytest.raises(ValueError):
+            select_fusion_weight([p, p], [p, p + p], ["a"])
+        with pytest.raises(ValueError):
+            select_fusion_weight([], [], ["a"])
 
 
 class TestExternalProbabilities:
