@@ -37,6 +37,9 @@ EXIT_DATA = 2
 EXIT_PARTIAL = 3
 
 FEATURE_KINDS = ("2d", "3d-si", "3d-hk", "3d-sihk")
+# Kinds computed from the video frames alone: extract reads no clouds or
+# landmarks for them.
+FRAMES_ONLY_KINDS = ("2d",)
 
 
 class UsageError(ValueError):
@@ -248,11 +251,16 @@ def write_dataset_tree(root, records, samples) -> None:
         write_sample_tree(root, record, sample)
 
 
-def read_sample_tree(root, record: SampleRecord, frame_rate: float) -> SampleData:
+def read_sample_tree(root, record: SampleRecord, frame_rate: float,
+                     frames_only: bool = False) -> SampleData:
+    """One sample's media; with ``frames_only``, just the video frames."""
     d = sample_dir(root, record)
     if not d.is_dir():
         raise DataError(f"sample directory missing: {d}")
     video = fileio.read_volume(d / "frames")
+    if frames_only:
+        return SampleData(video=video, clouds=None, landmarks2d=None, landmarks3d=None,
+                          frame_rate=frame_rate)
     clouds = fileio.read_cloud_sequence(d / "clouds")
     lm2_path = d / "landmarks2d.csv"
     lm3_path = d / "landmarks3d.csv"
@@ -369,7 +377,10 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
 def extract_sample_feature(sample: SampleData, record: SampleRecord,
                            kind: str, cfg: RunConfig):
-    """One sample's feature of the requested kind, from preprocessed data."""
+    """One sample's feature of the requested kind, from preprocessed data.
+
+    The 2d kind uses only the video frames (see ``FRAMES_ONLY_KINDS``).
+    """
     if kind == "2d":
         return lbp_top_histogram(sample.video, cfg.lbp)
     window = preprocess2d.FrameVolume(sample.video.data[record.onset:])
@@ -390,7 +401,8 @@ def cmd_extract(cfg: RunConfig, kind: str) -> int:
     out_dir = Path(cfg.out_dir) / "features" / kind
 
     def run_one(record):
-        sample = read_sample_tree(pre_root, record, cfg.frame_rate)
+        sample = read_sample_tree(pre_root, record, cfg.frame_rate,
+                                  frames_only=kind in FRAMES_ONLY_KINDS)
         return extract_sample_feature(sample, record, kind, cfg)
 
     if cfg.workers > 1:

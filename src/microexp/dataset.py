@@ -105,18 +105,23 @@ class SampleRecord:
 
 @dataclass(frozen=True)
 class SampleData:
-    """Raw media for one sample: video frames, clouds, per-frame landmarks."""
+    """Raw media for one sample: video frames, clouds, per-frame landmarks.
+
+    ``clouds`` and the landmarks are None for a sample read for its video
+    frames only.
+    """
 
     video: FrameVolume
-    clouds: tuple[PointCloudFrame, ...]
+    clouds: tuple[PointCloudFrame, ...] | None
     landmarks2d: tuple[np.ndarray, ...] | None  # per frame, (49, 2) pixels
     landmarks3d: tuple[np.ndarray, ...] | None  # per frame, (49, 3) meters
     frame_rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "clouds", tuple(self.clouds))
-        if len(self.clouds) != self.video.n_frames:
-            raise ValueError("need exactly one cloud per video frame")
+        if self.clouds is not None:
+            object.__setattr__(self, "clouds", tuple(self.clouds))
+            if len(self.clouds) != self.video.n_frames:
+                raise ValueError("need exactly one cloud per video frame")
         if not self.frame_rate > 0:
             raise ValueError("frame rate must be positive")
         for name in ("landmarks2d", "landmarks3d"):

@@ -75,29 +75,26 @@ def read_volume(directory) -> FrameVolume:
 
 # --- PLY ---------------------------------------------------------------
 
-def _format_float(value: float) -> str:
-    # 9 significant digits round-trip float32 exactly.
-    return format(np.float32(value), ".9g")
+_PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex {n}\n"
+               "property float x\nproperty float y\nproperty float z\nend_header\n")
 
 
 def write_ply(path, cloud: PointCloudFrame) -> None:
-    """Write a cloud as ASCII PLY with float32 x, y, z vertex properties."""
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(cloud)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "end_header",
-    ]
-    for p in cloud.points:
-        lines.append(f"{_format_float(p[0])} {_format_float(p[1])} {_format_float(p[2])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Write a cloud as ASCII PLY with float32 x, y, z vertex properties.
+
+    Each coordinate is written as ``%.9g`` of its float32 value: 9 significant
+    digits round-trip float32 exactly.
+    """
+    pts32 = np.asarray(cloud.points, dtype=np.float32).astype(np.float64)
+    body = ("%.9g %.9g %.9g\n" * len(pts32)) % tuple(pts32.ravel().tolist())
+    Path(path).write_text(_PLY_HEADER.format(n=len(pts32)) + body, encoding="ascii")
 
 
 def read_ply(path) -> PointCloudFrame:
-    """Read an ASCII PLY with x, y, z float vertex properties."""
+    """Read an ASCII PLY with x, y, z float vertex properties.
+
+    Vertex rows may carry extra columns; only the first three are read.
+    """
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0].strip() != "ply":
         raise ValueError(f"{path}: not a PLY file")
@@ -117,10 +114,29 @@ def read_ply(path) -> PointCloudFrame:
     rows = lines[body_at : body_at + n_vertex]
     if len(rows) != n_vertex:
         raise ValueError(f"{path}: expected {n_vertex} vertex rows, found {len(rows)}")
+    if not rows:
+        return PointCloudFrame(np.empty((0, 3)))
+    try:
+        points = np.loadtxt(rows, dtype=np.float64, ndmin=2, usecols=(0, 1, 2), comments=None)
+        if len(points) != n_vertex:
+            raise ValueError("blank vertex rows")  # loadtxt skips them
+    except ValueError as exc:
+        _raise_bad_vertex_row(path, rows, body_at + 1)
+        raise ValueError(f"{path}: {exc}") from exc
     # parse through the declared float32 property type, then widen
-    points = np.array([[float(v) for v in row.split()[:3]] for row in rows],
-                      dtype=np.float32).astype(np.float64)
-    return PointCloudFrame(points if points.size else np.empty((0, 3)))
+    return PointCloudFrame(points.astype(np.float32).astype(np.float64))
+
+
+def _raise_bad_vertex_row(path, rows, first_line_no) -> None:
+    """Raise a ValueError naming the first vertex row that is short or not numeric."""
+    for line_no, row in enumerate(rows, start=first_line_no):
+        fields = row.split()
+        if len(fields) < 3:
+            raise ValueError(f"{path}:{line_no}: vertex row needs x y z, got {row!r}")
+        try:
+            [float(v) for v in fields[:3]]
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: non-numeric vertex row {row!r}") from None
 
 
 def write_cloud_sequence(directory, clouds) -> None:
@@ -140,43 +156,83 @@ def read_cloud_sequence(directory) -> list[PointCloudFrame]:
 
 # --- landmarks ----------------------------------------------------------
 
+_LANDMARK_HEADER = {2: "frame,idx,x,y", 3: "frame,idx,x,y,z"}
+
+
 def write_landmarks(path, per_frame, dims: int) -> None:
-    """Write per-frame landmark arrays as CSV rows frame,idx,x,y[,z]."""
-    header = {2: "frame,idx,x,y", 3: "frame,idx,x,y,z"}[dims]
-    lines = [header]
+    """Write per-frame landmark arrays as CSV rows frame,idx,x,y[,z].
+
+    Coordinates are written as ``repr`` of their float64 value, the shortest
+    text that reads back to the same float.
+    """
+    row = "%d,%d" + ",%r" * dims + "\n"
+    blocks = [_LANDMARK_HEADER[dims] + "\n"]
     for t, marks in enumerate(per_frame):
-        marks = np.asarray(marks, dtype=np.float64)
-        for j in range(marks.shape[0]):
-            coords = ",".join(repr(float(c)) for c in marks[j, :dims])
-            lines.append(f"{t},{j},{coords}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        coords = np.asarray(marks, dtype=np.float64)[:, :dims].tolist()
+        blocks.append((row * len(coords)) % tuple(
+            v for j, xyz in enumerate(coords) for v in (t, j, *xyz)))
+    Path(path).write_text("".join(blocks), encoding="utf-8")
 
 
 def read_landmarks(path, dims: int) -> list[np.ndarray]:
+    """Per-frame (n, dims) landmark arrays, frames and rows in index order.
+
+    Raises ValueError naming the file and line for a row without exactly
+    ``2 + dims`` fields, a non-integer frame or idx, a non-numeric
+    coordinate, or a repeated (frame, idx) pair.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    expected = {2: "frame,idx,x,y", 3: "frame,idx,x,y,z"}[dims]
+    expected = _LANDMARK_HEADER[dims]
     if not lines or lines[0].strip() != expected:
         raise ValueError(f"{path}: expected header {expected!r}")
-    frames: dict[int, dict[int, list[float]]] = {}
-    for line in lines[1:]:
+    rows = [line for line in lines[1:] if line.strip()]
+    if not rows:
+        return []
+    row_type = np.dtype([("frame", np.int64), ("idx", np.int64), ("xyz", np.float64, (dims,))])
+    try:
+        table = np.loadtxt(rows, dtype=row_type, delimiter=",", ndmin=1, comments=None)
+        order = np.lexsort((table["idx"], table["frame"]))
+        frame, idx = table["frame"][order], table["idx"][order]
+        if np.any((frame[1:] == frame[:-1]) & (idx[1:] == idx[:-1])):
+            raise ValueError("repeated (frame, idx)")
+    except ValueError as exc:
+        _raise_bad_landmark_row(path, lines, dims)
+        raise ValueError(f"{path}: {exc}") from exc
+    coords = table["xyz"][order]
+    starts = np.flatnonzero(frame[1:] != frame[:-1]) + 1
+    return np.split(coords, starts)
+
+
+def _raise_bad_landmark_row(path, lines, dims) -> None:
+    """Raise a ValueError naming the first malformed or repeated landmark row."""
+    seen: dict[tuple[int, int], int] = {}
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split(",")
-        t, j = int(parts[0]), int(parts[1])
-        frames.setdefault(t, {})[j] = [float(v) for v in parts[2 : 2 + dims]]
-    out = []
-    for t in sorted(frames):
-        marks = frames[t]
-        arr = np.array([marks[j] for j in sorted(marks)])
-        out.append(arr)
-    return out
+        fields = line.split(",")
+        if len(fields) != 2 + dims:
+            raise ValueError(f"{path}:{line_no}: expected {2 + dims} fields "
+                             f"{_LANDMARK_HEADER[dims]}, got {len(fields)}")
+        try:
+            key = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: frame and idx must be integers, "
+                             f"got {line!r}") from None
+        try:
+            [float(v) for v in fields[2:]]
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: non-numeric coordinate in {line!r}") from None
+        if key in seen:
+            raise ValueError(f"{path}:{line_no}: frame {key[0]} idx {key[1]} "
+                             f"repeats line {seen[key]}")
+        seen[key] = line_no
 
 
 # --- feature vectors ------------------------------------------------------
 
 def write_feature_csv(path, feature: FeatureVector) -> None:
-    """One CSV row: tag,config_fingerprint,v0,v1,..."""
-    values = ",".join(repr(float(v)) for v in feature.values)
+    """One CSV row: tag,config_fingerprint,v0,v1,... (values as float64 repr)."""
+    values = ",".join(map(repr, feature.values.tolist()))
     Path(path).write_text(f"{feature.tag},{feature.fingerprint},{values}\n", encoding="utf-8")
 
 
@@ -185,7 +241,7 @@ def read_feature_csv(path) -> FeatureVector:
     parts = text.split(",")
     if len(parts) < 3:
         raise ValueError(f"{path}: not a feature CSV row")
-    return FeatureVector(np.array([float(v) for v in parts[2:]]),
+    return FeatureVector(np.array(list(map(float, parts[2:]))),
                          tag=parts[0], fingerprint=parts[1])
 
 

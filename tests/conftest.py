@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from microexp.synth import SynthSpec, make_dataset, make_surface
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and no
+# per-example deadline (the file-format properties write files, which a slow
+# runner can stretch past the default 200 ms).
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

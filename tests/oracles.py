@@ -10,12 +10,22 @@ The landmark-histogram reference at the end fits one vertex at a time: its
 own KD-tree query, np.linalg.lstsq cubic fit and scalar shape-index / HK
 binning. It shares only the documented curvature conventions with the
 library's batched path.
+
+The text-file readers and writers at the end are the library's original
+per-value PLY, landmark and feature-CSV code: one Python ``format``/``repr``
+per number when writing and one ``float``/``int`` per field when reading.
+The library's whole-array versions must write the same bytes and read the
+same bits.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from microexp.lbptop import FeatureVector
+from microexp.preprocess3d import PointCloudFrame
 
 
 def _snap(value):
@@ -230,3 +240,98 @@ def landmark_histogram_reference(points, landmark, region_radius, neighborhood_r
             counts[hk_bin_reference(*pc, zero_eps)] += 1
     n_ok = sum(counts)
     return [c / n_ok for c in counts], dropped
+
+
+def _format_float(value: float) -> str:
+    # 9 significant digits round-trip float32 exactly.
+    return format(np.float32(value), ".9g")
+
+
+def write_ply_reference(path, cloud: PointCloudFrame) -> None:
+    """Write a cloud as ASCII PLY with float32 x, y, z vertex properties."""
+    lines = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {len(cloud)}",
+        "property float x",
+        "property float y",
+        "property float z",
+        "end_header",
+    ]
+    for p in cloud.points:
+        lines.append(f"{_format_float(p[0])} {_format_float(p[1])} {_format_float(p[2])}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def read_ply_reference(path) -> PointCloudFrame:
+    """Read an ASCII PLY with x, y, z float vertex properties."""
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    if not lines or lines[0].strip() != "ply":
+        raise ValueError(f"{path}: not a PLY file")
+    n_vertex = None
+    body_at = None
+    for i, line in enumerate(lines[1:], start=1):
+        parts = line.split()
+        if parts[:2] == ["element", "vertex"]:
+            n_vertex = int(parts[2])
+        elif parts and parts[0] == "format" and parts[1] != "ascii":
+            raise ValueError(f"{path}: only ASCII PLY supported")
+        elif parts == ["end_header"]:
+            body_at = i + 1
+            break
+    if n_vertex is None or body_at is None:
+        raise ValueError(f"{path}: missing vertex element or end_header")
+    rows = lines[body_at : body_at + n_vertex]
+    if len(rows) != n_vertex:
+        raise ValueError(f"{path}: expected {n_vertex} vertex rows, found {len(rows)}")
+    # parse through the declared float32 property type, then widen
+    points = np.array([[float(v) for v in row.split()[:3]] for row in rows],
+                      dtype=np.float32).astype(np.float64)
+    return PointCloudFrame(points if points.size else np.empty((0, 3)))
+
+
+def write_landmarks_reference(path, per_frame, dims: int) -> None:
+    """Write per-frame landmark arrays as CSV rows frame,idx,x,y[,z]."""
+    header = {2: "frame,idx,x,y", 3: "frame,idx,x,y,z"}[dims]
+    lines = [header]
+    for t, marks in enumerate(per_frame):
+        marks = np.asarray(marks, dtype=np.float64)
+        for j in range(marks.shape[0]):
+            coords = ",".join(repr(float(c)) for c in marks[j, :dims])
+            lines.append(f"{t},{j},{coords}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_landmarks_reference(path, dims: int) -> list:
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    expected = {2: "frame,idx,x,y", 3: "frame,idx,x,y,z"}[dims]
+    if not lines or lines[0].strip() != expected:
+        raise ValueError(f"{path}: expected header {expected!r}")
+    frames: dict[int, dict[int, list[float]]] = {}
+    for line in lines[1:]:
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        t, j = int(parts[0]), int(parts[1])
+        frames.setdefault(t, {})[j] = [float(v) for v in parts[2 : 2 + dims]]
+    out = []
+    for t in sorted(frames):
+        marks = frames[t]
+        arr = np.array([marks[j] for j in sorted(marks)])
+        out.append(arr)
+    return out
+
+
+def write_feature_csv_reference(path, feature: FeatureVector) -> None:
+    """One CSV row: tag,config_fingerprint,v0,v1,..."""
+    values = ",".join(repr(float(v)) for v in feature.values)
+    Path(path).write_text(f"{feature.tag},{feature.fingerprint},{values}\n", encoding="utf-8")
+
+
+def read_feature_csv_reference(path) -> FeatureVector:
+    text = Path(path).read_text(encoding="utf-8").strip()
+    parts = text.split(",")
+    if len(parts) < 3:
+        raise ValueError(f"{path}: not a feature CSV row")
+    return FeatureVector(np.array([float(v) for v in parts[2:]]),
+                         tag=parts[0], fingerprint=parts[1])

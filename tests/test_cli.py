@@ -168,8 +168,42 @@ class TestSynthAndPreprocess:
         kept = [k for k, v in manifest["samples"].items() if v == "ok"]
         assert len(kept) == 4
 
+    def test_short_landmark_rows_named_in_manifest(self, tmp_path):
+        cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
+            n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=6))
+        cfg_path = tmp_path / "run.cfg"
+        cfg.to_file(cfg_path)
+        assert main(["synth", "--config", str(cfg_path)]) == EXIT_OK
+        # cut every row of one sample's 3-d landmarks to frame,idx,x,y
+        lm3 = Path(cfg.dataset_root) / "02" / "2_1" / "landmarks3d.csv"
+        header, *rows = lm3.read_text().splitlines()
+        lm3.write_text("\n".join([header] + [",".join(r.split(",")[:4]) for r in rows]) + "\n")
+        assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_PARTIAL
+        manifest = json.loads(
+            (Path(cfg.out_dir) / "preprocessed" / "manifest.json").read_text())
+        status = manifest["samples"]["02/2_1"]
+        assert status.startswith(f"skipped: {lm3}:2: expected 5 fields")
+        assert sum(s == "ok" for s in manifest["samples"].values()) == 3
+
 
 class TestExtract:
+    def test_2d_reads_only_frames(self, pipeline, tmp_path, monkeypatch):
+        pre = Path(pipeline.out_dir) / "preprocessed"
+        shutil.copytree(pre, tmp_path / "preprocessed")
+
+        def unused(*args, **kwargs):
+            raise AssertionError("extract --kind 2d read a cloud or landmark file")
+
+        monkeypatch.setattr(fileio, "read_ply", unused)
+        monkeypatch.setattr(fileio, "read_landmarks", unused)
+        assert cmd_extract(replace(pipeline, out_dir=str(tmp_path)), "2d") == EXIT_OK
+        want = Path(pipeline.out_dir) / "features" / "2d"
+        paths = sorted(want.rglob("*.csv"))
+        assert len(paths) == 12
+        for path in paths:
+            assert (tmp_path / "features" / "2d" / path.relative_to(want)).read_bytes() == \
+                path.read_bytes()
+
     def test_2d_feature_length(self, pipeline):
         path = next((Path(pipeline.out_dir) / "features" / "2d").glob("*/*.csv"))
         fv = fileio.read_feature_csv(path)

@@ -1,10 +1,40 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from microexp import fileio
 from microexp.lbptop import FeatureVector
 from microexp.preprocess2d import FrameVolume
 from microexp.preprocess3d import PointCloudFrame
+
+from .oracles import (read_feature_csv_reference, read_landmarks_reference,
+                      read_ply_reference, write_feature_csv_reference,
+                      write_landmarks_reference, write_ply_reference)
+
+# float32 edge values: signed zero, the smallest subnormal, the smallest
+# normal, near the largest finite, inexact decimals, and 2**24 + 1 (not a
+# float32, so the cast rounds it).
+EDGE_FLOATS = (0.0, -0.0, 1e-45, 1.17549435e-38, 3.4e38, 0.1, 1 / 3, 16777217.0)
+edge = st.sampled_from(EDGE_FLOATS + tuple(-v for v in EDGE_FLOATS))
+# random float64 inside the float32 range, so the PLY float32 cast stays finite
+in_float32_range = st.floats(min_value=-3.4e38, max_value=3.4e38)
+ply_values = st.one_of(edge, in_float32_range, st.floats(width=32, allow_nan=False,
+                                                         allow_infinity=False))
+csv_values = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fileio_oracle")
 
 
 class TestPgm:
@@ -70,6 +100,139 @@ class TestPly:
         fileio.write_cloud_sequence(tmp_path / "clouds", clouds)
         back = fileio.read_cloud_sequence(tmp_path / "clouds")
         assert len(back) == 3
+
+
+class TestPlyAgainstOracle:
+    """The whole-array PLY writer/reader against the per-value originals."""
+
+    @given(points=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(3)),
+                             elements=ply_values))
+    def test_writer_bytes_and_reader_bits(self, scratch, points):
+        fast, slow = scratch / "fast.ply", scratch / "slow.ply"
+        fileio.write_ply(fast, PointCloudFrame(points))
+        write_ply_reference(slow, PointCloudFrame(points))
+        assert fast.read_bytes() == slow.read_bytes()
+        assert _same_bits(fileio.read_ply(fast).points, read_ply_reference(fast).points)
+
+    def test_extra_columns_ignored(self, tmp_path):
+        path = tmp_path / "normals.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 3\n"
+                        "property float x\nproperty float y\nproperty float z\n"
+                        "property float nx\nproperty float ny\nproperty float nz\n"
+                        "end_header\n"
+                        "0.1 -0 1e-45 0 0 1\n"
+                        "  16777217\t-3.4e38 0.333333343 1 0 0\n"
+                        "-1.17549435e-38 2.5 -123.456 0 1 0 7\n")
+        fast = fileio.read_ply(path).points
+        assert fast.shape == (3, 3)
+        assert _same_bits(fast, read_ply_reference(path).points)
+        assert np.signbit(fast[0, 1])
+
+    def test_empty_cloud(self, tmp_path):
+        fast, slow = tmp_path / "fast.ply", tmp_path / "slow.ply"
+        empty = PointCloudFrame(np.empty((0, 3)))
+        fileio.write_ply(fast, empty)
+        write_ply_reference(slow, empty)
+        assert fast.read_bytes() == slow.read_bytes()
+        assert _same_bits(fileio.read_ply(fast).points, read_ply_reference(fast).points)
+
+    def test_pinned_text(self, tmp_path):
+        # recorded from the per-value writer
+        pts = np.array([[0.1, -0.0, 1e-45], [1 / 3, 16777217.0, 3.4e38],
+                        [-1.17549435e-38, 2.5, -123.456]])
+        path = tmp_path / "p.ply"
+        fileio.write_ply(path, PointCloudFrame(pts))
+        assert path.read_text() == (
+            "ply\nformat ascii 1.0\nelement vertex 3\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n"
+            "0.100000001 -0 1.40129846e-45\n"
+            "0.333333343 16777216 3.39999995e+38\n"
+            "-1.17549435e-38 2.5 -123.456001\n")
+
+
+class TestLandmarksAgainstOracle:
+    """The whole-array landmark writer/reader against the per-value originals."""
+
+    @given(data=st.data(), dims=st.sampled_from((2, 3)))
+    def test_writer_bytes_and_reader_bits(self, scratch, data, dims):
+        per_frame = data.draw(st.lists(
+            hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(dims)),
+                       elements=csv_values), max_size=4))
+        fast, slow = scratch / "fast.csv", scratch / "slow.csv"
+        fileio.write_landmarks(fast, per_frame, dims=dims)
+        write_landmarks_reference(slow, per_frame, dims=dims)
+        assert fast.read_bytes() == slow.read_bytes()
+        got = fileio.read_landmarks(fast, dims=dims)
+        want = read_landmarks_reference(fast, dims=dims)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert _same_bits(a, b)
+
+    def test_unordered_rows_sorted_like_oracle(self, tmp_path):
+        path = tmp_path / "lm.csv"
+        path.write_text("frame,idx,x,y\n2,1,0.5,-0.0\n\n0,3,1e-45,2\n2,0,3,4\n0,1,5,6\n")
+        got = fileio.read_landmarks(path, dims=2)
+        want = read_landmarks_reference(path, dims=2)
+        assert len(got) == len(want) == 2
+        for a, b in zip(got, want):
+            assert _same_bits(a, b)
+
+    def test_pinned_text(self, tmp_path):
+        # recorded from the per-value writer
+        per_frame = [np.array([[0.1, -0.0, 1 / 3], [1e-300, 12345.678, -2.5]]),
+                     np.array([[16777217.0, 5e-324, 1.7976931348623157e308],
+                               [-0.1, 2.0, 1e22]])]
+        path = tmp_path / "lm.csv"
+        fileio.write_landmarks(path, per_frame, dims=3)
+        assert path.read_text() == (
+            "frame,idx,x,y,z\n"
+            "0,0,0.1,-0.0,0.3333333333333333\n"
+            "0,1,1e-300,12345.678,-2.5\n"
+            "1,0,16777217.0,5e-324,1.7976931348623157e+308\n"
+            "1,1,-0.1,2.0,1e+22\n")
+
+
+class TestFeatureCsvAgainstOracle:
+    @given(values=hnp.arrays(np.float64, st.integers(1, 40), elements=csv_values))
+    def test_writer_bytes_and_reader_bits(self, scratch, values):
+        fv = FeatureVector(values, tag="3d-si", fingerprint="0123abcd")
+        fast, slow = scratch / "fast.csv", scratch / "slow.csv"
+        fileio.write_feature_csv(fast, fv)
+        write_feature_csv_reference(slow, fv)
+        assert fast.read_bytes() == slow.read_bytes()
+        got, want = fileio.read_feature_csv(fast), read_feature_csv_reference(fast)
+        assert (got.tag, got.fingerprint) == (want.tag, want.fingerprint)
+        assert _same_bits(got.values, want.values)
+
+
+class TestMalformedRows:
+    """Malformed rows fail with a ValueError naming the file and the line."""
+
+    @pytest.mark.parametrize("body, line, message", [
+        ("0,0,1,2,3\n0,1,1,2\n", 3, "expected 5 fields"),
+        ("0,0,1,2,3,4\n", 2, "expected 5 fields"),
+        ("0.5,0,1,2,3\n", 2, "frame and idx must be integers"),
+        ("0,a,1,2,3\n", 2, "frame and idx must be integers"),
+        ("0,0,1,x,3\n", 2, "non-numeric coordinate"),
+        ("0,0,1,2,3\n\n0,1,1,2,3\n0,0,4,5,6\n", 5, "frame 0 idx 0 repeats line 2"),
+    ])
+    def test_landmark_rows(self, tmp_path, body, line, message):
+        path = tmp_path / "landmarks3d.csv"
+        path.write_text("frame,idx,x,y,z\n" + body)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ") + ".*" + message):
+            fileio.read_landmarks(path, dims=3)
+
+    @pytest.mark.parametrize("rows, line, message", [
+        ("1 2 3\n1 2\n", 9, "vertex row needs x y z"),
+        ("1 2 3\n\n", 9, "vertex row needs x y z"),
+        ("1 2 3\n1 b 3\n", 9, "non-numeric vertex row"),
+    ])
+    def test_ply_rows(self, tmp_path, rows, line, message):
+        path = tmp_path / "cloud_0000.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+                        "property float y\nproperty float z\nend_header\n" + rows)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ") + message):
+            fileio.read_ply(path)
 
 
 class TestLandmarks:
