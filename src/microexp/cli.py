@@ -20,11 +20,12 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import curvature3d, dataset, fileio, learn, preprocess2d, preprocess3d
-from .curvature3d import CurvatureConfig, DEFAULT_LANDMARK_SUBSET
+from .curvature3d import CurvatureConfig, DEFAULT_LANDMARK_SUBSET, load_landmark_subset
 from .dataset import IndexFormatError, SampleData, SampleRecord
 from .lbptop import LbpTopConfig, lbp_top_histogram, mean_difference_weights
 from .synth import SynthSpec, make_dataset
@@ -50,11 +51,14 @@ class DataError(ValueError):
     pass
 
 
-def _parse_ints(text: str, n: int) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in str(text).split(","))
-    if len(parts) != n:
-        raise ValueError(f"expected {n} comma-separated integers, got {text!r}")
-    return parts
+def _ints(n: int) -> Callable[[str], tuple[int, ...]]:
+    """Parser of exactly n comma-separated integers."""
+    def parse(text: str) -> tuple[int, ...]:
+        parts = tuple(int(p) for p in str(text).split(","))
+        if len(parts) != n:
+            raise ValueError(f"expected {n} comma-separated integers, got {text!r}")
+        return parts
+    return parse
 
 
 def _parse_bool(text: str) -> bool:
@@ -66,10 +70,84 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _parse_subset(text: str) -> tuple[int, ...]:
+    """Comma-separated landmark indices; empty means the default subset."""
+    return tuple(int(v) for v in text.split(",") if v.strip()) or DEFAULT_LANDMARK_SUBSET
+
+
+def _join(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _field_value(cfg, name: str):
+    part, _, attr = name.rpartition(".")
+    return getattr(getattr(cfg, part) if part else cfg, attr)
+
+
+class ConfigKey(NamedTuple):
+    """How one config-file key maps onto a ``RunConfig`` field."""
+
+    field: str  # RunConfig field, or "lbp.", "curvature." or "synth." + a field of that part
+    parse: Callable[[str], object] = str
+    format: Callable[[object], str] = str
+    omit: Callable[["RunConfig"], bool] = lambda cfg: False  # leave out of to_dict
+
+
+# Every key of the flat config file, in the order to_dict writes them.
+CONFIG_KEYS: dict[str, ConfigKey] = {
+    "data.root": ConfigKey("dataset_root"),
+    "data.label_mode": ConfigKey("label_mode"),
+    "data.frame_rate": ConfigKey("frame_rate", float, repr),
+    "lbp.radii": ConfigKey("lbp.radii", _ints(3), _join),
+    "lbp.neighbors": ConfigKey("lbp.neighbors", _ints(3), _join),
+    "lbp.blocks": ConfigKey("lbp.blocks", _ints(2), _join),
+    "lbp.overlap": ConfigKey("lbp.overlap", int),
+    "curv.radius": ConfigKey("curvature.neighborhood_radius", float, repr),
+    "curv.zero_eps": ConfigKey("curvature.zero_eps", float, repr),
+    "curv.region_radius": ConfigKey("curvature.landmark_region_radius", float, repr),
+    "curv.frames": ConfigKey("curvature_frames"),
+    "weights.radius_px": ConfigKey("weight_radius_px", int),
+    "fusion.sweep": ConfigKey("fusion_sweep", _parse_bool, lambda b: "true" if b else "false"),
+    "eval.protocol": ConfigKey("protocol"),
+    "eval.k": ConfigKey("kfold_k", int),
+    "eval.repeats": ConfigKey("kfold_repeats", int),
+    "eval.features": ConfigKey("eval_features", _parse_names, _join),
+    "run.seed": ConfigKey("seed", int),  # also the synth seed
+    "run.out": ConfigKey("out_dir"),
+    "run.workers": ConfigKey("workers", int),
+    "clean.k": ConfigKey("denoise_k", int),
+    "clean.sigma": ConfigKey("denoise_sigma", float, repr),
+    "clean.crop_radius": ConfigKey("crop_radius", float, repr),
+    "clean.tip_at": ConfigKey("tip_at"),
+    "landmarks.inner_eye_left": ConfigKey("inner_eye_left", int),
+    "landmarks.inner_eye_right": ConfigKey("inner_eye_right", int),
+    "landmarks.nasal_spine": ConfigKey("nasal_spine", int),
+    # A subset file, when named, is loaded by from_dict and written in place
+    # of the inline subset.
+    "landmarks.subset": ConfigKey("landmark_subset", _parse_subset, _join,
+                                  omit=lambda cfg: bool(cfg.landmark_subset_file)),
+    "landmarks.subset_file": ConfigKey("landmark_subset_file",
+                                       omit=lambda cfg: not cfg.landmark_subset_file),
+    "synth.subjects": ConfigKey("synth.n_subjects", int),
+    "synth.samples": ConfigKey("synth.samples_per_subject", int),
+    "synth.classes": ConfigKey("synth.n_classes", int),
+    "synth.signal": ConfigKey("synth.signal"),
+    "synth.noise_2d": ConfigKey("synth.noise_2d", float, repr),
+    "synth.noise_3d": ConfigKey("synth.noise_3d", float, repr),
+    "synth.points": ConfigKey("synth.n_points", int),
+    "synth.frames": ConfigKey("synth.n_frames", int),
+    "fusion.a": ConfigKey("fusion_a", float, repr, omit=lambda cfg: cfg.fusion_a is None),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Full pipeline configuration; round-trips losslessly through the flat
-    key=value config file format."""
+    key=value config file format (keys: ``CONFIG_KEYS``)."""
 
     dataset_root: str = "data"
     label_mode: str = "objective"           # objective | nonobjective
@@ -90,7 +168,7 @@ class RunConfig:
     denoise_k: int = 8
     denoise_sigma: float = 2.0
     crop_radius: float = 0.1
-    tip_at: str = "min"
+    tip_at: str = "min"                     # min | max
     inner_eye_left: int = 22
     inner_eye_right: int = 25
     nasal_spine: int = 16
@@ -105,118 +183,40 @@ class RunConfig:
             raise ValueError(f"protocol must be loso|kfold, got {self.protocol!r}")
         if self.curvature_frames not in ("onset-apex", "all"):
             raise ValueError("curvature_frames must be onset-apex|all")
+        if self.tip_at not in ("min", "max"):
+            raise ValueError(f"tip_at must be min|max, got {self.tip_at!r}")
         for kind in self.eval_features:
             if kind not in FEATURE_KINDS:
                 raise ValueError(f"unknown feature kind {kind!r}")
 
     def to_dict(self) -> dict[str, str]:
-        d = {
-            "data.root": self.dataset_root,
-            "data.label_mode": self.label_mode,
-            "data.frame_rate": repr(self.frame_rate),
-            "lbp.radii": ",".join(map(str, self.lbp.radii)),
-            "lbp.neighbors": ",".join(map(str, self.lbp.neighbors)),
-            "lbp.blocks": ",".join(map(str, self.lbp.blocks)),
-            "lbp.overlap": str(self.lbp.overlap),
-            "curv.radius": repr(self.curvature.neighborhood_radius),
-            "curv.zero_eps": repr(self.curvature.zero_eps),
-            "curv.region_radius": repr(self.curvature.landmark_region_radius),
-            "curv.frames": self.curvature_frames,
-            "weights.radius_px": str(self.weight_radius_px),
-            "fusion.sweep": "true" if self.fusion_sweep else "false",
-            "eval.protocol": self.protocol,
-            "eval.k": str(self.kfold_k),
-            "eval.repeats": str(self.kfold_repeats),
-            "eval.features": ",".join(self.eval_features),
-            "run.seed": str(self.seed),
-            "run.out": self.out_dir,
-            "run.workers": str(self.workers),
-            "clean.k": str(self.denoise_k),
-            "clean.sigma": repr(self.denoise_sigma),
-            "clean.crop_radius": repr(self.crop_radius),
-            "clean.tip_at": self.tip_at,
-            "landmarks.inner_eye_left": str(self.inner_eye_left),
-            "landmarks.inner_eye_right": str(self.inner_eye_right),
-            "landmarks.nasal_spine": str(self.nasal_spine),
-            **({"landmarks.subset_file": self.landmark_subset_file}
-               if self.landmark_subset_file
-               else {"landmarks.subset": ",".join(map(str, self.landmark_subset))}),
-            "synth.subjects": str(self.synth.n_subjects),
-            "synth.samples": str(self.synth.samples_per_subject),
-            "synth.classes": str(self.synth.n_classes),
-            "synth.signal": self.synth.signal,
-            "synth.noise_2d": repr(self.synth.noise_2d),
-            "synth.noise_3d": repr(self.synth.noise_3d),
-            "synth.points": str(self.synth.n_points),
-            "synth.frames": str(self.synth.n_frames),
-        }
-        if self.fusion_a is not None:
-            d["fusion.a"] = repr(self.fusion_a)
-        return d
+        return {key: spec.format(_field_value(self, spec.field))
+                for key, spec in CONFIG_KEYS.items() if not spec.omit(self)}
 
     @classmethod
     def from_dict(cls, d: dict[str, str]) -> "RunConfig":
+        """Config from flat key=value entries; missing keys keep the defaults.
+
+        Raises ValueError naming every unknown key, or the key of a bad value.
+        """
+        unknown = sorted(set(d) - set(CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        fields: dict[str, dict] = {"": {}}  # part ("" for RunConfig itself) -> name -> value
+        for key, text in d.items():
+            part, _, name = CONFIG_KEYS[key].field.rpartition(".")
+            try:
+                fields.setdefault(part, {})[name] = CONFIG_KEYS[key].parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{key}={text!r}: {exc}") from None
+        top = fields.pop("")
+        if "seed" in top:
+            fields.setdefault("synth", {})["seed"] = top["seed"]
+        if top.get("landmark_subset_file"):
+            top["landmark_subset"] = load_landmark_subset(top["landmark_subset_file"])
         base = cls()
-        get = d.get
-        lbp = LbpTopConfig(
-            radii=_parse_ints(get("lbp.radii", "1,1,4"), 3),
-            neighbors=_parse_ints(get("lbp.neighbors", "8,8,8"), 3),
-            blocks=_parse_ints(get("lbp.blocks", "5,5"), 2),
-            overlap=int(get("lbp.overlap", "0")),
-        )
-        curv = CurvatureConfig(
-            neighborhood_radius=float(get("curv.radius", "0.02")),
-            zero_eps=float(get("curv.zero_eps", "0.5")),
-            landmark_region_radius=float(get("curv.region_radius", "0.02")),
-        )
-        synth = SynthSpec(
-            n_subjects=int(get("synth.subjects", str(base.synth.n_subjects))),
-            samples_per_subject=int(get("synth.samples", str(base.synth.samples_per_subject))),
-            n_classes=int(get("synth.classes", str(base.synth.n_classes))),
-            signal=get("synth.signal", base.synth.signal),
-            noise_2d=float(get("synth.noise_2d", repr(base.synth.noise_2d))),
-            noise_3d=float(get("synth.noise_3d", repr(base.synth.noise_3d))),
-            n_points=int(get("synth.points", str(base.synth.n_points))),
-            n_frames=int(get("synth.frames", str(base.synth.n_frames))),
-            seed=int(get("run.seed", "0")),
-        )
-        subset_file = get("landmarks.subset_file")
-        if subset_file:
-            from .curvature3d import load_landmark_subset
-            subset = load_landmark_subset(subset_file)
-        else:
-            subset = tuple(int(v) for v in get("landmarks.subset", "").split(",")
-                           if v.strip()) or DEFAULT_LANDMARK_SUBSET
-        return cls(
-            dataset_root=get("data.root", base.dataset_root),
-            label_mode=get("data.label_mode", base.label_mode),
-            frame_rate=float(get("data.frame_rate", repr(base.frame_rate))),
-            lbp=lbp,
-            curvature=curv,
-            curvature_frames=get("curv.frames", base.curvature_frames),
-            weight_radius_px=int(get("weights.radius_px", str(base.weight_radius_px))),
-            fusion_a=float(d["fusion.a"]) if "fusion.a" in d else None,
-            fusion_sweep=_parse_bool(get("fusion.sweep", "true")),
-            protocol=get("eval.protocol", base.protocol),
-            kfold_k=int(get("eval.k", str(base.kfold_k))),
-            kfold_repeats=int(get("eval.repeats", str(base.kfold_repeats))),
-            eval_features=tuple(v.strip() for v in
-                                get("eval.features", ",".join(base.eval_features)).split(",")
-                                if v.strip()),
-            seed=int(get("run.seed", str(base.seed))),
-            out_dir=get("run.out", base.out_dir),
-            workers=int(get("run.workers", str(base.workers))),
-            denoise_k=int(get("clean.k", str(base.denoise_k))),
-            denoise_sigma=float(get("clean.sigma", repr(base.denoise_sigma))),
-            crop_radius=float(get("clean.crop_radius", repr(base.crop_radius))),
-            tip_at=get("clean.tip_at", base.tip_at),
-            inner_eye_left=int(get("landmarks.inner_eye_left", str(base.inner_eye_left))),
-            inner_eye_right=int(get("landmarks.inner_eye_right", str(base.inner_eye_right))),
-            nasal_spine=int(get("landmarks.nasal_spine", str(base.nasal_spine))),
-            landmark_subset=subset,
-            landmark_subset_file=subset_file,
-            synth=synth,
-        )
+        return replace(base, **top, **{part: replace(getattr(base, part), **kw)
+                                       for part, kw in fields.items()})
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -513,19 +513,10 @@ def cmd_eval(cfg: RunConfig, train_fn=None) -> int:
 def parse_grid(text: str) -> list[dict[str, str]]:
     """Grid file: ``key = v1 | v2 | ...`` lines; returns the cartesian product
     as a list of config-override dicts (sorted key order)."""
-    axes: dict[str, list[str]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"grid line {line_no}: expected key=v1|v2, got {raw!r}")
-        key, values = line.split("=", 1)
-        axes[key.strip()] = [v.strip() for v in values.split("|") if v.strip()]
+    axes = {key: [v.strip() for v in values.split("|") if v.strip()]
+            for key, values in fileio.parse_config_text(text).items()}
     keys = sorted(axes)
-    points = []
-    for combo in itertools.product(*(axes[k] for k in keys)):
-        points.append(dict(zip(keys, combo)))
+    points = [dict(zip(keys, combo)) for combo in itertools.product(*(axes[k] for k in keys))]
     return points if axes else []
 
 
@@ -537,7 +528,10 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
     grid_path = Path(grid_path)
     if not grid_path.exists():
         raise DataError(f"grid file not found: {grid_path}")
-    points = parse_grid(grid_path.read_text(encoding="utf-8"))
+    try:
+        points = parse_grid(grid_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"grid file {grid_path}: {exc}") from exc
     grid_keys = sorted(points[0]) if points else []
 
     out = Path(cfg.out_dir)
@@ -642,10 +636,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="override run.seed")
-        p.add_argument("--workers", type=int, help="override run.workers")
-        p.add_argument("--out", help="override run.out output directory")
-        p.add_argument("--root", help="override data.root dataset root")
+        p.add_argument("--seed", type=int, dest="run.seed", help="override run.seed")
+        p.add_argument("--workers", type=int, dest="run.workers", help="override run.workers")
+        p.add_argument("--out", dest="run.out", help="override run.out output directory")
+        p.add_argument("--root", dest="data.root", help="override data.root dataset root")
 
     for name in ("preprocess", "eval", "synth"):
         add_common(sub.add_parser(name))
@@ -663,16 +657,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_cfg(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed, synth=replace(cfg.synth, seed=args.seed))
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.root is not None:
-        cfg = replace(cfg, dataset_root=args.root)
-    return cfg
+    """The --config file with the flag overrides (argparse dests are config keys)."""
+    try:
+        d = fileio.load_config(args.config) if args.config else {}
+        d.update({key: str(value) for key, value in vars(args).items()
+                  if key in CONFIG_KEYS and value is not None})
+        return RunConfig.from_dict(d)
+    except ValueError as exc:
+        raise DataError(f"config: {exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from microexp import fileio
-from microexp.cli import (EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, RunConfig,
-                          cmd_eval, cmd_extract, cmd_preprocess, cmd_synth,
-                          cmd_sweep, main, parse_grid)
+from microexp.cli import (CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE,
+                          RunConfig, _build_parser, _load_cfg, cmd_eval, cmd_extract,
+                          cmd_preprocess, cmd_synth, cmd_sweep, main, parse_grid)
+from microexp.curvature3d import CurvatureConfig
 from microexp.lbptop import LbpTopConfig
 from microexp.synth import SynthSpec
 
@@ -87,10 +88,125 @@ class TestRunConfig:
     def test_dict_round_trip_default(self):
         cfg = RunConfig()
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert RunConfig.from_dict({"landmarks.subset": ""}) == cfg  # empty: default subset
+
+    def test_default_config_text_pinned(self):
+        # recorded from the key-by-key to_dict this table replaced; it is the
+        # "config" block of every preprocess manifest.json
+        assert RunConfig().to_dict() == {
+            "data.root": "data",
+            "data.label_mode": "objective",
+            "data.frame_rate": "60.0",
+            "lbp.radii": "1,1,4",
+            "lbp.neighbors": "8,8,8",
+            "lbp.blocks": "5,5",
+            "lbp.overlap": "0",
+            "curv.radius": "0.02",
+            "curv.zero_eps": "0.5",
+            "curv.region_radius": "0.02",
+            "curv.frames": "onset-apex",
+            "weights.radius_px": "4",
+            "fusion.sweep": "true",
+            "eval.protocol": "loso",
+            "eval.k": "10",
+            "eval.repeats": "10",
+            "eval.features": "2d,3d-si,3d-hk,3d-sihk",
+            "run.seed": "0",
+            "run.out": "out",
+            "run.workers": "1",
+            "clean.k": "8",
+            "clean.sigma": "2.0",
+            "clean.crop_radius": "0.1",
+            "clean.tip_at": "min",
+            "landmarks.inner_eye_left": "22",
+            "landmarks.inner_eye_right": "25",
+            "landmarks.nasal_spine": "16",
+            "landmarks.subset": "0,1,2,3,4,5,6,7,8,9,19,22,25,28,10,12,13,14,16,18,"
+                                "31,33,35,37,39,41,43,44,45,46,47,48",
+            "synth.subjects": "5",
+            "synth.samples": "6",
+            "synth.classes": "2",
+            "synth.signal": "3d",
+            "synth.noise_2d": "2.0",
+            "synth.noise_3d": "0.0002",
+            "synth.points": "1400",
+            "synth.frames": "9",
+        }
+
+    @pytest.mark.parametrize("subset_from_file", [False, True])
+    def test_every_key_round_trips(self, tmp_path, subset_from_file):
+        subset_path = tmp_path / "subset.txt"
+        subset_path.write_text("3\n1\n4\n", encoding="utf-8")
+        d = {
+            "data.root": "d1",
+            "data.label_mode": "nonobjective",
+            "data.frame_rate": "30.0",
+            "lbp.radii": "2,2,3",
+            "lbp.neighbors": "4,8,16",
+            "lbp.blocks": "3,4",
+            "lbp.overlap": "2",
+            "curv.radius": "0.025",
+            "curv.zero_eps": "0.25",
+            "curv.region_radius": "0.015",
+            "curv.frames": "all",
+            "weights.radius_px": "3",
+            "fusion.sweep": "false",
+            "fusion.a": "0.3",
+            "eval.protocol": "kfold",
+            "eval.k": "5",
+            "eval.repeats": "2",
+            "eval.features": "2d,3d-hk",
+            "run.seed": "11",
+            "run.out": "o1",
+            "run.workers": "2",
+            "clean.k": "6",
+            "clean.sigma": "1.5",
+            "clean.crop_radius": "0.08",
+            "clean.tip_at": "max",
+            "landmarks.inner_eye_left": "21",
+            "landmarks.inner_eye_right": "26",
+            "landmarks.nasal_spine": "15",
+            "synth.subjects": "3",
+            "synth.samples": "2",
+            "synth.classes": "3",
+            "synth.signal": "both",
+            "synth.noise_2d": "1.5",
+            "synth.noise_3d": "0.0005",
+            "synth.points": "900",
+            "synth.frames": "7",
+        }
+        if subset_from_file:
+            d["landmarks.subset_file"] = str(subset_path)
+        else:
+            d["landmarks.subset"] = "3,1,4"
+        cfg = RunConfig(
+            dataset_root="d1", label_mode="nonobjective", frame_rate=30.0,
+            lbp=LbpTopConfig(radii=(2, 2, 3), neighbors=(4, 8, 16), blocks=(3, 4), overlap=2),
+            curvature=CurvatureConfig(neighborhood_radius=0.025, zero_eps=0.25,
+                                      landmark_region_radius=0.015),
+            curvature_frames="all", weight_radius_px=3, fusion_a=0.3, fusion_sweep=False,
+            protocol="kfold", kfold_k=5, kfold_repeats=2, eval_features=("2d", "3d-hk"),
+            seed=11, out_dir="o1", workers=2, denoise_k=6, denoise_sigma=1.5,
+            crop_radius=0.08, tip_at="max", inner_eye_left=21, inner_eye_right=26,
+            nasal_spine=15, landmark_subset=(3, 1, 4),
+            landmark_subset_file=str(subset_path) if subset_from_file else None,
+            synth=SynthSpec(n_subjects=3, samples_per_subject=2, n_classes=3, signal="both",
+                            noise_2d=1.5, noise_3d=0.0005, n_points=900, n_frames=7, seed=11))
+        default = RunConfig().to_dict()
+        assert set(d) | {"landmarks.subset", "landmarks.subset_file"} == set(CONFIG_KEYS)
+        assert all(d[key] != default[key] for key in d if key in default)
+        assert RunConfig.from_dict(d) == cfg
+        assert fileio.format_config(cfg.to_dict()) == fileio.format_config(d)
+
+    def test_unknown_keys_all_named(self):
+        with pytest.raises(ValueError, match="unknown config keys: eval.protcol, synth.n_points"):
+            RunConfig.from_dict({"synth.n_points": "800", "eval.k": "3", "eval.protcol": "loso"})
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(label_mode="banana")
+        with pytest.raises(ValueError):
+            RunConfig(tip_at="mni")
         with pytest.raises(ValueError):
             RunConfig(protocol="bootstrap")
         with pytest.raises(ValueError):
@@ -385,6 +501,20 @@ class TestSweep:
         assert lines[1] == "2,loso,-,error,loso,nan,nan"  # LOSO needs 2 subjects
         assert lines[2].startswith("2,kfold,-,2d,kfold,")
 
+    def test_misspelt_grid_key_gives_error_rows(self, pipeline, tmp_path):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("eval.protcol=loso|kfold\n", encoding="utf-8")
+        cfg = replace(pipeline, out_dir=str(tmp_path / "sweep_out"),
+                      eval_features=("2d",), fusion_sweep=False)
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed",
+                        Path(cfg.out_dir) / "preprocessed")
+        assert cmd_sweep(cfg, grid) == EXIT_PARTIAL
+        assert (Path(cfg.out_dir) / "sweep.csv").read_text().splitlines() == [
+            "eval.protcol,radius,features,protocol,accuracy,f1",
+            "loso,-,error,loso,nan,nan",
+            "kfold,-,error,loso,nan,nan",
+        ]
+
     def test_twelve_point_radii_grid(self, pipeline, tmp_path):
         grid = tmp_path / "radii.txt"
         radii = [f"{r},{r},{rt}" for r in (1, 2, 3, 4) for rt in (2, 3, 4)]
@@ -431,6 +561,56 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert reason in err
+
+    def test_unknown_config_keys_exit_data(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("synth.n_subjects=3\nsynth.samples_per_subject=2\n"
+                            "synth.n_points=800\n", encoding="utf-8")
+        assert main(["synth", "--config", str(cfg_path),
+                     "--root", str(tmp_path / "data")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        for key in ("synth.n_subjects", "synth.samples_per_subject", "synth.n_points"):
+            assert key in err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("line, reason", [
+        ("eval.k=ten", "eval.k='ten'"),
+        ("eval.protocol=bootstrap", "protocol must be loso|kfold"),
+    ])
+    def test_bad_config_value_exit_data(self, tmp_path, capsys, line, reason):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(line + "\n", encoding="utf-8")
+        assert main(["eval", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert reason in err
+
+    def test_bad_tip_at_rejected_before_any_sample(self, pipeline, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(tmp_path / "out")).to_dict(),
+                                      "clean.tip_at": "mni"})
+        assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_DATA
+        assert "tip_at must be min|max" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_grid_line_exit_data(self, tmp_path, capsys):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("no equals here\n", encoding="utf-8")
+        assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: grid file {grid}")
+
+    def test_flags_override_config_keys(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        RunConfig(seed=1, workers=3, out_dir="a", dataset_root="b").to_file(cfg_path)
+        parser = _build_parser()
+        assert _load_cfg(parser.parse_args(["eval", "--config", str(cfg_path)])) == \
+            RunConfig.from_file(cfg_path)
+        args = parser.parse_args(["eval", "--config", str(cfg_path), "--seed", "7",
+                                  "--workers", "2", "--out", "o", "--root", "r"])
+        assert _load_cfg(args) == RunConfig(seed=7, workers=2, out_dir="o", dataset_root="r",
+                                            synth=SynthSpec(seed=7))
 
     def test_synth_writes_tree(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
