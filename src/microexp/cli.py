@@ -185,9 +185,17 @@ class RunConfig:
             raise ValueError("curvature_frames must be onset-apex|all")
         if self.tip_at not in ("min", "max"):
             raise ValueError(f"tip_at must be min|max, got {self.tip_at!r}")
+        if self.denoise_k < 1:
+            raise ValueError(f"denoise_k must be at least 1, got {self.denoise_k}")
+        if not self.denoise_sigma > 0:
+            raise ValueError(f"denoise_sigma must be positive, got {self.denoise_sigma!r}")
+        if not self.crop_radius > 0:
+            raise ValueError(f"crop_radius must be positive, got {self.crop_radius!r}")
         for kind in self.eval_features:
             if kind not in FEATURE_KINDS:
                 raise ValueError(f"unknown feature kind {kind!r}")
+        # run.seed is the only synth seed.
+        object.__setattr__(self, "synth", replace(self.synth, seed=self.seed))
 
     def to_dict(self) -> dict[str, str]:
         return {key: spec.format(_field_value(self, spec.field))
@@ -210,8 +218,6 @@ class RunConfig:
             except ValueError as exc:
                 raise ValueError(f"{key}={text!r}: {exc}") from None
         top = fields.pop("")
-        if "seed" in top:
-            fields.setdefault("synth", {})["seed"] = top["seed"]
         if top.get("landmark_subset_file"):
             top["landmark_subset"] = load_landmark_subset(top["landmark_subset_file"])
         base = cls()
@@ -593,8 +599,7 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
 # --- synth / reliability --------------------------------------------------------
 
 def cmd_synth(cfg: RunConfig) -> int:
-    spec = replace(cfg.synth, seed=cfg.seed)
-    records, samples = make_dataset(spec)
+    records, samples = make_dataset(cfg.synth)
     write_dataset_tree(cfg.dataset_root, records, samples)
     return EXIT_OK
 

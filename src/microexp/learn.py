@@ -2,7 +2,7 @@
 and LOSO / repeated stratified k-fold cross-validation.
 
 The built-in classifier is an L2-regularized multinomial logistic regression
-trained with a deterministic batch optimizer, so every per-class probability
+trained to its exact optimum (see ``train``), so every per-class probability
 needed by the fusion rule P = (1-a)*p1 + a*p2 is available without external
 dependencies. Externally computed per-sample probability files can be
 plugged in wherever a list of ClassDistributions is accepted.
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .lbptop import FeatureVector
 
@@ -56,6 +55,8 @@ class EvalResult:
 
 
 def _as_matrix(features) -> np.ndarray:
+    if isinstance(features, np.ndarray) and features.ndim == 2:
+        return features.astype(np.float64, copy=False)
     rows = [f.values if isinstance(f, FeatureVector) else np.asarray(f, dtype=np.float64).ravel()
             for f in features]
     lengths = {r.shape[0] for r in rows}
@@ -79,20 +80,27 @@ class LogisticModel:
         return self.weights.shape[0]
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
-        z = ((x - self.mean) / self.scale) @ self.weights + self.bias
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return _softmax(((x - self.mean) / self.scale) @ self.weights + self.bias)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def train(features, labels, seed: int = 0, l2: float = 1e-3,
           max_iter: int = 500) -> LogisticModel:
-    """Fit the multinomial logistic classifier.
+    """Fit the multinomial logistic classifier to the exact optimum of the
+    mean cross-entropy plus ``0.5 * l2 * ||W||^2`` (bias unpenalized).
 
-    Deterministic given the seed: seeded small random init, full-batch
-    L-BFGS on the mean cross-entropy plus an L2 penalty on the weights
-    (bias unpenalized). The mean-loss form makes the fit insensitive to
-    duplicating every training point.
+    The penalized optimum has ``W = Xs^T A`` for the standardized training
+    matrix ``Xs``, so the fit is solved in the r <= min(n, d) coordinates
+    ``Phi = U sqrt(lam)`` of the Gram matrix ``Xs Xs^T = U lam U^T``, where
+    ``Xs W = Phi beta`` and ``||W|| = ||beta||``. Damped Newton from zero over
+    ``(r + 1) * C`` parameters, then ``W = Xs^T U lam^(-1/2) beta``. The fit
+    does not depend on ``seed``, which is accepted for the ``train_fn``
+    contract. The mean-loss form makes it insensitive to duplicating every
+    training point; ``max_iter`` caps the Newton iterations.
     """
     x = _as_matrix(features)
     labels = [str(l) for l in labels]
@@ -112,36 +120,63 @@ def train(features, labels, seed: int = 0, l2: float = 1e-3,
     scale[scale == 0.0] = 1.0
     xs = (x - mean) / scale
 
+    # Row-space coordinates; eigenvalues at round-off level of the largest
+    # carry no direction (duplicated rows, the centred ones vector).
+    lam, u = np.linalg.eigh(xs @ xs.T)
+    keep = lam > lam[-1] * max(n, d) * np.finfo(float).eps
+    lam, u = lam[keep], u[:, keep]
+    r = lam.shape[0]
+    z = np.hstack([u * np.sqrt(lam), np.ones((n, 1))])   # (n, r+1): Phi and the bias column
+    penalized = np.repeat(np.arange(r + 1) < r, c)        # per entry of theta.ravel()
+    # The penalty's Hessian plus the projector onto the one null direction of
+    # the objective: shifting every class's bias by the same amount changes
+    # neither the softmax nor the penalty. The gradient has no component along
+    # it, so with the projector added the Newton system is nonsingular and its
+    # solution is the minimum-norm step.
+    shift = np.where(penalized, 0.0, 1.0 / np.sqrt(c))
+    ridge = np.diag(l2 * penalized) + np.outer(shift, shift)
     one_hot = np.zeros((n, c))
     one_hot[np.arange(n), y] = 1.0
 
-    rng = np.random.default_rng(seed)
-    w0 = 0.01 * rng.standard_normal(d * c + c)
+    def objective(theta):
+        logits = z @ theta
+        logits -= logits.max(axis=1, keepdims=True)
+        nll = np.mean(np.log(np.exp(logits).sum(axis=1)) - logits[np.arange(n), y])
+        return nll + 0.5 * l2 * np.sum(theta[:r] ** 2)
 
-    def loss_grad(theta):
-        w = theta[: d * c].reshape(d, c)
-        b = theta[d * c:]
-        z = xs @ w + b
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        p = e / e.sum(axis=1, keepdims=True)
-        nll = -np.log(np.clip(p[np.arange(n), y], 1e-300, None)).mean()
-        loss = nll + 0.5 * l2 * np.sum(w * w)
-        g = (p - one_hot) / n
-        gw = xs.T @ g + l2 * w
-        gb = g.sum(axis=0)
-        return loss, np.concatenate([gw.ravel(), gb])
+    theta = np.zeros((r + 1, c))
+    loss = objective(theta)
+    gtol = None
+    for _ in range(max_iter):
+        p = _softmax(z @ theta)
+        grad = (z.T @ (p - one_hot) / n).ravel() + l2 * penalized * theta.ravel()
+        gnorm = np.linalg.norm(grad)
+        if gtol is None:
+            gtol = 1e-10 * gnorm  # relative to the gradient at the zero start
+        if gnorm <= gtol:
+            break
+        # Hessian of the mean cross-entropy: entry (j, a), (k, b) is
+        # mean_i z_ij z_ik (p_ia [a == b] - p_ia p_ib).
+        zp = (z[:, :, None] * p[:, None, :]).reshape(n, -1)
+        hess = -(zp.T @ zp)
+        blocks = hess.reshape(r + 1, c, r + 1, c)
+        for k in range(c):
+            blocks[:, k, :, k] += (z * p[:, k:k + 1]).T @ z
+        step = np.linalg.solve(hess / n + ridge, -grad).reshape(r + 1, c)
+        slope = grad @ step.ravel()
+        t = 1.0
+        while True:
+            trial = objective(theta + t * step)
+            if trial <= loss + 1e-4 * t * slope or t < 1e-10:
+                break
+            t *= 0.5
+        if not trial < loss:
+            break  # no further decrease representable
+        theta, loss = theta + t * step, trial
 
-    result = minimize(loss_grad, w0, jac=True, method="L-BFGS-B",
-                      options={"maxiter": max_iter})
-    theta = result.x
-    return LogisticModel(
-        classes=classes,
-        weights=theta[: d * c].reshape(d, c),
-        bias=theta[d * c:],
-        mean=mean,
-        scale=scale,
-    )
+    weights = xs.T @ ((u / np.sqrt(lam)) @ theta[:r])
+    return LogisticModel(classes=classes, weights=weights, bias=theta[r],
+                         mean=mean, scale=scale)
 
 
 def predict_proba(model: LogisticModel, feature) -> ClassDistribution:
@@ -255,8 +290,7 @@ def cross_val_proba(features, labels, folds, seed: int = 0, train_fn=None):
     proba: list[ClassDistribution | None] = [None] * len(labels)
     per_fold = []
     for fold_no, (train_idx, test_idx) in enumerate(folds):
-        model = train_fn([x[i] for i in train_idx], [labels[i] for i in train_idx],
-                         seed=seed + fold_no)
+        model = train_fn(x[train_idx], [labels[i] for i in train_idx], seed=seed + fold_no)
         correct = 0
         for i in test_idx:
             dist = predict_proba(model, x[i])

@@ -16,15 +16,23 @@ per-value PLY, landmark and feature-CSV code: one Python ``format``/``repr``
 per number when writing and one ``float``/``int`` per field when reading.
 The library's whole-array versions must write the same bytes and read the
 same bits.
+
+``train_reference`` is the classifier's original trainer: L-BFGS-B on the
+full primal weights ``(d + 1) * C`` with the same objective (mean
+cross-entropy plus ``0.5 * l2 * ||W||^2``, bias unpenalized) and the same
+standardization, started from zero and run to a gradient tolerance of 1e-12.
+It knows nothing of the row-space reduction or the Newton solve.
 """
 
 import math
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from microexp.lbptop import FeatureVector
+from microexp.learn import LogisticModel
 from microexp.preprocess3d import PointCloudFrame
 
 
@@ -335,3 +343,47 @@ def read_feature_csv_reference(path) -> FeatureVector:
         raise ValueError(f"{path}: not a feature CSV row")
     return FeatureVector(np.array([float(v) for v in parts[2:]]),
                          tag=parts[0], fingerprint=parts[1])
+
+
+def train_reference(x, labels, l2=1e-3):
+    """Primal multinomial logistic fit to a 1e-12 gradient tolerance."""
+    x = np.asarray(x, dtype=np.float64)
+    labels = [str(l) for l in labels]
+    classes = tuple(sorted(set(labels)))
+    y = np.array([classes.index(l) for l in labels])
+    n, d = x.shape
+    c = len(classes)
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    xs = (x - mean) / scale
+    one_hot = np.zeros((n, c))
+    one_hot[np.arange(n), y] = 1.0
+
+    def loss_grad(theta):
+        w = theta[: d * c].reshape(d, c)
+        b = theta[d * c:]
+        z = xs @ w + b
+        z -= z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=1, keepdims=True)
+        loss = -np.log(p[np.arange(n), y]).mean() + 0.5 * l2 * np.sum(w * w)
+        g = (p - one_hot) / n
+        return loss, np.concatenate([(xs.T @ g + l2 * w).ravel(), g.sum(axis=0)])
+
+    theta = minimize(loss_grad, np.zeros(d * c + c), jac=True, method="L-BFGS-B",
+                     options={"maxiter": 100000, "maxfun": 100000, "ftol": 0.0,
+                              "gtol": 1e-12}).x
+    return LogisticModel(classes=classes, weights=theta[: d * c].reshape(d, c),
+                         bias=theta[d * c:], mean=mean, scale=scale)
+
+
+def primal_gradient(model, x, labels, l2=1e-3):
+    """Gradient of the training objective at a model's (W, b), flattened."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.array([model.classes.index(str(l)) for l in labels])
+    g = model.predict_proba_matrix(x)
+    g[np.arange(len(y)), y] -= 1.0
+    g /= len(y)
+    xs = (x - model.mean) / model.scale
+    return np.concatenate([(xs.T @ g + l2 * model.weights).ravel(), g.sum(axis=0)])

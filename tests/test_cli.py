@@ -78,6 +78,12 @@ class TestRunConfig:
         cfg.to_file(path)
         assert RunConfig.from_file(path) == cfg
 
+    def test_run_seed_is_the_synth_seed(self):
+        cfg = RunConfig(seed=3, synth=SynthSpec(seed=5))
+        assert cfg.synth == SynthSpec(seed=3)
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert replace(cfg, seed=9).synth.seed == 9
+
     def test_subset_file_key_loads_indices(self, tmp_path):
         subset_path = tmp_path / "subset.txt"
         subset_path.write_text("0\n1\n2\n3\n", encoding="utf-8")
@@ -431,8 +437,8 @@ class TestEval:
     @pytest.mark.parametrize("protocol, results, best_a", [
         ("loso", ["-,2d,loso,0.5833,0.5556",
                   "0.02,3d-si,loso,0.5833,0.5804",
-                  "0.02,2d+3d-si,loso,0.6667,0.6250"], 0.3),
-        ("kfold", ["-,2d,kfold,0.3958,0.3798",
+                  "0.02,2d+3d-si,loso,0.6667,0.6250"], 0.2),
+        ("kfold", ["-,2d,kfold,0.3750,0.3576",
                    "0.02,3d-si,kfold,0.6667,0.6606",
                    "0.02,2d+3d-si,kfold,0.5625,0.5360"], 0.5),
     ])
@@ -593,6 +599,22 @@ class TestMainEntry:
                                       "clean.tip_at": "mni"})
         assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_DATA
         assert "tip_at must be min|max" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("clean.k", "0", "denoise_k must be at least 1"),
+        ("clean.sigma", "0.0", "denoise_sigma must be positive"),
+        ("clean.crop_radius", "-1.0", "crop_radius must be positive"),
+    ], ids=["clean.k", "clean.sigma", "clean.crop_radius"])
+    def test_bad_clean_value_rejected_before_any_sample(self, pipeline, tmp_path, capsys,
+                                                        key, value, reason):
+        cfg_path = tmp_path / "run.cfg"
+        fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(tmp_path / "out")).to_dict(),
+                                      key: value})
+        assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert reason in err
         assert not (tmp_path / "out").exists()
 
     def test_bad_grid_line_exit_data(self, tmp_path, capsys):

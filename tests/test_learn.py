@@ -9,6 +9,8 @@ from microexp.learn import (ClassDistribution, fuse, fusion_sweep, kfold_eval,
                             select_fusion_weight, stratified_kfold_indices, train,
                             write_probabilities_csv)
 
+from .oracles import primal_gradient, train_reference
+
 
 def _blobs(n_per=20, d=5, sep=6.0, seed=0):
     rng = np.random.default_rng(seed)
@@ -91,6 +93,51 @@ class TestTrainPredict:
         p1 = train(x, y, seed=9).predict_proba_matrix(x)
         p2 = train(x, y, seed=9).predict_proba_matrix(x)
         assert np.array_equal(p1, p2)
+
+
+def _classes(n_per, d, n_classes, seed, sep=1.5):
+    rng = np.random.default_rng(seed)
+    centres = sep * rng.standard_normal((n_classes, d))
+    x = np.vstack([c + rng.standard_normal((n_per, d)) for c in centres])
+    y = [f"k{i}" for i in range(n_classes) for _ in range(n_per)]
+    return x, y
+
+
+def _duplicated_rows():
+    x, y = _classes(6, 30, 3, seed=5)
+    return np.vstack([x, x[:4], x[:2]]), y + y[:4] + y[:2]
+
+
+# d >> n (the 2-d features), d <= n (acceptance c08), 2, 4 and 5 classes, and
+# a rank-deficient training matrix.
+TRAIN_CASES = {
+    "wide_2_classes": lambda: _classes(4, 3000, 2, seed=1),
+    "wide_4_classes": lambda: _classes(3, 1500, 4, seed=2),
+    "tall_2_classes": lambda: _blobs(n_per=20, d=6, sep=3.0, seed=3),
+    "tall_5_classes": lambda: _classes(10, 8, 5, seed=4),
+    "duplicated_rows": _duplicated_rows,
+}
+
+
+class TestTrainOptimum:
+    @pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+    def test_matches_primal_oracle(self, case):
+        x, y = TRAIN_CASES[case]()
+        probe = np.vstack([x, 0.5 * (x + x[::-1]), x.mean(axis=0) + 2 * x.std(axis=0)])
+        fast = train(x, y, seed=0).predict_proba_matrix(probe)
+        ref = train_reference(x, y).predict_proba_matrix(probe)
+        assert np.abs(fast - ref).max() <= 1e-6
+
+    @pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+    def test_seed_independent(self, case):
+        x, y = TRAIN_CASES[case]()
+        assert np.array_equal(train(x, y, seed=0).predict_proba_matrix(x),
+                              train(x, y, seed=7).predict_proba_matrix(x))
+
+    @pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+    def test_stationary(self, case):
+        x, y = TRAIN_CASES[case]()
+        assert np.linalg.norm(primal_gradient(train(x, y, seed=0), x, y)) < 1e-6
 
 
 class TestFuse:
