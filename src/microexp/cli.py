@@ -19,6 +19,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -185,12 +186,13 @@ class RunConfig:
             raise ValueError("curvature_frames must be onset-apex|all")
         if self.tip_at not in ("min", "max"):
             raise ValueError(f"tip_at must be min|max, got {self.tip_at!r}")
-        if self.denoise_k < 1:
-            raise ValueError(f"denoise_k must be at least 1, got {self.denoise_k}")
-        if not self.denoise_sigma > 0:
-            raise ValueError(f"denoise_sigma must be positive, got {self.denoise_sigma!r}")
-        if not self.crop_radius > 0:
-            raise ValueError(f"crop_radius must be positive, got {self.crop_radius!r}")
+        for name, least in (("weight_radius_px", 1), ("kfold_k", 2), ("kfold_repeats", 1),
+                            ("workers", 1), ("denoise_k", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name in ("frame_rate", "denoise_sigma", "crop_radius"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         for kind in self.eval_features:
             if kind not in FEATURE_KINDS:
                 raise ValueError(f"unknown feature kind {kind!r}")
@@ -283,6 +285,19 @@ def read_sample_tree(root, record: SampleRecord, frame_rate: float,
     )
 
 
+# --- per-sample work ---------------------------------------------------------
+
+def _outcomes(fn, items, workers: int) -> list:
+    """One zero-argument callable per item, in order, that returns fn(item)
+    or raises its exception. With workers > 1 every call has already run on a
+    thread pool; otherwise each runs when its callable is called."""
+    if workers <= 1:
+        return [partial(fn, item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+    return [future.result for future in futures]
+
+
 # --- preprocess -------------------------------------------------------------
 
 def preprocess_sample(sample: SampleData, cfg: RunConfig) -> tuple[SampleData, dict]:
@@ -341,16 +356,10 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     details: dict[str, dict] = {}
     kept_records = []
     results = []
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = [(r, pool.submit(run_one, r)) for r in records]
-    else:
-        outcomes = [(r, None) for r in records]
-
-    for record, fut in outcomes:
+    for record, outcome in zip(records, _outcomes(run_one, records, cfg.workers)):
         key = f"{record.subject_id}/{record.sample_id}"
         try:
-            processed, info = fut.result() if fut is not None else run_one(record)
+            processed, info = outcome()
         except (ValueError, OSError) as exc:
             statuses[key] = f"skipped: {exc}"
             continue
@@ -411,11 +420,7 @@ def cmd_extract(cfg: RunConfig, kind: str) -> int:
                                   frames_only=kind in FRAMES_ONLY_KINDS)
         return extract_sample_feature(sample, record, kind, cfg)
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            features = list(pool.map(run_one, records))
-    else:
-        features = [run_one(r) for r in records]
+    features = [outcome() for outcome in _outcomes(run_one, records, cfg.workers)]
 
     for record, feature in zip(records, features):
         d = out_dir / record.subject_id

@@ -275,11 +275,23 @@ def _vertex_bins(kind: str, p_min: np.ndarray, p_max: np.ndarray,
 # block size times the largest neighbourhood, so a fixed block bounds memory.
 _FIT_BLOCK = 128
 
+# Smallest certified lower bound on sigma_min / sigma_max of a fit's basis
+# that the normal equations may solve. lstsq's rank rule drops a singular
+# value only below max(m, 10) * eps of the largest, under 1e-13 for any
+# neighbourhood of fewer than 450 points, so a certified basis has full rank
+# by a wide margin and its least-squares solution is the unique one. Below
+# the bound, the SVD decides the rank.
+_CERTIFIED_CONDITION = 1e-4
+
 
 def _batched_curvatures(points: np.ndarray, tree: cKDTree, vertex_idx, radius: float,
                         toward: np.ndarray):
     """Principal curvatures at ``points[vertex_idx]`` from the neighbors
     within ``radius``, fitted _FIT_BLOCK vertices at a time.
+
+    Blocks are formed in order of neighbourhood size (then vertex index), so
+    each block pads to its own sizes and a vertex's result does not depend on
+    the order of ``vertex_idx``.
 
     Returns (p_min, p_max, valid) arrays. ``valid`` is False where the fit
     fails: fewer than 10 neighbors within ``radius``, a rank-deficient cubic
@@ -288,12 +300,14 @@ def _batched_curvatures(points: np.ndarray, tree: cKDTree, vertex_idx, radius: f
     vertex_idx = np.asarray(vertex_idx, dtype=np.intp)
     n = vertex_idx.shape[0]
     p_min, p_max, valid = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
-    for start in range(0, n, _FIT_BLOCK):
-        block = slice(start, start + _FIT_BLOCK)
-        centres = points[vertex_idx[block]]
-        neighbourhoods = tree.query_ball_point(centres, r=radius)
-        p_min[block], p_max[block], valid[block] = _fit_block(points, centres,
-                                                              neighbourhoods, toward)
+    neighbourhoods = tree.query_ball_point(points[vertex_idx], r=radius)
+    counts = np.fromiter(map(len, neighbourhoods), dtype=np.intp, count=n)
+    order = np.lexsort((vertex_idx, counts))
+    order = order[counts[order] >= 10]  # the rest stay invalid
+    for start in range(0, order.shape[0], _FIT_BLOCK):
+        block = order[start:start + _FIT_BLOCK]
+        p_min[block], p_max[block], valid[block] = _fit_block(
+            points, points[vertex_idx[block]], neighbourhoods[block], toward)
     return p_min, p_max, valid
 
 
@@ -303,9 +317,10 @@ def _fit_block(points, centres, neighbourhoods, toward):
 
     The neighborhood covariance gives a local frame (normal = smallest
     principal axis, oriented along ``toward``); the height field over the
-    tangent plane is fit with a full cubic bivariate polynomial, and the
-    Weingarten map is assembled from the fit's first- and second-order
-    coefficients at the origin. Neighbourhoods are padded to a common width;
+    tangent plane is fit with a full cubic bivariate polynomial by least
+    squares (_certified_lstsq, else _svd_lstsq), and the Weingarten map is
+    assembled from the fit's first- and second-order coefficients at the
+    origin. Neighbourhoods are padded to a common width;
     padded rows are zero in every array below, so they add nothing to the
     covariances and the fits.
     """
@@ -327,22 +342,81 @@ def _fit_block(points, centres, neighbourhoods, toward):
     rel = np.where(inside, neighbors - centres[:, None, :], 0.0)
     scale = np.maximum(np.linalg.norm(rel, axis=2).max(axis=1), 1e-12)
     u, v, z = np.moveaxis((rel @ frame) / scale[:, None, None], 2, 0)
-    basis = np.stack([mask.astype(np.float64), u, v,
-                      u * u, u * v, v * v,
-                      u ** 3, u * u * v, u * v * v, v ** 3], axis=2)
+    # One contiguous slab per monomial, viewed as (vertex, neighbor, monomial);
+    # cubes as products, since np.power calls libm pow element by element.
+    uu, uv, vv = u * u, u * v, v * v
+    basis = np.stack([mask, u, v, uu, uv, vv, uu * u, uu * v, uv * v, vv * v],
+                     axis=1, dtype=np.float64).transpose(0, 2, 1)
 
-    # Least squares through the SVD with lstsq's rank rule (rcond = eps times
-    # the larger dimension of the unpadded system).
+    coeffs, full_rank = _certified_lstsq(basis, z)
+    rest = ~full_rank
+    if rest.any():
+        coeffs[rest], full_rank[rest] = _svd_lstsq(basis[rest], z[rest], counts[rest])
+
+    p_min, p_max = _weingarten(coeffs, scale)
+    valid = (counts >= 10) & full_rank & np.isfinite(p_min) & np.isfinite(p_max)
+    return np.where(valid, p_min, 0.0), np.where(valid, p_max, 0.0), valid
+
+
+def _each_matrix(fn, stack):
+    """(fn(stack), ok): a batched linalg function over a stack of matrices.
+    Where fn raises LinAlgError on a matrix, that matrix alone gets the
+    identity and ok False; numpy would fail the whole stack."""
+    try:
+        return fn(stack), np.ones(stack.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.broadcast_to(np.eye(stack.shape[-1]), stack.shape).copy()
+    ok = np.zeros(stack.shape[0], dtype=bool)
+    for i, matrix in enumerate(stack):
+        try:
+            out[i] = fn(matrix)
+            ok[i] = True
+        except np.linalg.LinAlgError:
+            pass
+    return out, ok
+
+
+def _certified_lstsq(basis, z):
+    """(coeffs, certified): least squares of ``z`` over each ``basis`` by the
+    normal equations, where the Cholesky factor L of the Gram matrix
+    G = B^T B certifies that B has full rank by a wide margin.
+
+    sigma_min(B) = 1 / ||L^-1||_2 >= 1 / ||L^-1||_F and sigma_max(B) <=
+    sqrt(trace G), so their quotient bounds sigma_min / sigma_max from
+    below; it must reach _CERTIFIED_CONDITION. One step of iterative
+    refinement, with the residual taken in the original basis, brings the
+    solution to about the accuracy of lstsq. Coefficients are 0 where not
+    certified.
+    """
+    basis_t = basis.transpose(0, 2, 1)
+    gram = basis_t @ basis
+    chol, factored = _each_matrix(np.linalg.cholesky, gram)
+    inv_chol, inverted = _each_matrix(np.linalg.inv, chol)
+    with np.errstate(over="ignore"):  # an inverse too large to square is not certified
+        bound = 1.0 / np.sqrt(np.square(inv_chol).sum(axis=(1, 2))
+                              * np.trace(gram, axis1=1, axis2=2))
+    certified = factored & inverted & (bound >= _CERTIFIED_CONDITION)
+    inv_chol = np.where(certified[:, None, None], inv_chol, 0.0)
+
+    def solve(rhs):  # G^-1 rhs as L^-T (L^-1 rhs)
+        return (inv_chol.transpose(0, 2, 1) @ (inv_chol @ rhs[..., None]))[..., 0]
+
+    coeffs = solve((basis_t @ z[..., None])[..., 0])
+    residual = z - (basis @ coeffs[..., None])[..., 0]
+    coeffs += solve((basis_t @ residual[..., None])[..., 0])
+    return coeffs, certified
+
+
+def _svd_lstsq(basis, z, counts):
+    """(coeffs, full_rank): least squares through the SVD with lstsq's rank
+    rule (rcond = eps times the larger dimension of the unpadded system)."""
     left, sv, right_t = np.linalg.svd(basis, full_matrices=False)
     keep = sv > sv[:, :1] * (np.maximum(counts, 10) * np.finfo(np.float64).eps)[:, None]
     inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
     proj = (left.transpose(0, 2, 1) @ z[..., None])[..., 0] * inv_sv
     coeffs = (right_t.transpose(0, 2, 1) @ proj[..., None])[..., 0]
-
-    p_min, p_max = _weingarten(coeffs, scale)
-    valid = ((counts >= 10) & keep.all(axis=1)
-             & np.isfinite(p_min) & np.isfinite(p_max))
-    return np.where(valid, p_min, 0.0), np.where(valid, p_max, 0.0), valid
+    return coeffs, keep.all(axis=1)
 
 
 def _region_histogram(landmark, bins: np.ndarray, valid: np.ndarray) -> np.ndarray:

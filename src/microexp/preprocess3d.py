@@ -106,6 +106,8 @@ def denoise(frame: PointCloudFrame, k: int = 8, sigma_mult: float = 2.0) -> Poin
     mean + sigma_mult * std of that statistic over the cloud. Never adds
     points; order is preserved.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     n = len(frame)
     if n == 0:
         raise ValueError("cannot denoise an empty cloud")

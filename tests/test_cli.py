@@ -617,6 +617,23 @@ class TestMainEntry:
         assert reason in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, command, reason", [
+        ("weights.radius_px", "0", ["extract", "--kind", "3d-si"],
+         "weight_radius_px must be at least 1"),
+        ("data.frame_rate", "-5", ["preprocess"], "frame_rate must be positive"),
+        ("run.workers", "0", ["preprocess"], "workers must be at least 1"),
+        ("eval.k", "1", ["eval"], "kfold_k must be at least 2"),
+        ("eval.repeats", "0", ["eval"], "kfold_repeats must be at least 1"),
+    ], ids=["weights.radius_px", "data.frame_rate", "run.workers", "eval.k", "eval.repeats"])
+    def test_bad_run_value_rejected_before_any_work(self, pipeline, tmp_path, capsys,
+                                                    key, value, command, reason):
+        cfg_path = tmp_path / "run.cfg"
+        fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(tmp_path / "out")).to_dict(),
+                                      key: value})
+        assert main([*command, "--config", str(cfg_path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: config: {reason}")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_grid_line_exit_data(self, tmp_path, capsys):
         grid = tmp_path / "grid.txt"
         grid.write_text("no equals here\n", encoding="utf-8")

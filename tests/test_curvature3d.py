@@ -6,7 +6,7 @@ from scipy.spatial import cKDTree
 
 from microexp.curvature3d import (CurvatureConfig, DEFAULT_LANDMARK_SUBSET,
                                   DegenerateSurfaceError, PrincipalCurvatures,
-                                  SurfaceType, _batched_curvatures, _hk_bins,
+                                  SurfaceType, _FIT_BLOCK, _batched_curvatures, _hk_bins,
                                   _quantize_si_bins, _shape_indices, _vertex_bins,
                                   estimate_principal_curvatures,
                                   gaussian_mean_curvature, hk_classify,
@@ -18,7 +18,7 @@ from microexp.preprocess2d import FrameVolume
 from microexp.preprocess3d import PointCloudFrame
 from microexp.synth import SynthSpec, make_dataset, make_surface
 
-from .oracles import landmark_histogram_reference
+from .oracles import curvature_reference, landmark_histogram_reference
 
 
 def _record(onset=0, apex=0, offset=1):
@@ -384,6 +384,105 @@ class TestBatchedAgainstOracle:
             assert ref_dropped == dropped
             got = landmark_local_histogram(cloud, lm, cfg.landmark_region_radius, kind, cfg)
             assert np.array_equal(got, np.array(ref))
+
+
+_TOWARD = np.array([0.0, 0.0, -1.0])
+
+
+def _strip(half_width, n=400, seed=0):
+    """A curved strip 2 cm long and 2 * half_width wide; the narrower it is,
+    the worse conditioned its cubic fits (v-monomials shrink with it)."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(-0.01, 0.01, n), rng.uniform(-half_width, half_width, n)
+    return np.column_stack([x, y, 0.4 + 8.0 * x * x + 3.0 * y * y + 2.0 * x * y])
+
+
+def _mixed_cloud():
+    """A jittered plane (good fits), six isolated speckle points (one
+    neighbor each) and a straight strip (collinear fits, fewer than 10
+    neighbors at its ends), as in the speckle test above."""
+    rng = np.random.default_rng(7)
+    plane = np.column_stack([rng.uniform(-0.03, 0.03, (3000, 2)),
+                             0.4 + rng.normal(0.0, 1e-4, 3000)])
+    ang = np.arange(6) * np.pi / 3
+    speckle = np.column_stack([0.008 * np.cos(ang), 0.008 * np.sin(ang), np.full(6, 0.385)])
+    x = np.linspace(-0.005, 0.005, 21)
+    strip = np.column_stack([x, np.zeros_like(x), np.full_like(x, 0.392)])
+    return np.vstack([plane, speckle, strip]), len(plane), len(plane) + len(speckle)
+
+
+@pytest.fixture()
+def svd_rows(monkeypatch):
+    """Matrices each np.linalg.svd call factors, in call order."""
+    rows = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        rows.append(np.shape(a)[0] if np.ndim(a) == 3 else 1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return rows
+
+
+class TestCertifiedSolve:
+    """Normal equations where full rank is certified, lstsq's SVD elsewhere."""
+
+    def test_ill_conditioned_fits_take_the_svd(self, svd_rows):
+        # Full rank for lstsq, but the certified sigma_min / sigma_max bound
+        # is only about 2e-6.
+        points = _strip(1e-4)
+        cfg = CurvatureConfig(neighborhood_radius=0.004, landmark_region_radius=0.005)
+        lm = np.array([0.0, 0.0, 0.4])
+        region = cKDTree(points).query_ball_point(lm, r=cfg.landmark_region_radius)
+        for kind in ("si", "hk"):
+            ref, dropped = landmark_histogram_reference(
+                points, lm, cfg.landmark_region_radius, cfg.neighborhood_radius,
+                kind, cfg.zero_eps)
+            assert dropped == []
+            svd_rows.clear()
+            got = landmark_local_histogram(PointCloudFrame(points), lm,
+                                           cfg.landmark_region_radius, kind, cfg)
+            assert np.array_equal(got, np.array(ref))
+            assert sum(svd_rows) == len(region)
+
+    def test_certified_fits_near_the_threshold_match_lstsq(self, svd_rows):
+        # Certified with little margin (sigma_min / sigma_max bound about
+        # 2e-4): unrefined normal equations miss the oracle by about 1e-11.
+        points = _strip(5e-4)
+        tree = cKDTree(points)
+        idx = np.flatnonzero(np.abs(points[:, 0]) < 0.005)
+        p_min, p_max, valid = _batched_curvatures(points, tree, idx, 0.004, _TOWARD)
+        assert svd_rows == []
+        assert valid.all()
+        ref = np.array([curvature_reference(points, tree, i, 0.004, _TOWARD) for i in idx])
+        size = np.abs(ref).max(axis=1)
+        assert np.all(np.abs(p_min - ref[:, 0]) <= 1e-12 * size)
+        assert np.all(np.abs(p_max - ref[:, 1]) <= 1e-12 * size)
+
+    def test_mixed_block_keeps_good_fits_on_the_fast_path(self, svd_rows):
+        points, n_plane, strip_start = _mixed_cloud()
+        tree = cKDTree(points)
+        # One block: 40 plane vertices, the speckle and the whole strip.
+        idx = np.concatenate([np.arange(0, n_plane, n_plane // 40)[:40],
+                              np.arange(n_plane, len(points))])
+        _, _, valid = _batched_curvatures(points, tree, idx, 0.004, _TOWARD)
+        assert np.array_equal(valid, idx < n_plane)
+        counts = tree.query_ball_point(points[idx], r=0.004, return_length=True)
+        collinear = (idx >= strip_start) & (counts >= 10)
+        assert 0 < collinear.sum() < (idx >= strip_start).sum()
+        assert svd_rows == [collinear.sum()]
+
+    def test_results_do_not_depend_on_vertex_order(self, svd_rows):
+        points, _, _ = _mixed_cloud()
+        tree = cKDTree(points)
+        idx = np.asarray(tree.query_ball_point([0.0, 0.0, 0.4], r=0.012))
+        perm = np.random.default_rng(1).permutation(len(idx))
+        fit = _batched_curvatures(points, tree, idx, 0.004, _TOWARD)
+        shuffled = _batched_curvatures(points, tree, idx[perm], 0.004, _TOWARD)
+        assert len(idx) > 2 * _FIT_BLOCK and sum(svd_rows) > 0  # three blocks, some SVD
+        for whole, part in zip(fit, shuffled):
+            assert np.array_equal(whole[perm], part)
 
 
 class TestVectorisedBinning:

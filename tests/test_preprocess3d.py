@@ -87,6 +87,11 @@ class TestDenoise:
         with pytest.raises(ValueError):
             denoise(PointCloudFrame(np.zeros((5, 3))), k=8)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, rng, k):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            denoise(PointCloudFrame(rng.standard_normal((50, 3))), k=k)
+
     def test_output_subset_order_preserved(self, rng):
         pts = rng.standard_normal((100, 3)) * 0.01
         pts[50] += 10.0  # gross outlier
