@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -394,7 +395,9 @@ def extract_sample_feature(sample: SampleData, record: SampleRecord,
                            kind: str, cfg: RunConfig):
     """One sample's feature of the requested kind, from preprocessed data.
 
-    The 2d kind uses only the video frames (see ``FRAMES_ONLY_KINDS``).
+    The 2d kind uses only the video frames (see ``FRAMES_ONLY_KINDS``). The 3-d
+    kinds keep each frame's curvature fit in ``<run.out>/cache/curvature/``,
+    where every 3-d kind and sweep point with the same fit inputs reuses it.
     """
     if kind == "2d":
         return lbp_top_histogram(sample.video, cfg.lbp)
@@ -404,7 +407,8 @@ def extract_sample_feature(sample: SampleData, record: SampleRecord,
     if kind in ("3d-si", "3d-hk", "3d-sihk"):
         return curvature3d.sequence_feature(
             sample, record, weights, kind.removeprefix("3d-"), cfg.curvature,
-            frames=cfg.curvature_frames, subset=cfg.landmark_subset)
+            frames=cfg.curvature_frames, subset=cfg.landmark_subset,
+            store=Path(cfg.out_dir) / "cache" / "curvature")
     raise UsageError(f"unknown feature kind {kind!r}")
 
 
@@ -414,13 +418,22 @@ def cmd_extract(cfg: RunConfig, kind: str) -> int:
     pre_root = Path(cfg.out_dir) / "preprocessed"
     records = dataset.load_index(pre_root / "index.csv")
     out_dir = Path(cfg.out_dir) / "features" / kind
+    # The kind's old files go first, so a failed run leaves none for eval.
+    if out_dir.exists():
+        shutil.rmtree(out_dir)
 
     def run_one(record):
         sample = read_sample_tree(pre_root, record, cfg.frame_rate,
                                   frames_only=kind in FRAMES_ONLY_KINDS)
         return extract_sample_feature(sample, record, kind, cfg)
 
-    features = [outcome() for outcome in _outcomes(run_one, records, cfg.workers)]
+    features = []
+    for record, outcome in zip(records, _outcomes(run_one, records, cfg.workers)):
+        try:
+            features.append(outcome())
+        except (ValueError, OSError) as exc:
+            raise DataError(f"extract {kind} {record.subject_id}/{record.sample_id}: "
+                            f"{exc}") from exc
 
     for record, feature in zip(records, features):
         d = out_dir / record.subject_id

@@ -9,13 +9,18 @@ shape-index scale, while a pit maps toward 0.0.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.spatial import cKDTree
 
 from .lbptop import FeatureVector
@@ -38,8 +43,6 @@ SI_BIN_NAMES = ("Cup", "Trough", "Rut Saddle", "Rut", "Saddle",
 
 def load_landmark_subset(path) -> tuple[int, ...]:
     """Read a landmark-subset file: one 0-based index per line, '#' comments."""
-    from pathlib import Path
-
     indices = []
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -460,9 +463,80 @@ def landmark_local_histogram(cloud: PointCloudFrame, landmark, region_radius: fl
     return _region_histogram(lm, _vertex_bins(kind, p_min, p_max, config.zero_eps), valid)
 
 
+@functools.cache
+def _store_salt() -> bytes:
+    """Everything a stored field depends on besides its inputs: this module's
+    source and the numpy and scipy versions."""
+    return b"\0".join([Path(__file__).read_bytes(), np.__version__.encode(),
+                       scipy.__version__.encode()])
+
+
+def _field_key(points, marks, config: CurvatureConfig, toward) -> str:
+    """Store key of one frame's field: the salt, the frame's points, the
+    subset's landmarks, both radii and ``toward``. zero_eps only affects
+    binning, so every kind and zero_eps share one entry."""
+    h = hashlib.sha256(_store_salt())
+    for array in (points, marks, toward):
+        array = np.ascontiguousarray(array, dtype=np.float64)
+        h.update(f"\0{array.shape}\0".encode())
+        h.update(array.tobytes())
+    h.update(f"{config.neighborhood_radius!r};{config.landmark_region_radius!r}".encode())
+    return h.hexdigest()
+
+
+def _load_field(path: Path, n: int):
+    """(p_min, p_max, valid) of the entry at ``path`` over ``n`` vertices, or
+    None when it is missing, unreadable or malformed."""
+    try:
+        field = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if not (isinstance(field, np.ndarray) and field.dtype == np.float64
+            and field.shape == (3, n) and np.isin(field[2], (0.0, 1.0)).all()):
+        return None
+    return field[0], field[1], field[2] == 1.0
+
+
+def _save_field(path: Path, p_min, p_max, valid) -> None:
+    """Write an entry through a temporary file and a rename, so that neither
+    a concurrent reader nor an interrupted run sees a partial entry."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, np.stack([p_min, p_max, valid]).astype(np.float64), allow_pickle=False)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _frame_field(points, marks, config: CurvatureConfig, toward, store):
+    """(regions, union, p_min, p_max, valid): the vertex indices of each
+    landmark region of one frame, their sorted union, and the curvature field
+    over the union.
+
+    With a ``store`` directory the field is read from the entry keyed by
+    _field_key, and fitted and written there when the entry is missing or
+    damaged; without one it is always fitted.
+    """
+    tree = cKDTree(points)
+    regions = tree.query_ball_point(marks, r=config.landmark_region_radius)
+    union = np.unique(np.fromiter(chain.from_iterable(regions), dtype=np.intp))
+    field = None
+    if store is not None:
+        path = Path(store) / f"{_field_key(points, marks, config, toward)}.npy"
+        field = _load_field(path, union.shape[0])
+    if field is None:
+        field = _batched_curvatures(points, tree, union, config.neighborhood_radius, toward)
+        if store is not None:
+            _save_field(path, *field)
+    return (regions, union, *field)
+
+
 def sequence_feature(sample, record, weights, kind: str, config: CurvatureConfig,
                      frames: str = "onset-apex", subset=None,
-                     toward=(0.0, 0.0, -1.0)) -> FeatureVector:
+                     toward=(0.0, 0.0, -1.0), store=None) -> FeatureVector:
     """Weighted landmark-local curvature feature of a whole sample.
 
     For each landmark of the 32-point subset, the per-frame nine-bin
@@ -474,6 +548,8 @@ def sequence_feature(sample, record, weights, kind: str, config: CurvatureConfig
 
     Each selected frame is fitted once, over the union of its landmark
     regions; every region and both kinds read their bins from that one fit.
+    ``store``, a directory, keeps each frame's fit across calls (see
+    _frame_field), so other kinds and zero_eps values reuse it.
     """
     kind = kind.lower()
     if kind not in ("si", "hk", "sihk"):
@@ -500,13 +576,9 @@ def sequence_feature(sample, record, weights, kind: str, config: CurvatureConfig
     toward_v = np.asarray(toward, dtype=np.float64)
     fits = {}
     for t in dict.fromkeys(frame_ids):
-        points = sample.clouds[t].points
-        tree = cKDTree(points)
-        regions = tree.query_ball_point(sample.landmarks3d[t][list(subset)],
-                                        r=config.landmark_region_radius)
-        union = np.unique(np.fromiter(chain.from_iterable(regions), dtype=np.intp))
-        p_min, p_max, valid = _batched_curvatures(points, tree, union,
-                                                  config.neighborhood_radius, toward_v)
+        regions, union, p_min, p_max, valid = _frame_field(
+            sample.clouds[t].points, sample.landmarks3d[t][list(subset)], config, toward_v,
+            store)
         bins = {k: _vertex_bins(k, p_min, p_max, config.zero_eps) for k in kinds}
         fits[t] = (regions, union, valid, bins)
 

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -264,15 +265,24 @@ class TestSynthAndPreprocess:
             n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=8))
         cfg2 = _pipeline_cfg(tmp_path / "w2", workers=3, synth=SynthSpec(
             n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=8))
-        for cfg in (cfg1, cfg2):
+        # Each 3-d kind runs on a cold curvature store in one out dir and on a
+        # warm one in the other.
+        for cfg, kinds in ((cfg1, ("2d", "3d-sihk", "3d-si")),
+                           (cfg2, ("2d", "3d-si", "3d-sihk"))):
             cmd_synth(cfg)
             assert cmd_preprocess(cfg) == EXIT_OK
-            for kind in ("2d", "3d-sihk"):
+            for kind in kinds:
                 assert cmd_extract(cfg, kind) == EXIT_OK
-        for rel in [p.relative_to(cfg1.out_dir)
-                    for p in Path(cfg1.out_dir).rglob("*.csv") if p.is_file()]:
+        rels = [p.relative_to(cfg1.out_dir)
+                for p in Path(cfg1.out_dir).rglob("*.csv") if p.is_file()]
+        assert {rel.parts[1] for rel in rels if rel.parts[0] == "features"} == \
+            {"2d", "3d-si", "3d-sihk"}
+        for rel in rels:
             assert (Path(cfg1.out_dir) / rel).read_bytes() == \
                 (Path(cfg2.out_dir) / rel).read_bytes()
+        stores = [sorted(p.name for p in (Path(cfg.out_dir) / "cache" / "curvature").iterdir())
+                  for cfg in (cfg1, cfg2)]
+        assert stores[0] == stores[1] and len(stores[0]) == 2 * 4  # onset, apex per sample
 
     def test_missing_landmarks_skipped_and_exit_code(self, tmp_path):
         cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
@@ -349,6 +359,24 @@ class TestExtract:
         a = pipeline.curvature.fingerprint
         b = CurvatureConfig(neighborhood_radius=0.03).fingerprint
         assert a != b
+
+    def test_failed_sample_named_and_old_features_removed(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        for part in ("preprocessed", "features/3d-si"):  # after a good 3d-si extract
+            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
+        cfg_path = tmp_path / "run.cfg"
+        # Regions of at most a vertex or two: the first sample's first landmark fails.
+        fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(out)).to_dict(),
+                                      "curv.region_radius": "0.0001",
+                                      "eval.features": "3d-si"})
+        assert main(["extract", "--kind", "3d-si", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.match(r"data error: extract 3d-si 01/1_1: landmark 0 \(frame \d+\): "
+                        r"landmark region at \[.*\] has \d points, need >= 10$", err)
+        assert not (out / "features" / "3d-si").exists()
+        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
+        assert "missing 3d-si feature file for 01/1_1" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
     def test_unknown_kind_rejected(self, pipeline):
         from microexp.cli import UsageError

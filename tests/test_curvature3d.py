@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from microexp import curvature3d
 from microexp.curvature3d import (CurvatureConfig, DEFAULT_LANDMARK_SUBSET,
                                   DegenerateSurfaceError, PrincipalCurvatures,
                                   SurfaceType, _FIT_BLOCK, _batched_curvatures, _hk_bins,
@@ -483,6 +486,125 @@ class TestCertifiedSolve:
         assert len(idx) > 2 * _FIT_BLOCK and sum(svd_rows) > 0  # three blocks, some SVD
         for whole, part in zip(fit, shuffled):
             assert np.array_equal(whole[perm], part)
+
+
+@pytest.fixture(scope="module")
+def store_sample():
+    """(record, sample, subset, weights, want): a synthetic sample, a quarter
+    of the default subset, and the oracle's si, hk and sihk features."""
+    records, samples = make_dataset(SynthSpec(n_subjects=1, samples_per_subject=1,
+                                              n_points=700, signal="3d", seed=3))
+    record, sample = records[0], samples[0]
+    cfg = CurvatureConfig()
+    subset = DEFAULT_LANDMARK_SUBSET[::4]
+    weights = np.linspace(0.5, 2.0, len(subset))
+    hists = {kind: [weights[j] * _oracle_hist(sample.clouds[t].points,
+                                              sample.landmarks3d[t][lm_idx], cfg, kind)
+                    for j, lm_idx in enumerate(subset) for t in (record.onset, record.apex)]
+             for kind in ("si", "hk")}
+    want = {"si": np.concatenate(hists["si"]), "hk": np.concatenate(hists["hk"])}
+    want["sihk"] = np.concatenate([want["si"], want["hk"]])
+    return record, sample, subset, weights, want
+
+
+@pytest.fixture()
+def fitted_frames(monkeypatch):
+    """Vertex counts of the frames fitted by _batched_curvatures, in call order."""
+    fitted = []
+    fit = curvature3d._batched_curvatures
+
+    def counting_fit(points, tree, vertex_idx, *args, **kwargs):
+        fitted.append(len(vertex_idx))
+        return fit(points, tree, vertex_idx, *args, **kwargs)
+
+    monkeypatch.setattr(curvature3d, "_batched_curvatures", counting_fit)
+    return fitted
+
+
+class TestFieldStore:
+    """Each frame's curvature field kept in a directory across calls."""
+
+    def _feature(self, store_sample, kind, store, cfg=CurvatureConfig(), sample=None):
+        record, base, subset, weights, _ = store_sample
+        return sequence_feature(base if sample is None else sample, record, weights, kind,
+                                cfg, subset=subset, store=store).values.tobytes()
+
+    def test_warm_store_matches_cold_store_and_oracle(self, store_sample, tmp_path,
+                                                      fitted_frames):
+        want = store_sample[-1]
+        cold = {kind: self._feature(store_sample, kind, tmp_path / kind)
+                for kind in ("si", "hk", "sihk")}
+        assert len(fitted_frames) == 3 * 2  # onset and apex, once per cold store
+        warm = {kind: self._feature(store_sample, kind, tmp_path / "si")
+                for kind in ("si", "hk", "sihk")}
+        assert len(fitted_frames) == 3 * 2
+        for kind in ("si", "hk", "sihk"):
+            assert cold[kind] == warm[kind] == want[kind].tobytes(), kind
+            assert self._feature(store_sample, kind, None) == cold[kind], kind
+        assert sorted(p.suffix for p in (tmp_path / "si").iterdir()) == [".npy", ".npy"]
+
+    def test_zero_eps_reuses_the_entry(self, store_sample, tmp_path, fitted_frames):
+        coarse = CurvatureConfig(zero_eps=50.0)
+        self._feature(store_sample, "hk", tmp_path)
+        assert len(fitted_frames) == 2
+        got = self._feature(store_sample, "hk", tmp_path, coarse)
+        assert len(fitted_frames) == 2
+        assert got == self._feature(store_sample, "hk", None, coarse)
+        assert got != store_sample[-1]["hk"].tobytes()  # zero_eps did move the bins
+
+    @pytest.mark.parametrize("change", ["point", "subset landmark", "other landmark",
+                                        "neighborhood radius"])
+    def test_changed_inputs_miss(self, store_sample, tmp_path, fitted_frames, change):
+        record, sample, subset, _, _ = store_sample
+        onset = record.onset
+        clouds, marks, cfg = list(sample.clouds), list(sample.landmarks3d), CurvatureConfig()
+        if change == "point":
+            points = clouds[onset].points.copy()
+            points[7, 2] += 1e-6
+            clouds[onset] = PointCloudFrame(points)
+        elif change in ("subset landmark", "other landmark"):
+            lm_idx = subset[1] if change == "subset landmark" else subset[1] + 1
+            assert (lm_idx in subset) == (change == "subset landmark")
+            marks[onset] = marks[onset].copy()
+            marks[onset][lm_idx, 0] += 1e-4
+        else:
+            cfg = replace(cfg, neighborhood_radius=0.021)
+        moved = replace(sample, clouds=tuple(clouds), landmarks3d=tuple(marks))
+
+        self._feature(store_sample, "si", tmp_path)
+        assert len(fitted_frames) == 2
+        got = self._feature(store_sample, "si", tmp_path, cfg, moved)
+        refits = {"point": 1, "subset landmark": 1, "other landmark": 0,
+                  "neighborhood radius": 2}[change]
+        assert len(fitted_frames) == 2 + refits
+        assert len(list(tmp_path.iterdir())) == 2 + refits
+        assert got == self._feature(store_sample, "si", None, cfg, moved)
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "wrong shape", "wrong dtype",
+                                        "valid not 0 or 1"])
+    def test_damaged_entry_is_refitted_and_replaced(self, store_sample, tmp_path,
+                                                    fitted_frames, damage):
+        want = store_sample[-1]["si"].tobytes()
+        assert self._feature(store_sample, "si", tmp_path) == want
+        entry = sorted(tmp_path.iterdir())[0]
+        good = entry.read_bytes()
+        field = np.load(entry)
+        if damage == "truncated":
+            entry.write_bytes(good[:len(good) // 2])
+        elif damage == "garbage":
+            entry.write_bytes(b"not a curvature field\n" * 20)
+        elif damage == "wrong shape":
+            np.save(entry, field[:, 1:])
+        elif damage == "wrong dtype":
+            np.save(entry, field.astype(np.float32))
+        else:
+            field[2, 0] = 0.5
+            np.save(entry, field)
+
+        assert self._feature(store_sample, "si", tmp_path) == want
+        assert len(fitted_frames) == 2 + 1
+        assert entry.read_bytes() == good
+        assert len(list(tmp_path.iterdir())) == 2
 
 
 class TestVectorisedBinning:
