@@ -443,13 +443,21 @@ def cmd_extract(cfg: RunConfig, kind: str) -> int:
 
 
 def load_features(cfg: RunConfig, kind: str, records):
+    """The kind's feature file of each record; one whose tag or fingerprint
+    differs from what ``cfg`` extracts is a data error."""
+    want = ("2d-lbptop", cfg.lbp.fingerprint) if kind == "2d" else \
+        (kind, cfg.curvature.fingerprint)
     out = []
     for record in records:
         path = Path(cfg.out_dir) / "features" / kind / record.subject_id / f"{record.sample_id}.csv"
         if not path.exists():
             raise DataError(f"missing {kind} feature file for "
                             f"{record.subject_id}/{record.sample_id}: run extract first")
-        out.append(fileio.read_feature_csv(path))
+        feature = fileio.read_feature_csv(path)
+        if (feature.tag, feature.fingerprint) != want:
+            raise DataError(f"{path}: feature {feature.tag},{feature.fingerprint} does not "
+                            f"match the config ({','.join(want)}); run extract again")
+        out.append(feature)
     return out
 
 
@@ -585,7 +593,7 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
                 continue
             overrides = dict(cfg.to_dict())
             overrides.update(point)
-            prefix = ",".join(point[k] for k in grid_keys)
+            prefix = "".join(point[k] + "," for k in grid_keys)
             point_cfg = None
             try:
                 point_cfg = RunConfig.from_dict(overrides)
@@ -595,18 +603,14 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
                            for r in records]
                     for kind in point_cfg.eval_features
                 }
-                rows, _ = evaluate_features(point_cfg, records, features_by_kind)
+                lines = [_format_row(row)
+                         for row in evaluate_features(point_cfg, records, features_by_kind)[0]]
             except (ValueError, KeyError):
                 n_failed += 1
                 protocol = cfg.protocol if point_cfg is None else point_cfg.protocol
-                error_row = f"-,error,{protocol},nan,nan"
-                csv_fh.write((prefix + "," if prefix else "") + error_row + "\n")
-                ledger_fh.write(point_id + "\n")
-                csv_fh.flush()
-                ledger_fh.flush()
-                continue
-            for row in rows:
-                csv_fh.write((prefix + "," if prefix else "") + _format_row(row) + "\n")
+                lines = [f"-,error,{protocol},nan,nan"]
+            for line in lines:
+                csv_fh.write(prefix + line + "\n")
             ledger_fh.write(point_id + "\n")
             csv_fh.flush()
             ledger_fh.flush()

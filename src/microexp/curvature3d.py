@@ -174,20 +174,12 @@ def gaussian_mean_curvature(pc: PrincipalCurvatures) -> tuple[float, float]:
     return pc.p_min * pc.p_max, 0.5 * (pc.p_min + pc.p_max)
 
 
-# Surface type by the signs (-1, 0, 1) of K and H.
-_HK_TABLE = {
-    (1, 1): SurfaceType.PEAK,
-    (0, 1): SurfaceType.RIDGE,
-    (-1, 1): SurfaceType.SADDLE_RIDGE,
-    (1, 0): SurfaceType.UNDEFINED,
-    (0, 0): SurfaceType.FLAT,
-    (-1, 0): SurfaceType.MINIMAL_SURFACE,
-    (1, -1): SurfaceType.PIT,
-    (0, -1): SurfaceType.VALLEY,
-    (-1, -1): SurfaceType.SADDLE_VALLEY,
-}
-# The same table as bin numbers, indexed by [sign K + 1, sign H + 1].
-_HK_SIGN_BINS = np.array([[_HK_TABLE[sk, sh].value for sh in (-1, 0, 1)] for sk in (-1, 0, 1)])
+# Surface type bin by [sign K + 1, sign H + 1], signs in (-1, 0, 1).
+_HK_SIGN_BINS = np.array([[t.value for t in row] for row in (
+    (SurfaceType.SADDLE_VALLEY, SurfaceType.MINIMAL_SURFACE, SurfaceType.SADDLE_RIDGE),  # K < 0
+    (SurfaceType.VALLEY, SurfaceType.FLAT, SurfaceType.RIDGE),                           # K = 0
+    (SurfaceType.PIT, SurfaceType.UNDEFINED, SurfaceType.PEAK),                          # K > 0
+)])  # columns: H < 0, H = 0, H > 0
 
 
 def hk_classify(k: float, h: float, zero_eps: float = 0.5) -> SurfaceType:
@@ -195,13 +187,13 @@ def hk_classify(k: float, h: float, zero_eps: float = 0.5) -> SurfaceType:
     zero_eps of zero count as zero."""
     if not zero_eps > 0:
         raise ValueError("zero_eps must be positive")
-    sk = 0 if abs(k) <= zero_eps else (1 if k > 0 else -1)
-    sh = 0 if abs(h) <= zero_eps else (1 if h > 0 else -1)
-    return _HK_TABLE[(sk, sh)]
+    return SurfaceType(int(_hk_bins(np.array([k], dtype=np.float64),
+                                    np.array([h], dtype=np.float64), zero_eps)[0]))
 
 
 def _hk_bins(k: np.ndarray, h: np.ndarray, zero_eps: float) -> np.ndarray:
-    """hk_classify(k, h, zero_eps).value, elementwise."""
+    """SurfaceType bin numbers from the signs of k and h, elementwise; values
+    within zero_eps of zero count as zero."""
     sk = np.where(np.abs(k) <= zero_eps, 0, np.where(k > 0, 1, -1))
     sh = np.where(np.abs(h) <= zero_eps, 0, np.where(h > 0, 1, -1))
     return _HK_SIGN_BINS[sk + 1, sh + 1]
@@ -213,16 +205,8 @@ def shape_index(pc: PrincipalCurvatures) -> float:
     Umbilic points (p_max == p_min) take the limit value: 0 for a positive
     pair, 1 for a negative pair, and 0.5 for the flat point.
     """
-    spread = pc.p_max - pc.p_min
-    total = pc.p_max + pc.p_min
-    if spread == 0.0:
-        if total > 0.0:
-            return 0.0
-        if total < 0.0:
-            return 1.0
-        return 0.5
-    si = 0.5 - math.atan(total / spread) / math.pi
-    return min(max(si, 0.0), 1.0)
+    return float(_shape_indices(np.array([pc.p_min], dtype=np.float64),
+                                np.array([pc.p_max], dtype=np.float64))[0])
 
 
 def quantize_si(si: float) -> int:
@@ -230,20 +214,11 @@ def quantize_si(si: float) -> int:
     midpoints round toward the saddle (0.5)."""
     if not 0.0 <= si <= 1.0:
         raise ValueError(f"shape index must lie in [0, 1], got {si}")
-    low = int(math.floor(si * 8))
-    bins = [low] if low == 8 else [low, low + 1]
-    best = bins[0]
-    for b in bins[1:]:
-        d_best = abs(si - SI_BIN_CENTERS[best])
-        d_b = abs(si - SI_BIN_CENTERS[b])
-        if d_b < d_best or (d_b == d_best
-                            and abs(SI_BIN_CENTERS[b] - 0.5) < abs(SI_BIN_CENTERS[best] - 0.5)):
-            best = b
-    return best
+    return int(_quantize_si_bins(np.array([si], dtype=np.float64))[0])
 
 
 def _shape_indices(p_min: np.ndarray, p_max: np.ndarray) -> np.ndarray:
-    """shape_index over arrays of principal-curvature pairs, bit for bit."""
+    """shape_index over float64 arrays of principal-curvature pairs."""
     spread = p_max - p_min
     total = p_max + p_min
     ratio = np.divide(total, spread, out=np.zeros_like(total), where=spread != 0.0)
@@ -256,7 +231,8 @@ def _shape_indices(p_min: np.ndarray, p_max: np.ndarray) -> np.ndarray:
 
 
 def _quantize_si_bins(si: np.ndarray) -> np.ndarray:
-    """quantize_si over an array of shape indices in [0, 1]."""
+    """Nearest of the nine bin centers for each shape index in [0, 1];
+    midpoints round toward the saddle (0.5)."""
     centers = np.asarray(SI_BIN_CENTERS)
     low = np.floor(si * 8).astype(np.intp)
     high = np.minimum(low + 1, 8)

@@ -4,8 +4,9 @@ and LOSO / repeated stratified k-fold cross-validation.
 The built-in classifier is an L2-regularized multinomial logistic regression
 trained to its exact optimum (see ``train``), so every per-class probability
 needed by the fusion rule P = (1-a)*p1 + a*p2 is available without external
-dependencies. Externally computed per-sample probability files can be
-plugged in wherever a list of ClassDistributions is accepted.
+dependencies. Evaluation carries one ``(n, C)`` probability array per run,
+columns in the sorted label set; ``ClassDistribution`` is the single-sample
+form (``predict_proba``, ``fuse``, the probability CSVs).
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ class ClassDistribution:
         labels = tuple(self.labels)
         if len(labels) != probs.shape[0]:
             raise ValueError("labels and probabilities must have matching length")
-        if np.any(probs < -1e-12):
-            raise ValueError("probabilities must be non-negative")
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1 within 1e-9, got {probs.sum()!r}")
+        _check_simplex(probs)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
 
@@ -43,6 +41,17 @@ class ClassDistribution:
     def argmax_label(self) -> str:
         # Ties break toward the lowest class index, for reproducibility.
         return self.labels[int(np.argmax(self.probs))]
+
+
+def _check_simplex(probs: np.ndarray) -> None:
+    """Raise ValueError unless every vector along the last axis has no entry
+    below -1e-12 or NaN and sums to 1 within 1e-9."""
+    if not np.all(probs >= -1e-12):
+        raise ValueError("probabilities must be non-negative and not NaN")
+    sums = np.atleast_1d(probs.sum(axis=-1))
+    bad = np.abs(sums - 1.0) > 1e-9
+    if bad.any():
+        raise ValueError(f"probabilities must sum to 1 within 1e-9, got {float(sums[bad][0])!r}")
 
 
 @dataclass
@@ -220,28 +229,24 @@ def metrics(predictions, truths) -> EvalResult:
         raise ValueError("predictions and truths must have equal length")
 
     classes = tuple(sorted(set(truths) | set(predictions)))
-    index = {c: i for i, c in enumerate(classes)}
-    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(truths, predictions):
-        confusion[index[t], index[p]] += 1
+    index = {label: i for i, label in enumerate(classes)}
+    codes = np.array([index[label] for label in truths + predictions])
+    n, c = len(truths), len(classes)
+    confusion = np.bincount(codes[:n] * c + codes[n:], minlength=c * c).reshape(c, c)
 
-    accuracy = float(np.trace(confusion)) / len(truths)
+    accuracy = float(np.trace(confusion)) / n
 
-    f1_scores = []
-    for c in classes:
-        i = index[c]
-        tp = confusion[i, i]
-        fp = confusion[:, i].sum() - tp
-        fn = confusion[i, :].sum() - tp
-        if tp + fn == 0:
-            continue  # class absent from the truths
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn)
-        f1_scores.append(2 * precision * recall / (precision + recall)
-                         if precision + recall > 0 else 0.0)
-    f1 = float(np.mean(f1_scores)) if f1_scores else 0.0
+    tp = np.diag(confusion)
+    predicted = confusion.sum(axis=0)
+    support = confusion.sum(axis=1)
+    present = support > 0  # classes absent from the truths are left out
+    precision = np.divide(tp, predicted, out=np.zeros(c), where=predicted > 0)
+    recall = np.divide(tp, support, out=np.zeros(c), where=present)
+    total = precision + recall
+    f1 = np.divide(2 * precision * recall, total, out=np.zeros(c), where=total > 0)
 
-    return EvalResult(accuracy=accuracy, f1=f1, confusion=confusion, classes=classes)
+    return EvalResult(accuracy=accuracy, f1=float(np.mean(f1[present])),
+                      confusion=confusion, classes=classes)
 
 
 def loso_split(records) -> list[tuple[list[int], list[int]]]:
@@ -278,37 +283,37 @@ def cross_val_proba(features, labels, folds, seed: int = 0, train_fn=None):
     """Out-of-fold class probabilities for every sample.
 
     ``folds`` is a list of (train indices, test indices) covering each
-    sample exactly once on the test side. Probabilities are embedded into
-    the global sorted label set (zero for classes a fold's model never saw).
-    Returns (distributions, per_fold_accuracies).
+    sample exactly once on the test side. Returns (proba, per_fold_accuracies):
+    ``proba`` is an ``(n, C)`` array whose columns are the sorted label set
+    (zero for classes a fold's model never saw).
     """
     x = _as_matrix(features)
     labels = [str(l) for l in labels]
     classes = tuple(sorted(set(labels)))
+    y = np.array([classes.index(l) for l in labels])
     train_fn = train_fn if train_fn is not None else train
 
-    proba: list[ClassDistribution | None] = [None] * len(labels)
+    proba = np.full((len(labels), len(classes)), np.nan)  # NaN: no fold has tested the row
     per_fold = []
     for fold_no, (train_idx, test_idx) in enumerate(folds):
         model = train_fn(x[train_idx], [labels[i] for i in train_idx], seed=seed + fold_no)
-        correct = 0
-        for i in test_idx:
-            dist = predict_proba(model, x[i])
-            if dist.labels != classes:
-                expanded = np.zeros(len(classes))
-                for l, p in zip(dist.labels, dist.probs):
-                    expanded[classes.index(l)] = p
-                total = expanded.sum()
-                dist = ClassDistribution(classes, expanded / total if total > 0 else
-                                         np.full(len(classes), 1.0 / len(classes)))
-            proba[i] = dist
-            if dist.argmax_label == labels[i]:
-                correct += 1
+        block = np.asarray(model.predict_proba_matrix(x[test_idx]), dtype=np.float64)
+        _check_simplex(block)
+        model_classes = tuple(model.classes)
+        if model_classes != classes:
+            unknown = sorted(set(model_classes) - set(classes))
+            if unknown:
+                raise ValueError(f"model classes {unknown} are not in the label set {classes}")
+            widened = np.zeros((len(test_idx), len(classes)))
+            widened[:, [classes.index(c) for c in model_classes]] = block
+            block = widened / widened.sum(axis=1, keepdims=True)
+        proba[test_idx] = block
+        correct = int(np.count_nonzero(block.argmax(axis=1) == y[test_idx]))
         per_fold.append(correct / len(test_idx) if test_idx else 0.0)
 
-    missing = [i for i, p in enumerate(proba) if p is None]
-    if missing:
-        raise ValueError(f"folds do not cover samples {missing}")
+    missing = np.flatnonzero(np.isnan(proba).any(axis=1))
+    if missing.size:
+        raise ValueError(f"folds do not cover samples {missing.tolist()}")
     return proba, per_fold
 
 
@@ -345,37 +350,50 @@ def cross_val_runs(features, labels, fold_runs, seed: int = 0, train_fn=None):
     """Out-of-fold probabilities for each run of folds (one run for LOSO, one
     per repeat for k-fold); run ``r`` trains with seeds from ``seed + 1000*r``.
 
-    Returns (per-run probability lists, EvalResult): accuracy and F1 are
-    means over the runs, the confusion matrix accumulates over all runs, and
-    per_fold lists every individual fold accuracy.
+    Returns (per-run ``(n, C)`` probability arrays, columns in the sorted
+    label set; EvalResult): accuracy and F1 are means over the runs, the
+    confusion matrix accumulates over all runs, and per_fold lists every
+    individual fold accuracy.
     """
+    classes = sorted({str(l) for l in labels})
     proba_runs, results, per_fold = [], [], []
     for run, folds in enumerate(fold_runs):
         proba, fold_accs = cross_val_proba(features, labels, folds,
                                            seed=seed + 1000 * run, train_fn=train_fn)
         proba_runs.append(proba)
-        results.append(metrics([p.argmax_label for p in proba], labels))
+        results.append(metrics([classes[i] for i in proba.argmax(axis=1)], labels))
         per_fold.extend(fold_accs)
     return proba_runs, _run_mean(results, per_fold)
 
 
-def select_fusion_weight(p1_runs, p2_runs, truths,
-                         weights=FUSION_WEIGHTS) -> tuple[float, EvalResult]:
+def select_fusion_weight(p1_runs, p2_runs, truths, weights=FUSION_WEIGHTS,
+                         classes=None) -> tuple[float, EvalResult]:
     """Pick the fusion weight with the best run-mean fused accuracy.
 
-    ``p1_runs`` and ``p2_runs`` hold one per-sample probability list per run,
-    aligned with ``truths``. Ties go to the smaller weight, i.e. the first in
-    ``weights``. Returns the weight and its run-averaged EvalResult.
+    ``p1_runs`` and ``p2_runs`` hold one ``(n, C)`` array per run, rows
+    aligned with ``truths``, columns labelled by ``classes`` (default: the
+    sorted set of ``truths``); weight ``a`` scores ``(1 - a) * p1 + a * p2``.
+    Ties go to the smaller weight, i.e. the first in ``weights``. Returns the
+    weight and its run-averaged EvalResult.
     """
-    if not p1_runs or len(p1_runs) != len(p2_runs) or any(
-            not len(p1) == len(p2) == len(truths) for p1, p2 in zip(p1_runs, p2_runs)):
-        raise ValueError("probability lists and truths must be aligned, in at least one run")
+    truths = [str(t) for t in truths]
+    names = np.array(sorted(set(truths)) if classes is None else list(classes), dtype=object)
+    shapes = {np.shape(p) for p in (*p1_runs, *p2_runs)}
+    if not len(p1_runs) or len(p1_runs) != len(p2_runs) or \
+            shapes != {(len(truths), len(names))}:
+        raise ValueError(f"need at least one run and as many in both streams, each of shape "
+                         f"{(len(truths), len(names))}: rows aligned with the truths, one "
+                         f"column per class of {tuple(names)}; got {len(p1_runs)} and "
+                         f"{len(p2_runs)} runs of shapes {sorted(shapes)}")
+    p1 = np.asarray(p1_runs, dtype=np.float64)
+    p2 = np.asarray(p2_runs, dtype=np.float64)
+    for p in (p1, p2):
+        _check_simplex(p)
     best_a = None
     best_result = None
     for a in weights:
-        result = _run_mean([
-            metrics([fuse(x, y, a).argmax_label for x, y in zip(p1, p2)], truths)
-            for p1, p2 in zip(p1_runs, p2_runs)])
+        predicted = names[((1.0 - a) * p1 + a * p2).argmax(axis=2)].tolist()
+        result = _run_mean([metrics(run, truths) for run in predicted])
         if best_result is None or result.accuracy > best_result.accuracy:
             best_a, best_result = a, result
     return best_a, best_result
@@ -442,8 +460,8 @@ def read_probabilities_csv(path, labels) -> dict[str, ClassDistribution]:
     return out
 
 
-def fusion_sweep(p1_per_sample, p2_per_sample, truths,
-                 weights=FUSION_WEIGHTS) -> tuple[float, EvalResult]:
+def fusion_sweep(p1_per_sample, p2_per_sample, truths, weights=FUSION_WEIGHTS,
+                 classes=None) -> tuple[float, EvalResult]:
     """Pick the fusion weight with the best accuracy over the grid: the
-    one-run case of select_fusion_weight."""
-    return select_fusion_weight([p1_per_sample], [p2_per_sample], truths, weights)
+    one-run case of select_fusion_weight, on one ``(n, C)`` array per stream."""
+    return select_fusion_weight([p1_per_sample], [p2_per_sample], truths, weights, classes)

@@ -22,6 +22,10 @@ full primal weights ``(d + 1) * C`` with the same objective (mean
 cross-entropy plus ``0.5 * l2 * ||W||^2``, bias unpenalized) and the same
 standardization, started from zero and run to a gradient tolerance of 1e-12.
 It knows nothing of the row-space reduction or the Newton solve.
+
+``metrics_reference`` is the original per-sample, per-class loop form of
+``learn.metrics``: the confusion matrix one increment at a time and F1 one
+class at a time.
 """
 
 import math
@@ -32,7 +36,7 @@ from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from microexp.lbptop import FeatureVector
-from microexp.learn import LogisticModel
+from microexp.learn import EvalResult, LogisticModel
 from microexp.preprocess3d import PointCloudFrame
 
 
@@ -206,25 +210,37 @@ def curvature_reference(points, tree, i, radius, toward):
     return p_min, p_max
 
 
-def si_bin_reference(p_min, p_max):
-    """Nearest of the centers b/8 to the shape index
-    1/2 - atan((p_max+p_min)/(p_max-p_min))/pi (umbilics: 0 for a positive
-    pair, 1 for a negative pair, 1/2 when flat); ties go to the center
-    nearer the saddle (1/2)."""
+def shape_index_reference(p_min, p_max):
+    """The shape index 1/2 - atan((p_max+p_min)/(p_max-p_min))/pi, clipped
+    to [0, 1]; umbilics: 0 for a positive pair, 1 for a negative pair, 1/2
+    when flat."""
     total, spread = p_max + p_min, p_max - p_min
     if spread == 0.0:
-        si = 0.0 if total > 0 else 1.0 if total < 0 else 0.5
-    else:
-        si = min(max(0.5 - math.atan(total / spread) / math.pi, 0.0), 1.0)
+        return 0.0 if total > 0 else 1.0 if total < 0 else 0.5
+    return min(max(0.5 - math.atan(total / spread) / math.pi, 0.0), 1.0)
+
+
+def si_quantize_reference(si):
+    """Nearest of the centers b/8; ties go to the center nearer the saddle
+    (1/2)."""
     return min(range(9), key=lambda b: (abs(si - b / 8), abs(b / 8 - 0.5)))
 
 
-def hk_bin_reference(p_min, p_max, zero_eps):
-    """HK bin from the signs of K = p_min * p_max and H = (p_min + p_max) / 2,
-    with |value| <= zero_eps counting as zero."""
+def si_bin_reference(p_min, p_max):
+    return si_quantize_reference(shape_index_reference(p_min, p_max))
+
+
+def hk_sign_reference(k, h, zero_eps):
+    """HK bin from the signs of K and H, with |value| <= zero_eps counting
+    as zero."""
     def sign(x):
         return 0 if abs(x) <= zero_eps else 1 if x > 0 else -1
-    return _HK_BIN[sign(p_min * p_max), sign(0.5 * (p_min + p_max))]
+    return _HK_BIN[sign(k), sign(h)]
+
+
+def hk_bin_reference(p_min, p_max, zero_eps):
+    """HK bin of K = p_min * p_max and H = (p_min + p_max) / 2."""
+    return hk_sign_reference(p_min * p_max, 0.5 * (p_min + p_max), zero_eps)
 
 
 def landmark_histogram_reference(points, landmark, region_radius, neighborhood_radius,
@@ -387,3 +403,32 @@ def primal_gradient(model, x, labels, l2=1e-3):
     g /= len(y)
     xs = (x - model.mean) / model.scale
     return np.concatenate([(xs.T @ g + l2 * model.weights).ravel(), g.sum(axis=0)])
+
+
+def metrics_reference(predictions, truths) -> EvalResult:
+    """Accuracy, macro F1 over the classes present in the truths, and the
+    confusion matrix (rows = truth, columns = prediction, sorted classes)."""
+    predictions = [str(p) for p in predictions]
+    truths = [str(t) for t in truths]
+    classes = tuple(sorted(set(truths) | set(predictions)))
+    index = {c: i for i, c in enumerate(classes)}
+    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for t, p in zip(truths, predictions):
+        confusion[index[t], index[p]] += 1
+
+    accuracy = float(np.trace(confusion)) / len(truths)
+
+    f1_scores = []
+    for c in classes:
+        i = index[c]
+        tp = confusion[i, i]
+        fp = confusion[:, i].sum() - tp
+        fn = confusion[i, :].sum() - tp
+        if tp + fn == 0:
+            continue  # class absent from the truths
+        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+        recall = tp / (tp + fn)
+        f1_scores.append(2 * precision * recall / (precision + recall)
+                         if precision + recall > 0 else 0.0)
+    f1 = float(np.mean(f1_scores)) if f1_scores else 0.0
+    return EvalResult(accuracy=accuracy, f1=f1, confusion=confusion, classes=classes)

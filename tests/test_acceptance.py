@@ -214,8 +214,9 @@ def test_c09_end_to_end_fusion_improvement():
         p2d, _ = cross_val_proba(f2d, labels, folds, seed=0)
         p3d, _ = cross_val_proba(f3d, labels, folds, seed=0)
 
-        acc_2d_only = metrics([p.argmax_label for p in p2d], labels).accuracy
-        acc_3d_only = metrics([p.argmax_label for p in p3d], labels).accuracy
+        classes = np.array(sorted(set(labels)))
+        acc_2d_only = metrics(classes[p2d.argmax(1)], labels).accuracy
+        acc_3d_only = metrics(classes[p3d.argmax(1)], labels).accuracy
         best_a, best = fusion_sweep(p2d, p3d, labels)
         print(f"    2d-only={acc_2d_only:.3f} 3d-only={acc_3d_only:.3f} "
               f"fused(a={best_a})={best.accuracy:.3f}")

@@ -453,6 +453,32 @@ class TestEval:
         with pytest.raises(DataError, match="3d-hk"):
             cmd_eval(cfg)
 
+    def test_features_from_another_config_refused(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        cfg_path = tmp_path / "run.cfg"
+        config = {**replace(pipeline, out_dir=str(out)).to_dict(), "eval.features": "3d-si"}
+        fileio.save_config(cfg_path, {**config, "curv.radius": "0.02"})
+        assert main(["extract", "--kind", "3d-si", "--config", str(cfg_path)]) == EXIT_OK
+        fileio.save_config(cfg_path, {**config, "curv.radius": "0.03"})
+        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.match(r"data error: .*3d-si.*01.1_1\.csv: feature 3d-si,\w+ does not match "
+                        r"the config \(3d-si,\w+\)", err)
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("kind, source", [("3d-hk", "3d-si"), ("2d", "3d-si"),
+                                              ("3d-si", "2d")])
+    def test_features_of_another_kind_refused(self, pipeline, tmp_path, kind, source):
+        from microexp.cli import DataError, load_features
+        from microexp.dataset import load_index
+        cfg = replace(pipeline, out_dir=str(tmp_path))
+        shutil.copytree(Path(pipeline.out_dir) / "features" / source,
+                        tmp_path / "features" / kind)
+        records = load_index(Path(pipeline.out_dir) / "preprocessed" / "index.csv")
+        with pytest.raises(DataError, match="does not match the config"):
+            load_features(cfg, kind, records)
+
     def test_kfold_protocol_runs(self, pipeline):
         cfg = replace(pipeline, protocol="kfold", kfold_k=4, kfold_repeats=2,
                       eval_features=("2d",), fusion_sweep=False)

@@ -21,7 +21,9 @@ from microexp.preprocess2d import FrameVolume
 from microexp.preprocess3d import PointCloudFrame
 from microexp.synth import SynthSpec, make_dataset, make_surface
 
-from .oracles import curvature_reference, landmark_histogram_reference
+from .oracles import (curvature_reference, hk_bin_reference, hk_sign_reference,
+                      landmark_histogram_reference, shape_index_reference,
+                      si_bin_reference, si_quantize_reference)
 
 
 def _record(onset=0, apex=0, offset=1):
@@ -608,15 +610,16 @@ class TestFieldStore:
 
 
 class TestVectorisedBinning:
-    """The array forms of shape_index / quantize_si / hk_classify against the
-    scalar functions, including exact bin edges and the zero_eps boundary."""
+    """The array forms behind shape_index / quantize_si / hk_classify against
+    the per-value oracles, including exact bin edges and the zero_eps
+    boundary."""
 
     def test_quantize_si_grid(self):
         mids = np.arange(17) / 16
         si = np.concatenate([np.linspace(0.0, 1.0, 4001), mids,
                              np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf)])
         si = si[(si >= 0.0) & (si <= 1.0)]
-        assert np.array_equal(_quantize_si_bins(si), [quantize_si(x) for x in si])
+        assert np.array_equal(_quantize_si_bins(si), [si_quantize_reference(x) for x in si])
 
     def test_shape_index_grid_with_umbilics(self):
         vals = np.concatenate([np.linspace(-3.0, 3.0, 61),
@@ -625,10 +628,10 @@ class TestVectorisedBinning:
         p_min, p_max = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
         umbilic = p_min == p_max
         assert all(np.any(umbilic & cond) for cond in (p_min < 0, p_min == 0, p_min > 0))
-        scalar = [shape_index(PrincipalCurvatures(lo, hi)) for lo, hi in zip(p_min, p_max)]
-        assert np.array_equal(_shape_indices(p_min, p_max), scalar)
+        ref = [shape_index_reference(lo, hi) for lo, hi in zip(p_min, p_max)]
+        assert np.array_equal(_shape_indices(p_min, p_max), ref)
         assert np.array_equal(_vertex_bins("si", p_min, p_max, 0.5),
-                              [quantize_si(x) for x in scalar])
+                              [si_bin_reference(lo, hi) for lo, hi in zip(p_min, p_max)])
 
     @pytest.mark.parametrize("eps", [0.5, 1e-3])
     def test_hk_grid_at_zero_eps(self, eps):
@@ -637,12 +640,11 @@ class TestVectorisedBinning:
                                np.nextafter(edges, 0.0), np.nextafter(edges, 2 * edges)])
         k, h = (g.ravel() for g in np.meshgrid(vals, vals))
         assert np.array_equal(_hk_bins(k, h, eps),
-                              [hk_classify(a, b, eps).value for a, b in zip(k, h)])
+                              [hk_sign_reference(a, b, eps) for a, b in zip(k, h)])
 
     def test_hk_from_curvature_pairs(self):
         vals = np.linspace(-2.0, 2.0, 41)
         a, b = np.meshgrid(vals, vals)
         p_min, p_max = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
-        scalar = [hk_classify(*gaussian_mean_curvature(PrincipalCurvatures(lo, hi)), 0.5).value
-                  for lo, hi in zip(p_min, p_max)]
-        assert np.array_equal(_vertex_bins("hk", p_min, p_max, 0.5), scalar)
+        ref = [hk_bin_reference(lo, hi, 0.5) for lo, hi in zip(p_min, p_max)]
+        assert np.array_equal(_vertex_bins("hk", p_min, p_max, 0.5), ref)

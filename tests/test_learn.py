@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microexp.learn import (ClassDistribution, fuse, fusion_sweep, kfold_eval,
-                            kfold_splits, loso_eval, loso_split, metrics,
+from microexp.learn import (ClassDistribution, cross_val_proba, fuse, fusion_sweep,
+                            kfold_eval, kfold_splits, loso_eval, loso_split, metrics,
                             predict_proba, read_probabilities_csv,
                             select_fusion_weight, stratified_kfold_indices, train,
                             write_probabilities_csv)
 
-from .oracles import primal_gradient, train_reference
+from .oracles import metrics_reference, primal_gradient, train_reference
 
 
 def _blobs(n_per=20, d=5, sep=6.0, seed=0):
@@ -33,6 +33,10 @@ class TestClassDistribution:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ClassDistribution(("a", "b"), np.array([-0.1, 1.1]))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            ClassDistribution(("a", "b"), np.array([np.nan, np.nan]))
 
 
 class TestTrainPredict:
@@ -215,6 +219,19 @@ class TestMetrics:
         with pytest.raises(ValueError):
             metrics(["a"], ["a", "b"])
 
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=40))
+    @settings(max_examples=200)
+    def test_matches_loop_oracle(self, pairs):
+        # predictions range over the same six classes as the truths, so they
+        # often name a class absent from the truths
+        truths = [f"c{t}" for t, _ in pairs]
+        preds = [f"c{p}" for _, p in pairs]
+        fast, ref = metrics(preds, truths), metrics_reference(preds, truths)
+        assert fast.accuracy == ref.accuracy
+        assert fast.f1 == ref.f1
+        assert np.array_equal(fast.confusion, ref.confusion)
+        assert fast.classes == ref.classes
+
 
 class TestLoso:
     def test_grouping_example(self):
@@ -264,6 +281,70 @@ class _PerfectModel:
             else:
                 out[i, self.classes.index(label)] = 1.0
         return out
+
+
+class _FixedModel:
+    """Returns the same probability row for every input."""
+
+    def __init__(self, classes, row):
+        self.classes = tuple(classes)
+        self._row = np.asarray(row, dtype=np.float64)
+
+    def predict_proba_matrix(self, x):
+        return np.tile(self._row, (x.shape[0], 1))
+
+
+class TestCrossValProba:
+    def test_class_missing_from_a_fold_gets_a_zero_column(self):
+        # fold 0 trains on a and c only; fold 1 on every class
+        x = np.arange(8.0)[:, None]
+        y = ["a", "b", "c", "a", "b", "c", "a", "c"]
+        folds = [([0, 2, 3, 5, 6, 7], [1, 4]), ([1, 2, 3, 4, 5, 6, 7], [0])] + \
+            [([i for i in range(8) if i != j], [j]) for j in (2, 3, 5, 6, 7)]
+
+        def train_fn(features, labels, seed=0):
+            classes = sorted(set(labels))
+            row = [0.6, 0.4] if classes == ["a", "c"] else [0.2, 0.3, 0.5]
+            return _FixedModel(classes, row)
+
+        proba, per_fold = cross_val_proba(x, y, folds, train_fn=train_fn)
+        assert proba.shape == (8, 3)
+        assert np.array_equal(proba[[1, 4]], [[0.6, 0.0, 0.4]] * 2)
+        assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-12)
+        assert per_fold[0] == 0.0  # the true class b is never predicted there
+
+    @pytest.mark.parametrize("row", [[0.7, 0.7], [1.2, -0.2], [np.nan, 0.5],
+                                     [0.5, 0.5 + 3e-9], [-3e-12, 1.0 + 3e-12]])
+    def test_non_simplex_rows_rejected(self, row):
+        x, y = _blobs(n_per=4)
+        folds = loso_split([i % 2 for i in range(len(y))])
+        with pytest.raises(ValueError, match="probabilities"):
+            cross_val_proba(x, y, folds,
+                            train_fn=lambda f, l, seed=0: _FixedModel(("neg", "pos"), row))
+
+    def test_uncovered_samples_rejected(self):
+        x, y = _blobs(n_per=4)
+        folds = loso_split([i % 2 for i in range(len(y))])
+        folds[1] = (folds[1][0], folds[1][1][1:])  # sample 1 is never tested
+        with pytest.raises(ValueError, match=r"cover samples \[1\]$"):
+            cross_val_proba(x, y, folds)
+
+    def test_unknown_model_class_rejected(self):
+        x, y = _blobs(n_per=4)
+        folds = loso_split([i % 2 for i in range(len(y))])
+        with pytest.raises(ValueError, match="label set"):
+            cross_val_proba(x, y, folds,
+                            train_fn=lambda f, l, seed=0: _FixedModel(("neg", "zzz"), [0.5, 0.5]))
+
+    def test_batched_rows_match_predict_proba(self):
+        x, y = _blobs(n_per=6, seed=3)
+        folds = loso_split([i % 3 for i in range(len(y))])
+        proba, _ = cross_val_proba(x, y, folds)
+        for train_idx, test_idx in folds:
+            model = train(x[train_idx], [y[i] for i in train_idx])
+            for i in test_idx:
+                assert np.allclose(proba[i], predict_proba(model, x[i]).probs,
+                                   rtol=0, atol=1e-15)
 
 
 def _perfect_train_fn(all_features, all_labels):
@@ -330,17 +411,17 @@ class TestKfold:
 
 class TestFusionSweep:
     def test_identical_streams_tie_returns_smallest(self):
-        p = [ClassDistribution(("a", "b"), np.array([0.7, 0.3])) for _ in range(4)]
-        best_a, result = fusion_sweep(p, p, ["a"] * 4)
+        p = np.tile([0.7, 0.3], (4, 1))
+        best_a, result = fusion_sweep(p, p, ["a"] * 4, classes=("a", "b"))
         assert best_a == 0.1
         assert result.accuracy == 1.0
 
     def test_perfect_second_stream_needs_half(self):
         # p1 puts 0.9 on the wrong class; the fused argmax flips only for
         # a/(1-a) > 0.8, i.e. a > 4/9, so 0.5 is the only winning grid point.
-        p1 = [ClassDistribution(("a", "b"), np.array([0.1, 0.9])) for _ in range(6)]
-        p2 = [ClassDistribution(("a", "b"), np.array([1.0, 0.0])) for _ in range(6)]
-        best_a, result = fusion_sweep(p1, p2, ["a"] * 6)
+        p1 = np.tile([0.1, 0.9], (6, 1))
+        p2 = np.tile([1.0, 0.0], (6, 1))
+        best_a, result = fusion_sweep(p1, p2, ["a"] * 6, classes=("a", "b"))
         assert best_a == 0.5
         assert result.accuracy == 1.0
 
@@ -348,15 +429,17 @@ class TestFusionSweep:
         rng = np.random.default_rng(3)
         labels = ("a", "b", "c")
         truths = [labels[i % 3] for i in range(12)]
-        def rand_dist():
-            v = rng.uniform(0.05, 1.0, 3)
-            return ClassDistribution(labels, v / v.sum())
-        p1 = [rand_dist() for _ in truths]
-        p2 = [rand_dist() for _ in truths]
+        def rand_rows():
+            v = rng.uniform(0.05, 1.0, (len(truths), 3))
+            return v / v.sum(axis=1, keepdims=True)
+        p1 = rand_rows()
+        p2 = rand_rows()
         best_a, result = fusion_sweep(p1, p2, truths)
         per_a = []
         for a in (0.1, 0.2, 0.3, 0.4, 0.5):
-            fused = [fuse(x, y, a) for x, y in zip(p1, p2)]
+            # the single-sample fuse as the reference
+            fused = [fuse(ClassDistribution(labels, x), ClassDistribution(labels, y), a)
+                     for x, y in zip(p1, p2)]
             per_a.append(metrics([f.argmax_label for f in fused], truths).accuracy)
         assert result.accuracy == max(per_a)
 
@@ -372,28 +455,39 @@ class TestFusionSweep:
         run2 = [only_high] * 3 + bumps   # correct counts 2, 2, 4, 2, 5
 
         def streams(run):
-            return ([ClassDistribution(("a", "b"), np.array([u, 1 - u])) for u, _ in run],
-                    [ClassDistribution(("a", "b"), np.array([v, 1 - v])) for _, v in run])
+            return (np.array([[u, 1 - u] for u, _ in run]),
+                    np.array([[v, 1 - v] for _, v in run]))
 
         truths = ["a"] * 7
+        classes = ("a", "b")
         (p1_r1, p2_r1), (p1_r2, p2_r2) = streams(run1), streams(run2)
-        assert fusion_sweep(p1_r1, p2_r1, truths)[0] == 0.1
-        assert fusion_sweep(p1_r2, p2_r2, truths)[0] == 0.5
-        best_a, result = select_fusion_weight([p1_r1, p1_r2], [p2_r1, p2_r2], truths)
+        assert fusion_sweep(p1_r1, p2_r1, truths, classes=classes)[0] == 0.1
+        assert fusion_sweep(p1_r2, p2_r2, truths, classes=classes)[0] == 0.5
+        best_a, result = select_fusion_weight([p1_r1, p1_r2], [p2_r1, p2_r2], truths,
+                                              classes=classes)
         assert best_a == 0.3
         assert result.accuracy == pytest.approx(4 / 7)
         assert result.confusion.sum() == 14
 
     def test_misaligned_inputs_rejected(self):
-        p = [ClassDistribution(("a", "b"), np.array([0.5, 0.5]))]
-        with pytest.raises(ValueError):
-            fusion_sweep(p, p + p, ["a"])
-        with pytest.raises(ValueError):
-            select_fusion_weight([p, p], [p], ["a"])
-        with pytest.raises(ValueError):
-            select_fusion_weight([p, p], [p, p + p], ["a"])
-        with pytest.raises(ValueError):
-            select_fusion_weight([], [], ["a"])
+        p = np.array([[0.5, 0.5]])
+        pp = np.vstack([p, p])
+        classes = ("a", "b")
+        with pytest.raises(ValueError, match="aligned"):
+            fusion_sweep(p, pp, ["a"], classes=classes)
+        with pytest.raises(ValueError, match="aligned"):
+            select_fusion_weight([p, p], [p], ["a"], classes=classes)
+        with pytest.raises(ValueError, match="aligned"):
+            select_fusion_weight([p, p], [p, pp], ["a"], classes=classes)
+        with pytest.raises(ValueError, match="aligned"):
+            select_fusion_weight([], [], ["a"], classes=classes)
+
+    def test_column_count_must_match_classes(self):
+        p = np.array([[0.2, 0.3, 0.5]])
+        with pytest.raises(ValueError, match="column"):
+            fusion_sweep(p, p, ["a"], classes=("a", "b"))
+        with pytest.raises(ValueError, match="column"):
+            fusion_sweep(p, p, ["a"])  # default classes: the one truth label
 
 
 class TestExternalProbabilities:
@@ -433,7 +527,8 @@ class TestExternalProbabilities:
         write_probabilities_csv(f2, ids, p_3d)
         r1 = read_probabilities_csv(f1, labels)
         r2 = read_probabilities_csv(f2, labels)
-        best_a, result = fusion_sweep([r1[i] for i in ids], [r2[i] for i in ids], truths)
+        best_a, result = fusion_sweep(np.stack([r1[i].probs for i in ids]),
+                                      np.stack([r2[i].probs for i in ids]), truths)
         assert result.accuracy == 1.0
 
     def test_column_count_checked(self, tmp_path):
