@@ -609,8 +609,7 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
                 n_failed += 1
                 protocol = cfg.protocol if point_cfg is None else point_cfg.protocol
                 lines = [f"-,error,{protocol},nan,nan"]
-            for line in lines:
-                csv_fh.write(prefix + line + "\n")
+            csv_fh.write("".join(prefix + line + "\n" for line in lines))
             ledger_fh.write(point_id + "\n")
             csv_fh.flush()
             ledger_fh.flush()

@@ -4,9 +4,8 @@ and LOSO / repeated stratified k-fold cross-validation.
 The built-in classifier is an L2-regularized multinomial logistic regression
 trained to its exact optimum (see ``train``), so every per-class probability
 needed by the fusion rule P = (1-a)*p1 + a*p2 is available without external
-dependencies. Evaluation carries one ``(n, C)`` probability array per run,
-columns in the sorted label set; ``ClassDistribution`` is the single-sample
-form (``predict_proba``, ``fuse``, the probability CSVs).
+dependencies. Evaluation carries one ``(n, C)`` probability array per run;
+``ClassDistribution`` is the single-sample form (``predict_proba``, ``fuse``).
 """
 
 from __future__ import annotations
@@ -279,6 +278,11 @@ def stratified_kfold_indices(labels, k: int, rng: np.random.Generator) -> list[l
     return fold_members
 
 
+def _label_classes(labels) -> tuple[str, ...]:
+    """The column labels of a probability array: the sorted label set."""
+    return tuple(sorted({str(l) for l in labels}))
+
+
 def cross_val_proba(features, labels, folds, seed: int = 0, train_fn=None):
     """Out-of-fold class probabilities for every sample.
 
@@ -289,7 +293,7 @@ def cross_val_proba(features, labels, folds, seed: int = 0, train_fn=None):
     """
     x = _as_matrix(features)
     labels = [str(l) for l in labels]
-    classes = tuple(sorted(set(labels)))
+    classes = _label_classes(labels)
     y = np.array([classes.index(l) for l in labels])
     train_fn = train_fn if train_fn is not None else train
 
@@ -350,12 +354,11 @@ def cross_val_runs(features, labels, fold_runs, seed: int = 0, train_fn=None):
     """Out-of-fold probabilities for each run of folds (one run for LOSO, one
     per repeat for k-fold); run ``r`` trains with seeds from ``seed + 1000*r``.
 
-    Returns (per-run ``(n, C)`` probability arrays, columns in the sorted
-    label set; EvalResult): accuracy and F1 are means over the runs, the
-    confusion matrix accumulates over all runs, and per_fold lists every
-    individual fold accuracy.
+    Returns (per-run ``(n, C)`` probability arrays, EvalResult): accuracy and
+    F1 are means over the runs, the confusion matrix accumulates over all
+    runs, and per_fold lists every individual fold accuracy.
     """
-    classes = sorted({str(l) for l in labels})
+    classes = _label_classes(labels)
     proba_runs, results, per_fold = [], [], []
     for run, folds in enumerate(fold_runs):
         proba, fold_accs = cross_val_proba(features, labels, folds,
@@ -373,24 +376,22 @@ def select_fusion_weight(p1_runs, p2_runs, truths, weights=FUSION_WEIGHTS,
     ``p1_runs`` and ``p2_runs`` hold one ``(n, C)`` array per run, rows
     aligned with ``truths``, columns labelled by ``classes`` (default: the
     sorted set of ``truths``); weight ``a`` scores ``(1 - a) * p1 + a * p2``.
-    Ties go to the smaller weight, i.e. the first in ``weights``. Returns the
-    weight and its run-averaged EvalResult.
+    Every weight must lie in [0, 1]; ties go to the smaller weight, i.e. the
+    first in ``weights``. Returns the weight and its run-averaged EvalResult.
     """
+    if not all(0.0 <= a <= 1.0 for a in weights):
+        raise ValueError(f"fusion weights must lie in [0, 1], got {tuple(weights)}")
     truths = [str(t) for t in truths]
-    names = np.array(sorted(set(truths)) if classes is None else list(classes), dtype=object)
+    names = np.array(_label_classes(truths) if classes is None else list(classes), dtype=object)
     shapes = {np.shape(p) for p in (*p1_runs, *p2_runs)}
     if not len(p1_runs) or len(p1_runs) != len(p2_runs) or \
             shapes != {(len(truths), len(names))}:
-        raise ValueError(f"need at least one run and as many in both streams, each of shape "
-                         f"{(len(truths), len(names))}: rows aligned with the truths, one "
-                         f"column per class of {tuple(names)}; got {len(p1_runs)} and "
-                         f"{len(p2_runs)} runs of shapes {sorted(shapes)}")
-    p1 = np.asarray(p1_runs, dtype=np.float64)
-    p2 = np.asarray(p2_runs, dtype=np.float64)
-    for p in (p1, p2):
-        _check_simplex(p)
-    best_a = None
-    best_result = None
+        raise ValueError(f"need at least one run, as many in both streams, each of shape "
+                         f"{(len(truths), len(names))} (rows aligned with the truths, columns "
+                         f"{tuple(names)}); got {len(p1_runs)}, {len(p2_runs)} of {sorted(shapes)}")
+    p1, p2 = stacked = np.asarray([p1_runs, p2_runs], dtype=np.float64)
+    _check_simplex(stacked)
+    best_a, best_result = None, None
     for a in weights:
         predicted = names[((1.0 - a) * p1 + a * p2).argmax(axis=2)].tolist()
         result = _run_mean([metrics(run, truths) for run in predicted])

@@ -467,6 +467,18 @@ class TestEval:
                         r"the config \(3d-si,\w+\)", err)
         assert not (out / "results.csv").exists()
 
+    def test_fusion_weight_outside_unit_interval_exits_data(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        for part in ("preprocessed", "features"):
+            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
+        cfg_path = tmp_path / "run.cfg"
+        fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(out)).to_dict(),
+                                      "eval.features": "2d,3d-si", "fusion.sweep": "false",
+                                      "fusion.a": "1.5"})
+        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
+        assert "fusion weights must lie in [0, 1], got (1.5,)" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     @pytest.mark.parametrize("kind, source", [("3d-hk", "3d-si"), ("2d", "3d-si"),
                                               ("3d-si", "2d")])
     def test_features_of_another_kind_refused(self, pipeline, tmp_path, kind, source):

@@ -482,6 +482,14 @@ class TestFusionSweep:
         with pytest.raises(ValueError, match="aligned"):
             select_fusion_weight([], [], ["a"], classes=classes)
 
+    @pytest.mark.parametrize("weight", [1.5, -0.1, float("nan")])
+    def test_weight_outside_unit_interval_rejected(self, weight):
+        p = np.array([[0.5, 0.5]])
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            fusion_sweep(p, p, ["a"], weights=(weight,), classes=("a", "b"))
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            select_fusion_weight([p], [p], ["a"], weights=(0.1, weight), classes=("a", "b"))
+
     def test_column_count_must_match_classes(self):
         p = np.array([[0.2, 0.3, 0.5]])
         with pytest.raises(ValueError, match="column"):
