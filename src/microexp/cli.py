@@ -18,9 +18,7 @@ import itertools
 import json
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -120,7 +118,7 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "eval.features": ConfigKey("eval_features", _parse_names, _join),
     "run.seed": ConfigKey("seed", int),  # also the synth seed
     "run.out": ConfigKey("out_dir"),
-    "run.workers": ConfigKey("workers", int),
+    "run.workers": ConfigKey("workers", int),  # accepted and range-checked; no effect
     "clean.k": ConfigKey("denoise_k", int),
     "clean.sigma": ConfigKey("denoise_sigma", float, repr),
     "clean.crop_radius": ConfigKey("crop_radius", float, repr),
@@ -166,7 +164,7 @@ class RunConfig:
     eval_features: tuple[str, ...] = ("2d", "3d-si", "3d-hk", "3d-sihk")
     seed: int = 0
     out_dir: str = "out"
-    workers: int = 1
+    workers: int = 1                        # no effect: samples run serially, in index order
     denoise_k: int = 8
     denoise_sigma: float = 2.0
     crop_radius: float = 0.1
@@ -286,19 +284,6 @@ def read_sample_tree(root, record: SampleRecord, frame_rate: float,
     )
 
 
-# --- per-sample work ---------------------------------------------------------
-
-def _outcomes(fn, items, workers: int) -> list:
-    """One zero-argument callable per item, in order, that returns fn(item)
-    or raises its exception. With workers > 1 every call has already run on a
-    thread pool; otherwise each runs when its callable is called."""
-    if workers <= 1:
-        return [partial(fn, item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-    return [future.result for future in futures]
-
-
 # --- preprocess -------------------------------------------------------------
 
 def preprocess_sample(sample: SampleData, cfg: RunConfig) -> tuple[SampleData, dict]:
@@ -349,18 +334,15 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     out_root = Path(cfg.out_dir) / "preprocessed"
     records = dataset.load_index(root / "index.csv")
 
-    def run_one(record):
-        sample = read_sample_tree(root, record, cfg.frame_rate)
-        return preprocess_sample(sample, cfg)
-
     statuses: dict[str, str] = {}
     details: dict[str, dict] = {}
     kept_records = []
     results = []
-    for record, outcome in zip(records, _outcomes(run_one, records, cfg.workers)):
+    for record in records:
         key = f"{record.subject_id}/{record.sample_id}"
         try:
-            processed, info = outcome()
+            sample = read_sample_tree(root, record, cfg.frame_rate)
+            processed, info = preprocess_sample(sample, cfg)
         except (ValueError, OSError) as exc:
             statuses[key] = f"skipped: {exc}"
             continue
@@ -422,15 +404,12 @@ def cmd_extract(cfg: RunConfig, kind: str) -> int:
     if out_dir.exists():
         shutil.rmtree(out_dir)
 
-    def run_one(record):
-        sample = read_sample_tree(pre_root, record, cfg.frame_rate,
-                                  frames_only=kind in FRAMES_ONLY_KINDS)
-        return extract_sample_feature(sample, record, kind, cfg)
-
     features = []
-    for record, outcome in zip(records, _outcomes(run_one, records, cfg.workers)):
+    for record in records:
         try:
-            features.append(outcome())
+            sample = read_sample_tree(pre_root, record, cfg.frame_rate,
+                                      frames_only=kind in FRAMES_ONLY_KINDS)
+            features.append(extract_sample_feature(sample, record, kind, cfg))
         except (ValueError, OSError) as exc:
             raise DataError(f"extract {kind} {record.subject_id}/{record.sample_id}: "
                             f"{exc}") from exc
@@ -544,10 +523,14 @@ def cmd_eval(cfg: RunConfig, train_fn=None) -> int:
 
 def parse_grid(text: str) -> list[dict[str, str]]:
     """Grid file: ``key = v1 | v2 | ...`` lines; returns the cartesian product
-    as a list of config-override dicts (sorted key order)."""
+    as a list of config-override dicts (sorted key order). A key with no
+    values is a ValueError: it would empty the product."""
     axes = {key: [v.strip() for v in values.split("|") if v.strip()]
             for key, values in fileio.parse_config_text(text).items()}
     keys = sorted(axes)
+    for key in keys:
+        if not axes[key]:
+            raise ValueError(f"{key} has no values")
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(axes[k] for k in keys))]
     return points if axes else []
 
@@ -571,13 +554,19 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
     csv_path = out / "sweep.csv"
     ledger_path = out / "sweep.done"
 
+    header = ",".join(grid_keys + [RESULTS_HEADER])
+    if csv_path.exists():
+        with csv_path.open(encoding="utf-8") as fh:
+            found = fh.readline().rstrip("\n")
+        if found != header:
+            raise DataError(f"{csv_path} has header {found!r}, but this grid writes "
+                            f"{header!r}; use another run.out")
+    else:
+        csv_path.write_text(header + "\n", encoding="utf-8")
     done = set()
     if ledger_path.exists():
         done = {line.strip() for line in ledger_path.read_text(encoding="utf-8").splitlines()
                 if line.strip()}
-    if not csv_path.exists():
-        header = ",".join(grid_keys + [RESULTS_HEADER])
-        csv_path.write_text(header + "\n", encoding="utf-8")
 
     pre_root = Path(cfg.out_dir) / "preprocessed"
     records = dataset.load_index(pre_root / "index.csv")
@@ -625,26 +614,34 @@ def cmd_synth(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _reliability(aus1: str, aus2: str, where: str = "") -> float:
+    try:
+        return dataset.coder_reliability(dataset.parse_aus(aus1), dataset.parse_aus(aus2))
+    except ValueError as exc:
+        raise DataError(f"{where}{exc}") from exc
+
+
 def cmd_reliability(coder1: str | None, coder2: str | None, pairs_path) -> int:
     if pairs_path is not None:
         lines = Path(pairs_path).read_text(encoding="utf-8").splitlines()
-        if lines and lines[0].startswith("sample"):
-            lines = lines[1:]
         values = []
-        for line in lines:
-            if not line.strip():
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip() or (line_no == 1 and line.startswith("sample")):
                 continue
-            sample_id, aus1, aus2 = (p.strip() for p in line.split(",", 2))
-            r = dataset.coder_reliability(dataset.parse_aus(aus1), dataset.parse_aus(aus2))
+            where = f"{pairs_path}:{line_no}: "
+            fields = [p.strip() for p in line.split(",", 2)]
+            if len(fields) != 3:
+                raise DataError(f"{where}expected 3 fields sample,coder1_aus,coder2_aus, "
+                                f"got {line!r}")
+            r = _reliability(fields[1], fields[2], where)
             values.append(r)
-            print(f"{sample_id}: {r:.4f}")
+            print(f"{fields[0]}: {r:.4f}")
         if values:
             print(f"mean: {float(np.mean(values)):.4f}")
         return EXIT_OK
     if coder1 is None or coder2 is None:
         raise UsageError("reliability needs --coder1 and --coder2, or --pairs FILE")
-    r = dataset.coder_reliability(dataset.parse_aus(coder1), dataset.parse_aus(coder2))
-    print(f"{r:.4f}")
+    print(f"{_reliability(coder1, coder2):.4f}")
     return EXIT_OK
 
 
@@ -663,7 +660,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, dest="run.seed", help="override run.seed")
-        p.add_argument("--workers", type=int, dest="run.workers", help="override run.workers")
+        p.add_argument("--workers", type=int, dest="run.workers",
+                       help="override run.workers (accepted, no effect)")
         p.add_argument("--out", dest="run.out", help="override run.out output directory")
         p.add_argument("--root", dest="data.root", help="override data.root dataset root")
 

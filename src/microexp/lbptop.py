@@ -104,37 +104,19 @@ def lbp_code_from_samples(neighbor_values, center_value: float) -> int:
     return code
 
 
-def _sample_circle(image: np.ndarray, x: float, y: float, p_count: int,
-                   rx: float, ry: float) -> list[float]:
-    h, w = image.shape
-    samples = []
-    for p in range(p_count):
-        theta = 2.0 * math.pi * p / p_count
-        sx = x + _snap(rx * math.cos(theta))
-        sy = y + _snap(ry * math.sin(theta))
-        x0, y0 = math.floor(sx), math.floor(sy)
-        fx, fy = sx - x0, sy - y0
-        x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
-        g00 = float(image[y0, x0])
-        g01 = float(image[y0, x1])
-        g10 = float(image[y1, x0])
-        g11 = float(image[y1, x1])
-        samples.append(g00 + fx * (g01 - g00) + fy * (g10 - g00)
-                       + fx * fy * (((g00 - g01) - g10) + g11))
-    return samples
-
-
 def lbp_code(image, x: int, y: int, p_count: int = 8, radius: int = 1) -> int:
-    """Circular LBP code of the pixel at (x, y) of a 2-d image."""
+    """Circular LBP code of the pixel at (x, y) of a 2-d image: the one-center
+    XY-plane code that ``lbp_top_histogram`` counts."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise ValueError("image must be 2-d")
     h, w = img.shape
     if not (radius <= x <= w - 1 - radius and radius <= y <= h - 1 - radius):
         raise ValueError(f"center ({x}, {y}) closer than radius {radius} to the border")
-    samples = _sample_circle(img.astype(np.float64), float(x), float(y),
-                             p_count, float(radius), float(radius))
-    return lbp_code_from_samples(samples, float(img[y, x]))
+    codes = _plane_codes(img.astype(np.float64)[None], np.array([0]), np.array([y]),
+                         np.array([x]), u_axis=2, v_axis=1, ru=radius, rv=radius,
+                         p_count=p_count)
+    return int(codes[0, 0, 0])
 
 
 def block_spans(extent: int, n_blocks: int, overlap: int) -> list[tuple[int, int]]:

@@ -1,16 +1,18 @@
 import json
 import re
 import shutil
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from microexp import fileio
+from microexp import cli, dataset, fileio
 from microexp.cli import (CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE,
                           RunConfig, _build_parser, _load_cfg, cmd_eval, cmd_extract,
-                          cmd_preprocess, cmd_synth, cmd_sweep, main, parse_grid)
+                          cmd_preprocess, cmd_synth, cmd_sweep, extract_sample_feature,
+                          main, parse_grid, preprocess_sample, read_sample_tree)
 from microexp.curvature3d import CurvatureConfig
 from microexp.lbptop import LbpTopConfig
 from microexp.synth import SynthSpec
@@ -283,6 +285,37 @@ class TestSynthAndPreprocess:
         stores = [sorted(p.name for p in (Path(cfg.out_dir) / "cache" / "curvature").iterdir())
                   for cfg in (cfg1, cfg2)]
         assert stores[0] == stores[1] and len(stores[0]) == 2 * 4  # onset, apex per sample
+
+    def test_samples_run_serially_in_index_order(self, tmp_path, monkeypatch):
+        cfg = _pipeline_cfg(tmp_path, workers=3, synth=SynthSpec(
+            n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=8))
+        cmd_synth(cfg)
+        order = [f"{r.subject_id}/{r.sample_id}"
+                 for r in dataset.load_index(Path(cfg.dataset_root) / "index.csv")]
+        read, calls = {}, []
+
+        def read_recorder(root, record, *args, **kwargs):
+            sample = read_sample_tree(root, record, *args, **kwargs)
+            read[id(sample)] = f"{record.subject_id}/{record.sample_id}"
+            return sample
+
+        def preprocess_recorder(sample, run_cfg):
+            calls.append((threading.get_ident(), read[id(sample)]))
+            return preprocess_sample(sample, run_cfg)
+
+        def extract_recorder(sample, record, kind, run_cfg):
+            calls.append((threading.get_ident(), f"{record.subject_id}/{record.sample_id}"))
+            return extract_sample_feature(sample, record, kind, run_cfg)
+
+        monkeypatch.setattr(cli, "read_sample_tree", read_recorder)
+        monkeypatch.setattr(cli, "preprocess_sample", preprocess_recorder)
+        monkeypatch.setattr(cli, "extract_sample_feature", extract_recorder)
+        here = threading.get_ident()
+        assert cmd_preprocess(cfg) == EXIT_OK
+        assert calls == [(here, key) for key in order]
+        calls.clear()
+        assert cmd_extract(cfg, "2d") == EXIT_OK
+        assert calls == [(here, key) for key in order]
 
     def test_missing_landmarks_skipped_and_exit_code(self, tmp_path):
         cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
@@ -613,6 +646,22 @@ class TestMainEntry:
         assert "s1: 0.6667" in out
         assert "mean: 0.8333" in out
 
+    @pytest.mark.parametrize("pairs_text, reason", [
+        ("sample,coder1,coder2\ns1,4,4+7\ns2,1+2\n", ":3: expected 3 fields"),
+        ("s1,,\n", ":1: reliability is undefined when both coders scored no AUs"),
+        ("s1,1+x,1\n", ":1: bad action unit 'x'"),
+    ], ids=["two-fields", "no-aus", "bad-au"])
+    def test_reliability_bad_pairs_row_exit_data(self, tmp_path, capsys, pairs_text, reason):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(pairs_text)
+        assert main(["reliability", "--pairs", str(pairs)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {pairs}{reason}")
+
+    def test_reliability_no_aus_exit_data(self, capsys):
+        assert main(["reliability", "--coder1", "", "--coder2", ""]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "data error: reliability is undefined when both coders scored no AUs\n"
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["reliability"]) == EXIT_USAGE
         assert main(["no-such-command"]) == EXIT_USAGE
@@ -705,6 +754,38 @@ class TestMainEntry:
         grid.write_text("no equals here\n", encoding="utf-8")
         assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "out")]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: grid file {grid}")
+
+    @pytest.mark.parametrize("line", ["curv.radius=", "curv.radius=|"])
+    def test_grid_axis_without_values_exit_data(self, tmp_path, capsys, line):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(f"lbp.overlap=0|1\n{line}\n", encoding="utf-8")
+        assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            f"data error: grid file {grid}: curv.radius has no values\n"
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_sweep_into_other_grids_csv_exit_data(self, pipeline, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        replace(pipeline, out_dir=str(out), eval_features=("2d",),
+                fusion_sweep=False).to_file(cfg_path)
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        first.write_text("lbp.overlap=0|1\n", encoding="utf-8")
+        second.write_text("lbp.overlap=0\nlbp.blocks=2,2|3,3\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg_path), "--grid", str(first)]) == EXIT_OK
+        written = {name: (out / name).read_bytes() for name in ("sweep.csv", "sweep.done")}
+
+        assert main(["sweep", "--config", str(cfg_path), "--grid", str(second)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {out / 'sweep.csv'} has header")
+        assert "'lbp.overlap,radius,features,protocol,accuracy,f1'" in err
+        assert "'lbp.blocks,lbp.overlap,radius,features,protocol,accuracy,f1'" in err
+        assert {name: (out / name).read_bytes() for name in written} == written
+
+        # Resuming the first grid still finds every point done.
+        assert main(["sweep", "--config", str(cfg_path), "--grid", str(first)]) == EXIT_OK
+        assert {name: (out / name).read_bytes() for name in written} == written
 
     def test_flags_override_config_keys(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

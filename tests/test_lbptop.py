@@ -9,7 +9,7 @@ from microexp.lbptop import (FeatureVector, LbpTopConfig, block_spans, lbp_code,
                              mean_difference_weights)
 from microexp.preprocess2d import FrameVolume
 
-from .oracles import lbp_code_reference, lbp_top_reference
+from .oracles import lbp_code_reference, lbp_pixel_reference, lbp_top_reference
 
 
 class TestLbpCode:
@@ -47,6 +47,18 @@ class TestLbpCode:
     @settings(max_examples=25, deadline=None)
     def test_invariant_to_constant_offset(self, img, offset):
         assert lbp_code(img, 3, 3) == lbp_code(img + offset, 3, 3)
+
+    @pytest.mark.parametrize("p_count", [4, 6, 8, 12, 16])
+    def test_every_pixel_matches_per_pixel_oracle(self, p_count):
+        # Few gray levels make many neighbors tie with their center, where a
+        # one-ulp difference in the bilinear weights flips a bit.
+        rng = np.random.default_rng(p_count)
+        for img in rng.integers(0, 4, size=(3, 12, 12)):
+            for radius in (1, 2, 3):
+                for y in range(radius, 12 - radius):
+                    for x in range(radius, 12 - radius):
+                        assert lbp_code(img, x, y, p_count, radius) == \
+                            lbp_pixel_reference(img, x, y, p_count, radius), (x, y, radius)
 
 
 class TestBlockSpans:
