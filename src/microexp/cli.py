@@ -14,6 +14,8 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 partial failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import hashlib
 import itertools
 import json
 import shutil
@@ -30,7 +32,7 @@ from .dataset import IndexFormatError, SampleData, SampleRecord
 from .lbptop import LbpTopConfig, lbp_top_histogram, mean_difference_weights
 from .synth import SynthSpec, make_dataset
 
-RESULTS_HEADER = "radius,features,protocol,accuracy,f1"
+RESULTS_HEADER = ["radius", "features", "protocol", "accuracy", "f1"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,55 +94,61 @@ class ConfigKey(NamedTuple):
     """How one config-file key maps onto a ``RunConfig`` field."""
 
     field: str  # RunConfig field, or "lbp.", "curvature." or "synth." + a field of that part
+    stage: str  # the one of STAGES whose outputs the key changes; "run" if none
     parse: Callable[[str], object] = str
     format: Callable[[object], str] = str
     omit: Callable[["RunConfig"], bool] = lambda cfg: False  # leave out of to_dict
 
 
+# Pipeline stages, in order. A key of the "run" stage changes no output file.
+STAGES = ("synth", "preprocess", "extract-2d", "extract-3d", "eval", "run")
+
 # Every key of the flat config file, in the order to_dict writes them.
 CONFIG_KEYS: dict[str, ConfigKey] = {
-    "data.root": ConfigKey("dataset_root"),
-    "data.label_mode": ConfigKey("label_mode"),
-    "data.frame_rate": ConfigKey("frame_rate", float, repr),
-    "lbp.radii": ConfigKey("lbp.radii", _ints(3), _join),
-    "lbp.neighbors": ConfigKey("lbp.neighbors", _ints(3), _join),
-    "lbp.blocks": ConfigKey("lbp.blocks", _ints(2), _join),
-    "lbp.overlap": ConfigKey("lbp.overlap", int),
-    "curv.radius": ConfigKey("curvature.neighborhood_radius", float, repr),
-    "curv.zero_eps": ConfigKey("curvature.zero_eps", float, repr),
-    "curv.region_radius": ConfigKey("curvature.landmark_region_radius", float, repr),
-    "curv.frames": ConfigKey("curvature_frames"),
-    "weights.radius_px": ConfigKey("weight_radius_px", int),
-    "fusion.sweep": ConfigKey("fusion_sweep", _parse_bool, lambda b: "true" if b else "false"),
-    "eval.protocol": ConfigKey("protocol"),
-    "eval.k": ConfigKey("kfold_k", int),
-    "eval.repeats": ConfigKey("kfold_repeats", int),
-    "eval.features": ConfigKey("eval_features", _parse_names, _join),
-    "run.seed": ConfigKey("seed", int),  # also the synth seed
-    "run.out": ConfigKey("out_dir"),
-    "run.workers": ConfigKey("workers", int),  # accepted and range-checked; no effect
-    "clean.k": ConfigKey("denoise_k", int),
-    "clean.sigma": ConfigKey("denoise_sigma", float, repr),
-    "clean.crop_radius": ConfigKey("crop_radius", float, repr),
-    "clean.tip_at": ConfigKey("tip_at"),
-    "landmarks.inner_eye_left": ConfigKey("inner_eye_left", int),
-    "landmarks.inner_eye_right": ConfigKey("inner_eye_right", int),
-    "landmarks.nasal_spine": ConfigKey("nasal_spine", int),
+    "data.root": ConfigKey("dataset_root", "run"),
+    "data.label_mode": ConfigKey("label_mode", "eval"),
+    "data.frame_rate": ConfigKey("frame_rate", "run", float, repr),  # only carried in SampleData
+    "lbp.radii": ConfigKey("lbp.radii", "extract-2d", _ints(3), _join),
+    "lbp.neighbors": ConfigKey("lbp.neighbors", "extract-2d", _ints(3), _join),
+    "lbp.blocks": ConfigKey("lbp.blocks", "extract-2d", _ints(2), _join),
+    "lbp.overlap": ConfigKey("lbp.overlap", "extract-2d", int),
+    "curv.radius": ConfigKey("curvature.neighborhood_radius", "extract-3d", float, repr),
+    "curv.zero_eps": ConfigKey("curvature.zero_eps", "extract-3d", float, repr),
+    "curv.region_radius": ConfigKey("curvature.landmark_region_radius", "extract-3d",
+                                    float, repr),
+    "curv.frames": ConfigKey("curvature_frames", "extract-3d"),
+    "weights.radius_px": ConfigKey("weight_radius_px", "extract-3d", int),
+    "fusion.sweep": ConfigKey("fusion_sweep", "eval", _parse_bool,
+                              lambda b: "true" if b else "false"),
+    "eval.protocol": ConfigKey("protocol", "eval"),
+    "eval.k": ConfigKey("kfold_k", "eval", int),
+    "eval.repeats": ConfigKey("kfold_repeats", "eval", int),
+    "eval.features": ConfigKey("eval_features", "eval", _parse_names, _join),
+    "run.seed": ConfigKey("seed", "eval", int),  # also the synth seed
+    "run.out": ConfigKey("out_dir", "run"),
+    "run.workers": ConfigKey("workers", "run", int),  # accepted and range-checked; no effect
+    "clean.k": ConfigKey("denoise_k", "preprocess", int),
+    "clean.sigma": ConfigKey("denoise_sigma", "preprocess", float, repr),
+    "clean.crop_radius": ConfigKey("crop_radius", "preprocess", float, repr),
+    "clean.tip_at": ConfigKey("tip_at", "preprocess"),
+    "landmarks.inner_eye_left": ConfigKey("inner_eye_left", "preprocess", int),
+    "landmarks.inner_eye_right": ConfigKey("inner_eye_right", "preprocess", int),
+    "landmarks.nasal_spine": ConfigKey("nasal_spine", "preprocess", int),
     # A subset file, when named, is loaded by from_dict and written in place
     # of the inline subset.
-    "landmarks.subset": ConfigKey("landmark_subset", _parse_subset, _join,
+    "landmarks.subset": ConfigKey("landmark_subset", "extract-3d", _parse_subset, _join,
                                   omit=lambda cfg: bool(cfg.landmark_subset_file)),
-    "landmarks.subset_file": ConfigKey("landmark_subset_file",
+    "landmarks.subset_file": ConfigKey("landmark_subset_file", "extract-3d",
                                        omit=lambda cfg: not cfg.landmark_subset_file),
-    "synth.subjects": ConfigKey("synth.n_subjects", int),
-    "synth.samples": ConfigKey("synth.samples_per_subject", int),
-    "synth.classes": ConfigKey("synth.n_classes", int),
-    "synth.signal": ConfigKey("synth.signal"),
-    "synth.noise_2d": ConfigKey("synth.noise_2d", float, repr),
-    "synth.noise_3d": ConfigKey("synth.noise_3d", float, repr),
-    "synth.points": ConfigKey("synth.n_points", int),
-    "synth.frames": ConfigKey("synth.n_frames", int),
-    "fusion.a": ConfigKey("fusion_a", float, repr, omit=lambda cfg: cfg.fusion_a is None),
+    "synth.subjects": ConfigKey("synth.n_subjects", "synth", int),
+    "synth.samples": ConfigKey("synth.samples_per_subject", "synth", int),
+    "synth.classes": ConfigKey("synth.n_classes", "synth", int),
+    "synth.signal": ConfigKey("synth.signal", "synth"),
+    "synth.noise_2d": ConfigKey("synth.noise_2d", "synth", float, repr),
+    "synth.noise_3d": ConfigKey("synth.noise_3d", "synth", float, repr),
+    "synth.points": ConfigKey("synth.n_points", "synth", int),
+    "synth.frames": ConfigKey("synth.n_frames", "synth", int),
+    "fusion.a": ConfigKey("fusion_a", "eval", float, repr, omit=lambda cfg: cfg.fusion_a is None),
 }
 
 
@@ -192,9 +200,13 @@ class RunConfig:
         for name in ("frame_rate", "denoise_sigma", "crop_radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for kind in self.eval_features:
+        if not self.eval_features:
+            raise ValueError("eval_features names no feature kind")
+        for i, kind in enumerate(self.eval_features):
             if kind not in FEATURE_KINDS:
                 raise ValueError(f"unknown feature kind {kind!r}")
+            if kind in self.eval_features[:i]:
+                raise ValueError(f"eval_features names {kind!r} twice")
         # run.seed is the only synth seed.
         object.__setattr__(self, "synth", replace(self.synth, seed=self.seed))
 
@@ -231,6 +243,25 @@ class RunConfig:
 
     def to_file(self, path) -> None:
         fileio.save_config(path, self.to_dict())
+
+
+def stage_fingerprint(cfg: RunConfig, stage: str, base: str = "") -> str:
+    """12 hex characters of sha1 over ``base`` and the formatted value of
+    every key of ``stage``. ``landmarks.subset_file`` enters only through the
+    subset it loads, so a file and the same inline subset agree."""
+    values = [f"{key}={spec.format(_field_value(cfg, spec.field))}"
+              for key, spec in CONFIG_KEYS.items()
+              if spec.stage == stage and key != "landmarks.subset_file"]
+    return hashlib.sha1(";".join([base, *values]).encode()).hexdigest()[:12]
+
+
+def feature_fingerprint(cfg: RunConfig, kind: str, preprocess_fp: str | None = None) -> str:
+    """Fingerprint of ``kind``'s features extracted under ``cfg`` from a
+    preprocessed tree whose manifest fingerprint is ``preprocess_fp`` (by
+    default, the one ``cfg`` itself preprocesses to)."""
+    if preprocess_fp is None:
+        preprocess_fp = stage_fingerprint(cfg, "preprocess")
+    return stage_fingerprint(cfg, "extract-2d" if kind == "2d" else "extract-3d", preprocess_fp)
 
 
 # --- dataset tree I/O -------------------------------------------------------
@@ -358,8 +389,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
     manifest = {
         "config": cfg.to_dict(),
-        "lbp_fingerprint": cfg.lbp.fingerprint,
-        "curvature_fingerprint": cfg.curvature.fingerprint,
+        "fingerprint": stage_fingerprint(cfg, "preprocess"),
         "samples": statuses,
         "details": details,
     }
@@ -394,11 +424,25 @@ def extract_sample_feature(sample: SampleData, record: SampleRecord,
     raise UsageError(f"unknown feature kind {kind!r}")
 
 
+def load_preprocessed(cfg: RunConfig) -> tuple[Path, list[SampleRecord], str]:
+    """The preprocessed tree's root, its records and its manifest fingerprint."""
+    pre_root = Path(cfg.out_dir) / "preprocessed"
+    records = dataset.load_index(pre_root / "index.csv")
+    manifest = pre_root / "manifest.json"
+    if not manifest.exists():
+        raise DataError(f"missing {manifest}: run preprocess first")
+    try:
+        fingerprint = json.loads(manifest.read_text(encoding="utf-8"))["fingerprint"]
+    except (ValueError, KeyError, TypeError):
+        raise DataError(f"{manifest} records no fingerprint: run preprocess again") from None
+    return pre_root, records, fingerprint
+
+
 def cmd_extract(cfg: RunConfig, kind: str) -> int:
     if kind not in FEATURE_KINDS:
         raise UsageError(f"unknown feature kind {kind!r}; use one of {FEATURE_KINDS}")
-    pre_root = Path(cfg.out_dir) / "preprocessed"
-    records = dataset.load_index(pre_root / "index.csv")
+    pre_root, records, pre_fp = load_preprocessed(cfg)
+    fingerprint = feature_fingerprint(cfg, kind, pre_fp)
     out_dir = Path(cfg.out_dir) / "features" / kind
     # The kind's old files go first, so a failed run leaves none for eval.
     if out_dir.exists():
@@ -417,15 +461,15 @@ def cmd_extract(cfg: RunConfig, kind: str) -> int:
     for record, feature in zip(records, features):
         d = out_dir / record.subject_id
         d.mkdir(parents=True, exist_ok=True)
-        fileio.write_feature_csv(d / f"{record.sample_id}.csv", feature)
+        fileio.write_feature_csv(d / f"{record.sample_id}.csv",
+                                 replace(feature, fingerprint=fingerprint))
     return EXIT_OK
 
 
 def load_features(cfg: RunConfig, kind: str, records):
     """The kind's feature file of each record; one whose tag or fingerprint
-    differs from what ``cfg`` extracts is a data error."""
-    want = ("2d-lbptop", cfg.lbp.fingerprint) if kind == "2d" else \
-        (kind, cfg.curvature.fingerprint)
+    differs from what ``cfg`` preprocesses and extracts is a data error."""
+    want = ("2d-lbptop" if kind == "2d" else kind, feature_fingerprint(cfg, kind))
     out = []
     for record in records:
         path = Path(cfg.out_dir) / "features" / kind / record.subject_id / f"{record.sample_id}.csv"
@@ -463,9 +507,7 @@ def evaluate_features(cfg: RunConfig, records, features_by_kind, train_fn=None):
     radius_str = repr(cfg.curvature.neighborhood_radius)
     proba_runs: dict[str, list] = {}
     rows = []
-    details: dict = {"per_kind": {}, "label_mode": cfg.label_mode,
-                     "lbp_fingerprint": cfg.lbp.fingerprint,
-                     "curvature_fingerprint": cfg.curvature.fingerprint}
+    details: dict = {"per_kind": {}, "label_mode": cfg.label_mode}
 
     def add_row(radius, features, result):
         rows.append({"radius": radius, "features": features, "protocol": cfg.protocol,
@@ -495,9 +537,14 @@ def evaluate_features(cfg: RunConfig, records, features_by_kind, train_fn=None):
     return rows, details
 
 
-def _format_row(row: dict) -> str:
-    return (f"{row['radius']},{row['features']},{row['protocol']},"
-            f"{row['accuracy']:.4f},{row['f1']:.4f}")
+def _row_fields(row: dict) -> list[str]:
+    return [row["radius"], row["features"], row["protocol"],
+            f"{row['accuracy']:.4f}", f"{row['f1']:.4f}"]
+
+
+def _csv_writer(fh):
+    """Comma-separated rows ending in a newline; a field holding a comma is quoted."""
+    return csv.writer(fh, lineterminator="\n")
 
 
 def cmd_eval(cfg: RunConfig, train_fn=None) -> int:
@@ -510,10 +557,11 @@ def cmd_eval(cfg: RunConfig, train_fn=None) -> int:
     except ValueError as exc:
         raise DataError(f"cannot evaluate {cfg.protocol}: {exc}") from exc
 
+    details["fingerprints"] = {kind: feature_fingerprint(cfg, kind) for kind in cfg.eval_features}
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [RESULTS_HEADER] + [_format_row(r) for r in rows]
-    (out / "results.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with (out / "results.csv").open("w", encoding="utf-8", newline="") as fh:
+        _csv_writer(fh).writerows([RESULTS_HEADER, *map(_row_fields, rows)])
     (out / "eval_details.json").write_text(json.dumps(details, indent=2, sort_keys=True),
                                            encoding="utf-8")
     return EXIT_OK
@@ -535,8 +583,36 @@ def parse_grid(text: str) -> list[dict[str, str]]:
     return points if axes else []
 
 
-def _grid_point_id(point: dict[str, str]) -> str:
-    return ";".join(f"{k}={point[k]}" for k in sorted(point))
+def _resume_sweep(csv_path: Path, grid_keys: list[str]) -> set[tuple[str, ...]]:
+    """The grid values of the points whose rows ``csv_path`` already holds;
+    the file is created with its header when absent.
+
+    A file that does not end in a newline was cut mid-write. It is cut back
+    to its last newline, and the rows of the last point left go as well, so
+    that point runs again: the rows of one point may have been cut anywhere.
+    """
+    header = grid_keys + RESULTS_HEADER
+    n = len(grid_keys)
+    text = csv_path.read_text(encoding="utf-8") if csv_path.exists() else ""
+    lines = text.splitlines(keepends=True)
+    torn = not text.endswith("\n")
+    if torn:
+        lines = lines[:-1]
+    rows = list(csv.reader(lines))
+    if torn and len(rows) > 1:
+        last = rows[-1][:n]
+        while len(rows) > 1 and rows[-1][:n] == last:
+            rows.pop()
+            lines.pop()
+    if rows and rows[0] != header:
+        raise DataError(f"{csv_path} has header {lines[0].rstrip()!r}, but this grid writes "
+                        f"{','.join(header)!r}; use another run.out")
+    if not rows:
+        with csv_path.open("w", encoding="utf-8", newline="") as fh:
+            _csv_writer(fh).writerow(header)
+    elif torn:
+        csv_path.write_text("".join(lines), encoding="utf-8")
+    return {tuple(row[:n]) for row in rows[1:]}
 
 
 def cmd_sweep(cfg: RunConfig, grid_path) -> int:
@@ -548,60 +624,47 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
     except ValueError as exc:
         raise DataError(f"grid file {grid_path}: {exc}") from exc
     grid_keys = sorted(points[0]) if points else []
+    for key in grid_keys:
+        stage = CONFIG_KEYS[key].stage if key in CONFIG_KEYS else None
+        if stage in ("synth", "preprocess", "run"):
+            raise DataError(f"grid file {grid_path}: {key} is a {stage} key; "
+                            "a sweep reuses the preprocessed tree")
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "sweep.csv"
-    ledger_path = out / "sweep.done"
-
-    header = ",".join(grid_keys + [RESULTS_HEADER])
-    if csv_path.exists():
-        with csv_path.open(encoding="utf-8") as fh:
-            found = fh.readline().rstrip("\n")
-        if found != header:
-            raise DataError(f"{csv_path} has header {found!r}, but this grid writes "
-                            f"{header!r}; use another run.out")
-    else:
-        csv_path.write_text(header + "\n", encoding="utf-8")
-    done = set()
-    if ledger_path.exists():
-        done = {line.strip() for line in ledger_path.read_text(encoding="utf-8").splitlines()
-                if line.strip()}
-
-    pre_root = Path(cfg.out_dir) / "preprocessed"
-    records = dataset.load_index(pre_root / "index.csv")
+    pre_root, records, pre_fp = load_preprocessed(cfg)
     samples = {(r.subject_id, r.sample_id): read_sample_tree(pre_root, r, cfg.frame_rate)
                for r in records}
+    csv_path = Path(cfg.out_dir) / "sweep.csv"
+    done = _resume_sweep(csv_path, grid_keys)
 
+    # Each distinct feature is extracted once per sweep: (kind, fingerprint) -> features.
+    extracted: dict[tuple[str, str], list] = {}
     n_failed = 0
-    with csv_path.open("a", encoding="utf-8") as csv_fh, \
-            ledger_path.open("a", encoding="utf-8") as ledger_fh:
+    with csv_path.open("a", encoding="utf-8", newline="") as fh:
+        writer = _csv_writer(fh)
         for point in points:
-            point_id = _grid_point_id(point)
-            if point_id in done:
+            values = [point[k] for k in grid_keys]
+            if tuple(values) in done:
                 continue
-            overrides = dict(cfg.to_dict())
-            overrides.update(point)
-            prefix = "".join(point[k] + "," for k in grid_keys)
             point_cfg = None
             try:
-                point_cfg = RunConfig.from_dict(overrides)
-                features_by_kind = {
-                    kind: [extract_sample_feature(samples[(r.subject_id, r.sample_id)],
-                                                  r, kind, point_cfg)
-                           for r in records]
-                    for kind in point_cfg.eval_features
-                }
-                lines = [_format_row(row)
-                         for row in evaluate_features(point_cfg, records, features_by_kind)[0]]
+                point_cfg = RunConfig.from_dict({**cfg.to_dict(), **point})
+                features_by_kind = {}
+                for kind in point_cfg.eval_features:
+                    key = (kind, feature_fingerprint(point_cfg, kind, pre_fp))
+                    if key not in extracted:
+                        extracted[key] = [
+                            extract_sample_feature(samples[(r.subject_id, r.sample_id)],
+                                                   r, kind, point_cfg)
+                            for r in records]
+                    features_by_kind[kind] = extracted[key]
+                rows = [_row_fields(row)
+                        for row in evaluate_features(point_cfg, records, features_by_kind)[0]]
             except (ValueError, KeyError):
                 n_failed += 1
                 protocol = cfg.protocol if point_cfg is None else point_cfg.protocol
-                lines = [f"-,error,{protocol},nan,nan"]
-            csv_fh.write("".join(prefix + line + "\n" for line in lines))
-            ledger_fh.write(point_id + "\n")
-            csv_fh.flush()
-            ledger_fh.flush()
+                rows = [["-", "error", protocol, "nan", "nan"]]
+            writer.writerows(values + row for row in rows)
+            fh.flush()
 
     return EXIT_PARTIAL if n_failed else EXIT_OK
 

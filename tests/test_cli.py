@@ -1,7 +1,9 @@
+import csv
 import json
 import re
 import shutil
 import threading
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +14,8 @@ from microexp import cli, dataset, fileio
 from microexp.cli import (CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE,
                           RunConfig, _build_parser, _load_cfg, cmd_eval, cmd_extract,
                           cmd_preprocess, cmd_synth, cmd_sweep, extract_sample_feature,
-                          main, parse_grid, preprocess_sample, read_sample_tree)
+                          feature_fingerprint, main, parse_grid, preprocess_sample,
+                          read_sample_tree, stage_fingerprint)
 from microexp.curvature3d import CurvatureConfig
 from microexp.lbptop import LbpTopConfig
 from microexp.synth import SynthSpec
@@ -31,6 +34,60 @@ def _pipeline_cfg(base_dir: Path, **overrides) -> RunConfig:
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
+
+
+# A value other than the default for every key but the landmark subset ones.
+NON_DEFAULT_VALUES = {
+    "data.root": "d1",
+    "data.label_mode": "nonobjective",
+    "data.frame_rate": "30.0",
+    "lbp.radii": "2,2,3",
+    "lbp.neighbors": "4,8,16",
+    "lbp.blocks": "3,4",
+    "lbp.overlap": "2",
+    "curv.radius": "0.025",
+    "curv.zero_eps": "0.25",
+    "curv.region_radius": "0.015",
+    "curv.frames": "all",
+    "weights.radius_px": "3",
+    "fusion.sweep": "false",
+    "fusion.a": "0.3",
+    "eval.protocol": "kfold",
+    "eval.k": "5",
+    "eval.repeats": "2",
+    "eval.features": "2d,3d-hk",
+    "run.seed": "11",
+    "run.out": "o1",
+    "run.workers": "2",
+    "clean.k": "6",
+    "clean.sigma": "1.5",
+    "clean.crop_radius": "0.08",
+    "clean.tip_at": "max",
+    "landmarks.inner_eye_left": "21",
+    "landmarks.inner_eye_right": "26",
+    "landmarks.nasal_spine": "15",
+    "synth.subjects": "3",
+    "synth.samples": "2",
+    "synth.classes": "3",
+    "synth.signal": "both",
+    "synth.noise_2d": "1.5",
+    "synth.noise_3d": "0.0005",
+    "synth.points": "900",
+    "synth.frames": "7",
+}
+
+
+def _count_extract_calls(monkeypatch) -> list:
+    """Record the (kind, sample) of every later cli.extract_sample_feature call."""
+    calls = []
+    real = cli.extract_sample_feature
+
+    def counted(sample, record, kind, cfg):
+        calls.append((kind, record.sample_id))
+        return real(sample, record, kind, cfg)
+
+    monkeypatch.setattr(cli, "extract_sample_feature", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -146,44 +203,7 @@ class TestRunConfig:
     def test_every_key_round_trips(self, tmp_path, subset_from_file):
         subset_path = tmp_path / "subset.txt"
         subset_path.write_text("3\n1\n4\n", encoding="utf-8")
-        d = {
-            "data.root": "d1",
-            "data.label_mode": "nonobjective",
-            "data.frame_rate": "30.0",
-            "lbp.radii": "2,2,3",
-            "lbp.neighbors": "4,8,16",
-            "lbp.blocks": "3,4",
-            "lbp.overlap": "2",
-            "curv.radius": "0.025",
-            "curv.zero_eps": "0.25",
-            "curv.region_radius": "0.015",
-            "curv.frames": "all",
-            "weights.radius_px": "3",
-            "fusion.sweep": "false",
-            "fusion.a": "0.3",
-            "eval.protocol": "kfold",
-            "eval.k": "5",
-            "eval.repeats": "2",
-            "eval.features": "2d,3d-hk",
-            "run.seed": "11",
-            "run.out": "o1",
-            "run.workers": "2",
-            "clean.k": "6",
-            "clean.sigma": "1.5",
-            "clean.crop_radius": "0.08",
-            "clean.tip_at": "max",
-            "landmarks.inner_eye_left": "21",
-            "landmarks.inner_eye_right": "26",
-            "landmarks.nasal_spine": "15",
-            "synth.subjects": "3",
-            "synth.samples": "2",
-            "synth.classes": "3",
-            "synth.signal": "both",
-            "synth.noise_2d": "1.5",
-            "synth.noise_3d": "0.0005",
-            "synth.points": "900",
-            "synth.frames": "7",
-        }
+        d = dict(NON_DEFAULT_VALUES)
         if subset_from_file:
             d["landmarks.subset_file"] = str(subset_path)
         else:
@@ -206,6 +226,32 @@ class TestRunConfig:
         assert all(d[key] != default[key] for key in d if key in default)
         assert RunConfig.from_dict(d) == cfg
         assert fileio.format_config(cfg.to_dict()) == fileio.format_config(d)
+
+    @pytest.mark.parametrize("key", [*NON_DEFAULT_VALUES, "landmarks.subset",
+                                     "landmarks.subset_file"])
+    def test_fingerprints_follow_stages(self, tmp_path, key):
+        subset_path = tmp_path / "subset.txt"
+        subset_path.write_text("3\n1\n4\n", encoding="utf-8")
+        value = {**NON_DEFAULT_VALUES, "landmarks.subset": "3,1,4",
+                 "landmarks.subset_file": str(subset_path)}[key]
+        base, changed = RunConfig(), RunConfig.from_dict({key: value})
+        stage = CONFIG_KEYS[key].stage
+        assert stage in cli.STAGES
+        assert (stage_fingerprint(changed, "preprocess") !=
+                stage_fingerprint(base, "preprocess")) == (stage == "preprocess")
+        for kind, extract_stage in (("2d", "extract-2d"), ("3d-si", "extract-3d")):
+            assert (feature_fingerprint(changed, kind, "0123456789ab") !=
+                    feature_fingerprint(base, kind, "0123456789ab")) == (stage == extract_stage)
+
+    def test_subset_file_and_inline_subset_share_fingerprint(self, tmp_path):
+        subset_path = tmp_path / "subset.txt"
+        subset_path.write_text("3\n1\n4\n", encoding="utf-8")
+        from_file = RunConfig.from_dict({"landmarks.subset_file": str(subset_path)})
+        inline = RunConfig.from_dict({"landmarks.subset": "3,1,4"})
+        assert re.fullmatch(r"[0-9a-f]{12}", feature_fingerprint(inline, "3d-si"))
+        assert feature_fingerprint(from_file, "3d-si") == feature_fingerprint(inline, "3d-si")
+        # The manifest fingerprint enters every kind's.
+        assert feature_fingerprint(inline, "2d", "a") != feature_fingerprint(inline, "2d", "b")
 
     def test_unknown_keys_all_named(self):
         with pytest.raises(ValueError, match="unknown config keys: eval.protcol, synth.n_points"):
@@ -373,7 +419,7 @@ class TestExtract:
         path = next((Path(pipeline.out_dir) / "features" / "2d").glob("*/*.csv"))
         fv = fileio.read_feature_csv(path)
         assert len(fv) == 2 * 2 * 3 * 256
-        assert fv.fingerprint == pipeline.lbp.fingerprint
+        assert fv.fingerprint == feature_fingerprint(pipeline, "2d")
 
     def test_3d_feature_length(self, pipeline):
         path = next((Path(pipeline.out_dir) / "features" / "3d-si").glob("*/*.csv"))
@@ -410,6 +456,17 @@ class TestExtract:
         assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
         assert "missing 3d-si feature file for 01/1_1" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+
+    def test_missing_manifest_exit_data(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        (out / "preprocessed" / "manifest.json").unlink()
+        cfg_path = tmp_path / "run.cfg"
+        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
+        assert main(["extract", "--kind", "2d", "--config", str(cfg_path)]) == EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: missing {out}/preprocessed/"
+                                           "manifest.json: run preprocess first\n")
+        assert not (out / "features").exists()
 
     def test_unknown_kind_rejected(self, pipeline):
         from microexp.cli import UsageError
@@ -500,6 +557,32 @@ class TestEval:
                         r"the config \(3d-si,\w+\)", err)
         assert not (out / "results.csv").exists()
 
+    # Each key changes what preprocess or a 3-d extract writes, so features
+    # extracted under the pipeline's config no longer describe it.
+    @pytest.mark.parametrize("key, value", [
+        ("weights.radius_px", "3"), ("curv.frames", "all"),
+        ("landmarks.subset", "0,1,2,3"), ("clean.k", "3"),
+    ], ids=["weights.radius_px", "curv.frames", "landmarks.subset", "clean.k"])
+    def test_stale_features_refused(self, pipeline, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        for part in ("preprocessed", "features"):
+            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
+        cfg_path = tmp_path / "run.cfg"
+        fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(out)).to_dict(),
+                                      key: value})
+        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
+        assert "does not match the config" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_fingerprints_recorded(self, pipeline):
+        manifest = json.loads(
+            (Path(pipeline.out_dir) / "preprocessed" / "manifest.json").read_text())
+        assert manifest["fingerprint"] == stage_fingerprint(pipeline, "preprocess")
+        assert cmd_eval(pipeline) == EXIT_OK
+        details = json.loads((Path(pipeline.out_dir) / "eval_details.json").read_text())
+        assert details["fingerprints"] == {kind: feature_fingerprint(pipeline, kind)
+                                           for kind in ("2d", "3d-si")}
+
     def test_fusion_weight_outside_unit_interval_exits_data(self, pipeline, tmp_path, capsys):
         out = tmp_path / "out"
         for part in ("preprocessed", "features"):
@@ -552,7 +635,7 @@ class TestEval:
 
 
 class TestSweep:
-    def test_rows_ledger_and_resume(self, pipeline, tmp_path):
+    def test_rows_ledger_and_resume(self, pipeline, tmp_path, monkeypatch):
         grid = tmp_path / "grid.txt"
         grid.write_text("lbp.overlap=0|1\nlbp.blocks=2,2|3,3\n", encoding="utf-8")
         cfg = replace(pipeline, out_dir=str(tmp_path / "sweep_out"),
@@ -564,11 +647,12 @@ class TestSweep:
         csv_lines = (Path(cfg.out_dir) / "sweep.csv").read_text().splitlines()
         assert csv_lines[0] == "lbp.blocks,lbp.overlap,radius,features,protocol,accuracy,f1"
         assert len(csv_lines) == 1 + 4  # one row per grid point
-        done = (Path(cfg.out_dir) / "sweep.done").read_text().splitlines()
-        assert len(done) == 4
-        # resume: nothing new appended
+        # resume: nothing new appended, nothing extracted
+        written = (Path(cfg.out_dir) / "sweep.csv").read_bytes()
+        calls = _count_extract_calls(monkeypatch)
         assert cmd_sweep(cfg, grid) == EXIT_OK
-        assert (Path(cfg.out_dir) / "sweep.csv").read_text().splitlines() == csv_lines
+        assert (Path(cfg.out_dir) / "sweep.csv").read_bytes() == written
+        assert calls == []
 
     def test_empty_grid_header_only(self, pipeline, tmp_path):
         grid = tmp_path / "empty.txt"
@@ -580,7 +664,7 @@ class TestSweep:
         assert (Path(cfg.out_dir) / "sweep.csv").read_text() == \
             "radius,features,protocol,accuracy,f1\n"
 
-    def test_failing_grid_point_recorded(self, pipeline, tmp_path):
+    def test_failing_grid_point_recorded(self, pipeline, tmp_path, monkeypatch):
         grid = tmp_path / "grid.txt"
         grid.write_text("lbp.radii=1,1,2|0,0,0\n", encoding="utf-8")  # second point invalid
         cfg = replace(pipeline, out_dir=str(tmp_path / "sweep_out"),
@@ -590,10 +674,14 @@ class TestSweep:
         assert cmd_sweep(cfg, grid) == EXIT_PARTIAL
         lines = (Path(cfg.out_dir) / "sweep.csv").read_text().splitlines()
         # the point's config does not parse, so its row names the base protocol
-        assert "0,0,0,-,error,loso,nan,nan" in lines
+        assert '"0,0,0",-,error,loso,nan,nan' in lines
         assert any(",2d," in line for line in lines)  # the good point still ran
-        done = (Path(cfg.out_dir) / "sweep.done").read_text().splitlines()
-        assert len(done) == 2  # both points ledgered, no retry loop
+        # both points recorded, no retry loop
+        written = (Path(cfg.out_dir) / "sweep.csv").read_bytes()
+        calls = _count_extract_calls(monkeypatch)
+        assert cmd_sweep(cfg, grid) == EXIT_OK
+        assert (Path(cfg.out_dir) / "sweep.csv").read_bytes() == written
+        assert calls == []
 
     def test_error_row_names_the_points_protocol(self, one_subject, tmp_path):
         grid = tmp_path / "grid.txt"
@@ -631,6 +719,58 @@ class TestSweep:
         assert cmd_sweep(cfg, grid) == EXIT_OK
         lines = (Path(cfg.out_dir) / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 12  # one row per radii grid point
+
+
+    def test_each_distinct_feature_extracted_once(self, pipeline, tmp_path, monkeypatch):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("eval.protocol=loso|kfold\ncurv.radius=0.02|0.025\n",
+                        encoding="utf-8")
+        cfg = replace(pipeline, out_dir=str(tmp_path / "sweep_out"), kfold_k=3,
+                      kfold_repeats=2)
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed",
+                        Path(cfg.out_dir) / "preprocessed")
+        calls = _count_extract_calls(monkeypatch)
+        assert cmd_sweep(cfg, grid) == EXIT_OK
+        # 12 samples x (one 2d feature + one 3d-si feature per radius)
+        assert Counter(kind for kind, _ in calls) == {"2d": 12, "3d-si": 24}
+        lines = (Path(cfg.out_dir) / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 + 4 * 3  # 2d, 3d-si and 2d+3d-si rows per point
+
+    @pytest.mark.parametrize("cut", ["last-row", "inside-last-point", "first-point", "header"])
+    def test_torn_last_line_rerun_matches_uninterrupted_run(self, pipeline, tmp_path, cut):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("curv.radius=0.02|0.025\n", encoding="utf-8")
+        cfg = replace(pipeline, out_dir=str(tmp_path / "sweep_out"))
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed",
+                        Path(cfg.out_dir) / "preprocessed")
+        csv_path = Path(cfg.out_dir) / "sweep.csv"
+        assert cmd_sweep(cfg, grid) == EXIT_OK
+        whole = csv_path.read_bytes()
+        line_ends = [i + 1 for i, byte in enumerate(whole) if byte == ord("\n")]
+        assert len(line_ends) == 1 + 2 * 3  # header, then 3 rows per point
+        at = {"last-row": len(whole) - 3,         # inside the last point's third row
+              "inside-last-point": line_ends[5] + 4,  # inside its second row
+              "first-point": line_ends[2] + 4,    # inside the first point's third row
+              "header": 5}[cut]
+        csv_path.write_bytes(whole[:at])
+        assert cmd_sweep(cfg, grid) == EXIT_OK
+        assert csv_path.read_bytes() == whole
+
+    def test_values_with_commas_quoted(self, pipeline, tmp_path):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("lbp.blocks=2,2|3,3\nlbp.radii=1,1,2\n", encoding="utf-8")
+        cfg = replace(pipeline, out_dir=str(tmp_path / "sweep_out"),
+                      eval_features=("2d",), fusion_sweep=False)
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed",
+                        Path(cfg.out_dir) / "preprocessed")
+        assert cmd_sweep(cfg, grid) == EXIT_OK
+        with (Path(cfg.out_dir) / "sweep.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["lbp.blocks", "lbp.radii", "radius", "features", "protocol",
+                           "accuracy", "f1"]
+        assert [row[:4] for row in rows[1:]] == [["2,2", "1,1,2", "-", "2d"],
+                                                 ["3,3", "1,1,2", "-", "2d"]]
+        assert all(len(row) == len(rows[0]) for row in rows)
 
 
 class TestMainEntry:
@@ -739,7 +879,10 @@ class TestMainEntry:
         ("run.workers", "0", ["preprocess"], "workers must be at least 1"),
         ("eval.k", "1", ["eval"], "kfold_k must be at least 2"),
         ("eval.repeats", "0", ["eval"], "kfold_repeats must be at least 1"),
-    ], ids=["weights.radius_px", "data.frame_rate", "run.workers", "eval.k", "eval.repeats"])
+        ("eval.features", "", ["eval"], "eval_features names no feature kind"),
+        ("eval.features", "2d,2d", ["eval"], "eval_features names '2d' twice"),
+    ], ids=["weights.radius_px", "data.frame_rate", "run.workers", "eval.k", "eval.repeats",
+            "eval.features-empty", "eval.features-repeated"])
     def test_bad_run_value_rejected_before_any_work(self, pipeline, tmp_path, capsys,
                                                     key, value, command, reason):
         cfg_path = tmp_path / "run.cfg"
@@ -764,7 +907,40 @@ class TestMainEntry:
             f"data error: grid file {grid}: curv.radius has no values\n"
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
-    def test_sweep_into_other_grids_csv_exit_data(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("line, stage", [
+        ("clean.k=1|8", "preprocess"), ("synth.points=700|800", "synth"),
+        ("data.frame_rate=30.0|60.0", "run"),
+    ], ids=["clean.k", "synth.points", "data.frame_rate"])
+    def test_sweep_refuses_keys_it_cannot_vary(self, pipeline, tmp_path, capsys, line, stage):
+        out = tmp_path / "out"
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        cfg_path = tmp_path / "run.cfg"
+        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
+        grid = tmp_path / "grid.txt"
+        grid.write_text(f"lbp.overlap=0|1\n{line}\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid)]) == EXIT_DATA
+        key = line.split("=")[0]
+        assert capsys.readouterr().err == (f"data error: grid file {grid}: {key} is a {stage} "
+                                           "key; a sweep reuses the preprocessed tree\n")
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("missing", ["preprocessed", "preprocessed/manifest.json"])
+    def test_sweep_without_preprocessed_tree_writes_nothing(self, pipeline, tmp_path,
+                                                            capsys, missing):
+        out = tmp_path / "out"
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        shutil.rmtree(out / missing) if missing == "preprocessed" else (out / missing).unlink()
+        cfg_path = tmp_path / "run.cfg"
+        replace(pipeline, out_dir=str(out), eval_features=("2d",),
+                fusion_sweep=False).to_file(cfg_path)
+        grid = tmp_path / "grid.txt"
+        grid.write_text("lbp.overlap=0|1\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not (out / "sweep.csv").exists()
+
+    def test_sweep_into_other_grids_csv_exit_data(self, pipeline, tmp_path, capsys,
+                                                  monkeypatch):
         cfg_path = tmp_path / "run.cfg"
         out = tmp_path / "out"
         replace(pipeline, out_dir=str(out), eval_features=("2d",),
@@ -774,7 +950,7 @@ class TestMainEntry:
         first.write_text("lbp.overlap=0|1\n", encoding="utf-8")
         second.write_text("lbp.overlap=0\nlbp.blocks=2,2|3,3\n", encoding="utf-8")
         assert main(["sweep", "--config", str(cfg_path), "--grid", str(first)]) == EXIT_OK
-        written = {name: (out / name).read_bytes() for name in ("sweep.csv", "sweep.done")}
+        written = {"sweep.csv": (out / "sweep.csv").read_bytes()}
 
         assert main(["sweep", "--config", str(cfg_path), "--grid", str(second)]) == EXIT_DATA
         err = capsys.readouterr().err
@@ -784,8 +960,10 @@ class TestMainEntry:
         assert {name: (out / name).read_bytes() for name in written} == written
 
         # Resuming the first grid still finds every point done.
+        calls = _count_extract_calls(monkeypatch)
         assert main(["sweep", "--config", str(cfg_path), "--grid", str(first)]) == EXIT_OK
         assert {name: (out / name).read_bytes() for name in written} == written
+        assert calls == []
 
     def test_flags_override_config_keys(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
