@@ -40,9 +40,6 @@ EXIT_DATA = 2
 EXIT_PARTIAL = 3
 
 FEATURE_KINDS = ("2d", "3d-si", "3d-hk", "3d-sihk")
-# Kinds computed from the video frames alone: extract reads no clouds or
-# landmarks for them.
-FRAMES_ONLY_KINDS = ("2d",)
 
 
 class UsageError(ValueError):
@@ -289,26 +286,48 @@ def write_dataset_tree(root, records, samples) -> None:
         write_sample_tree(root, record, sample)
 
 
+def cloud_frames(kind: str, cfg: RunConfig, record: SampleRecord) -> frozenset[int]:
+    """The frames whose clouds ``kind``'s feature of ``record`` uses under
+    ``cfg``: none for 2d, the curvature frames for a 3-d kind."""
+    if kind == "2d":
+        return frozenset()
+    return frozenset(curvature3d.curvature_frame_ids(record, cfg.curvature_frames))
+
+
 def read_sample_tree(root, record: SampleRecord, frame_rate: float,
-                     frames_only: bool = False) -> SampleData:
-    """One sample's media; with ``frames_only``, just the video frames."""
+                     clouds=None) -> SampleData:
+    """One sample's media.
+
+    ``clouds`` names the frames whose clouds are read, along with both
+    landmark files; every other frame's cloud is None, and so is a named
+    frame past the video's last. ``None`` (the default) reads every cloud,
+    and an empty set reads the video frames alone (no clouds or landmarks).
+    """
     d = sample_dir(root, record)
     if not d.is_dir():
         raise DataError(f"sample directory missing: {d}")
     video = fileio.read_volume(d / "frames")
-    if frames_only:
+    if clouds is not None and not clouds:
         return SampleData(video=video, clouds=None, landmarks2d=None, landmarks3d=None,
                           frame_rate=frame_rate)
-    clouds = fileio.read_cloud_sequence(d / "clouds")
     lm2_path = d / "landmarks2d.csv"
     lm3_path = d / "landmarks3d.csv"
     if not lm2_path.exists():
         raise DataError(f"missing landmark file: {lm2_path}")
     if not lm3_path.exists():
         raise DataError(f"missing landmark file: {lm3_path}")
+    if clouds is None:
+        read = fileio.read_cloud_sequence(d / "clouds")
+    else:
+        read = [None] * video.n_frames
+        for t in sorted(t for t in clouds if t < video.n_frames):
+            path = fileio.cloud_path(d / "clouds", t)
+            if not path.exists():
+                raise DataError(f"missing cloud file: {path}")
+            read[t] = fileio.read_ply(path)
     return SampleData(
         video=video,
-        clouds=tuple(clouds),
+        clouds=tuple(read),
         landmarks2d=tuple(fileio.read_landmarks(lm2_path, dims=2)),
         landmarks3d=tuple(fileio.read_landmarks(lm3_path, dims=3)),
         frame_rate=frame_rate,
@@ -407,8 +426,11 @@ def extract_sample_feature(sample: SampleData, record: SampleRecord,
                            kind: str, cfg: RunConfig):
     """One sample's feature of the requested kind, from preprocessed data.
 
-    The 2d kind uses only the video frames (see ``FRAMES_ONLY_KINDS``). The 3-d
-    kinds keep each frame's curvature fit in ``<run.out>/cache/curvature/``,
+    ``sample`` needs only what the kind uses (see ``cloud_frames``): the 2d
+    kind reads the video frames alone; a 3-d kind also reads both landmark
+    sets and the clouds of its curvature frames (onset and apex, or onset to
+    offset under ``curv.frames=all``), and the other clouds may be None. The
+    3-d kinds keep each frame's curvature fit in ``<run.out>/cache/curvature/``,
     where every 3-d kind and sweep point with the same fit inputs reuses it.
     """
     if kind == "2d":
@@ -424,25 +446,39 @@ def extract_sample_feature(sample: SampleData, record: SampleRecord,
     raise UsageError(f"unknown feature kind {kind!r}")
 
 
-def load_preprocessed(cfg: RunConfig) -> tuple[Path, list[SampleRecord], str]:
-    """The preprocessed tree's root, its records and its manifest fingerprint."""
+def load_preprocessed(cfg: RunConfig) -> tuple[Path, list[SampleRecord]]:
+    """The preprocessed tree's root and its records. A tree whose manifest
+    fingerprint is not the one ``cfg``'s ``preprocess`` keys give is a data
+    error: features extracted from it would match no config."""
     pre_root = Path(cfg.out_dir) / "preprocessed"
     records = dataset.load_index(pre_root / "index.csv")
-    manifest = pre_root / "manifest.json"
-    if not manifest.exists():
-        raise DataError(f"missing {manifest}: run preprocess first")
+    path = pre_root / "manifest.json"
+    if not path.exists():
+        raise DataError(f"missing {path}: run preprocess first")
     try:
-        fingerprint = json.loads(manifest.read_text(encoding="utf-8"))["fingerprint"]
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        fingerprint = manifest["fingerprint"]
     except (ValueError, KeyError, TypeError):
-        raise DataError(f"{manifest} records no fingerprint: run preprocess again") from None
-    return pre_root, records, fingerprint
+        raise DataError(f"{path} records no fingerprint: run preprocess again") from None
+    want = stage_fingerprint(cfg, "preprocess")
+    if fingerprint != want:
+        ours = cfg.to_dict()
+        theirs = manifest.get("config")
+        theirs = theirs if isinstance(theirs, dict) else {}
+        changed = [f"{key}={theirs[key]}, not {ours[key]}"
+                   for key, spec in CONFIG_KEYS.items()
+                   if spec.stage == "preprocess" and key in theirs and theirs[key] != ours[key]]
+        raise DataError(f"{pre_root} was preprocessed under other preprocess keys than the "
+                        f"config ({'; '.join(changed) or f'fingerprint {fingerprint}, not {want}'})"
+                        "; run preprocess again with this config")
+    return pre_root, records
 
 
 def cmd_extract(cfg: RunConfig, kind: str) -> int:
     if kind not in FEATURE_KINDS:
         raise UsageError(f"unknown feature kind {kind!r}; use one of {FEATURE_KINDS}")
-    pre_root, records, pre_fp = load_preprocessed(cfg)
-    fingerprint = feature_fingerprint(cfg, kind, pre_fp)
+    pre_root, records = load_preprocessed(cfg)
+    fingerprint = feature_fingerprint(cfg, kind)
     out_dir = Path(cfg.out_dir) / "features" / kind
     # The kind's old files go first, so a failed run leaves none for eval.
     if out_dir.exists():
@@ -452,7 +488,7 @@ def cmd_extract(cfg: RunConfig, kind: str) -> int:
     for record in records:
         try:
             sample = read_sample_tree(pre_root, record, cfg.frame_rate,
-                                      frames_only=kind in FRAMES_ONLY_KINDS)
+                                      cloud_frames(kind, cfg, record))
             features.append(extract_sample_feature(sample, record, kind, cfg))
         except (ValueError, OSError) as exc:
             raise DataError(f"extract {kind} {record.subject_id}/{record.sample_id}: "
@@ -492,17 +528,40 @@ def _labels_of(records, label_mode: str):
     return [r.nonobjective_label.value for r in records]
 
 
-def evaluate_features(cfg: RunConfig, records, features_by_kind, train_fn=None):
+def evaluate_features(cfg: RunConfig, records, features_by_kind, train_fn=None,
+                      cv_cache: dict | None = None):
     """Per-kind and fused evaluation rows under the configured protocol.
 
     Returns (rows, details) where each row is a dict with keys radius,
     features, protocol, accuracy, f1.
+
+    ``cv_cache``, a dict kept across calls, holds each kind's cross-validation
+    (per-run probabilities, read-only, and EvalResult) under what it depends
+    on: the kind, ``feature_fingerprint(cfg, kind)``, the labels, the fold
+    runs' indices and the seed. A kind found there is not trained again, so
+    the features of each kind must be those its fingerprint names, and one
+    cache serves one ``train_fn``.
     """
     labels = _labels_of(records, cfg.label_mode)
     if cfg.protocol == "loso":
         fold_runs = [learn.loso_split([r.subject_id for r in records])]
     else:
         fold_runs = learn.kfold_splits(labels, cfg.kfold_k, cfg.kfold_repeats, cfg.seed)
+
+    def cross_validate(kind):
+        if cv_cache is None:
+            return learn.cross_val_runs(features_by_kind[kind], labels, fold_runs,
+                                        seed=cfg.seed, train_fn=train_fn)
+        key = (kind, feature_fingerprint(cfg, kind), tuple(labels),
+               tuple(tuple((tuple(train), tuple(test)) for train, test in run)
+                     for run in fold_runs), cfg.seed)
+        if key not in cv_cache:
+            runs, result = learn.cross_val_runs(features_by_kind[kind], labels, fold_runs,
+                                                seed=cfg.seed, train_fn=train_fn)
+            for array in (*runs, result.confusion):
+                array.flags.writeable = False
+            cv_cache[key] = runs, result
+        return cv_cache[key]
 
     radius_str = repr(cfg.curvature.neighborhood_radius)
     proba_runs: dict[str, list] = {}
@@ -514,8 +573,7 @@ def evaluate_features(cfg: RunConfig, records, features_by_kind, train_fn=None):
                      "accuracy": result.accuracy, "f1": result.f1})
 
     for kind in cfg.eval_features:
-        proba_runs[kind], result = learn.cross_val_runs(
-            features_by_kind[kind], labels, fold_runs, seed=cfg.seed, train_fn=train_fn)
+        proba_runs[kind], result = cross_validate(kind)
         add_row("-" if kind == "2d" else radius_str, kind, result)
         details["per_kind"][kind] = {"per_fold": result.per_fold, "accuracy": result.accuracy}
 
@@ -615,6 +673,14 @@ def _resume_sweep(csv_path: Path, grid_keys: list[str]) -> set[tuple[str, ...]]:
     return {tuple(row[:n]) for row in rows[1:]}
 
 
+def _point_config(cfg: RunConfig, point: dict[str, str]) -> RunConfig | None:
+    """``cfg`` with a grid point's values, or None when they make no valid config."""
+    try:
+        return RunConfig.from_dict({**cfg.to_dict(), **point})
+    except ValueError:
+        return None
+
+
 def cmd_sweep(cfg: RunConfig, grid_path) -> int:
     grid_path = Path(grid_path)
     if not grid_path.exists():
@@ -630,36 +696,50 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
             raise DataError(f"grid file {grid_path}: {key} is a {stage} key; "
                             "a sweep reuses the preprocessed tree")
 
-    pre_root, records, pre_fp = load_preprocessed(cfg)
-    samples = {(r.subject_id, r.sample_id): read_sample_tree(pre_root, r, cfg.frame_rate)
-               for r in records}
+    pre_root, records = load_preprocessed(cfg)
+    point_cfgs = [_point_config(cfg, point) for point in points]
+    # Each sample is read once, with the clouds that any point's kinds use.
+    uses = [(kind, point_cfg) for point_cfg in point_cfgs if point_cfg is not None
+            for kind in point_cfg.eval_features]
+    samples = {}
+    for r in records:
+        try:
+            samples[(r.subject_id, r.sample_id)] = read_sample_tree(
+                pre_root, r, cfg.frame_rate,
+                frozenset().union(*(cloud_frames(kind, c, r) for kind, c in uses)))
+        except (ValueError, OSError) as exc:
+            raise DataError(f"sweep {r.subject_id}/{r.sample_id}: {exc}") from exc
     csv_path = Path(cfg.out_dir) / "sweep.csv"
     done = _resume_sweep(csv_path, grid_keys)
 
-    # Each distinct feature is extracted once per sweep: (kind, fingerprint) -> features.
+    # Each distinct feature is extracted once per sweep: (kind, fingerprint) -> features;
+    # each distinct cross-validation of a kind is run once (see evaluate_features).
     extracted: dict[tuple[str, str], list] = {}
+    cv_cache: dict = {}
     n_failed = 0
     with csv_path.open("a", encoding="utf-8", newline="") as fh:
         writer = _csv_writer(fh)
-        for point in points:
+        for point, point_cfg in zip(points, point_cfgs):
             values = [point[k] for k in grid_keys]
             if tuple(values) in done:
                 continue
-            point_cfg = None
-            try:
-                point_cfg = RunConfig.from_dict({**cfg.to_dict(), **point})
-                features_by_kind = {}
-                for kind in point_cfg.eval_features:
-                    key = (kind, feature_fingerprint(point_cfg, kind, pre_fp))
-                    if key not in extracted:
-                        extracted[key] = [
-                            extract_sample_feature(samples[(r.subject_id, r.sample_id)],
-                                                   r, kind, point_cfg)
-                            for r in records]
-                    features_by_kind[kind] = extracted[key]
-                rows = [_row_fields(row)
-                        for row in evaluate_features(point_cfg, records, features_by_kind)[0]]
-            except (ValueError, KeyError):
+            rows = None
+            if point_cfg is not None:
+                try:
+                    features_by_kind = {}
+                    for kind in point_cfg.eval_features:
+                        key = (kind, feature_fingerprint(point_cfg, kind))
+                        if key not in extracted:
+                            extracted[key] = [
+                                extract_sample_feature(samples[(r.subject_id, r.sample_id)],
+                                                       r, kind, point_cfg)
+                                for r in records]
+                        features_by_kind[kind] = extracted[key]
+                    rows = [_row_fields(row) for row in evaluate_features(
+                        point_cfg, records, features_by_kind, cv_cache=cv_cache)[0]]
+                except (ValueError, KeyError):
+                    pass
+            if rows is None:
                 n_failed += 1
                 protocol = cfg.protocol if point_cfg is None else point_cfg.protocol
                 rows = [["-", "error", protocol, "nan", "nan"]]

@@ -510,6 +510,17 @@ def _frame_field(points, marks, config: CurvatureConfig, toward, store):
     return (regions, union, *field)
 
 
+def curvature_frame_ids(record, frames: str = "onset-apex") -> list[int]:
+    """The frames whose curvature a 3-d feature uses, in feature order:
+    onset and apex for "onset-apex", every frame from onset to offset for
+    "all"."""
+    if frames == "onset-apex":
+        return [record.onset, record.apex]
+    if frames == "all":
+        return list(range(record.onset, record.offset + 1))
+    raise ValueError(f"frames must be 'onset-apex' or 'all', got {frames!r}")
+
+
 def sequence_feature(sample, record, weights, kind: str, config: CurvatureConfig,
                      frames: str = "onset-apex", subset=None,
                      toward=(0.0, 0.0, -1.0), store=None) -> FeatureVector:
@@ -520,7 +531,8 @@ def sequence_feature(sample, record, weights, kind: str, config: CurvatureConfig
     landmark's weight; landmark blocks are then concatenated in subset
     order. ``kind`` is "si", "hk", or "sihk" (the si feature followed by the
     hk feature). ``frames`` selects "onset-apex" (default; two frames) or
-    "all" (every frame from onset to offset).
+    "all" (every frame from onset to offset); see curvature_frame_ids. Only
+    those frames' clouds are used, so the others may be None.
 
     Each selected frame is fitted once, over the union of its landmark
     regions; every region and both kinds read their bins from that one fit.
@@ -536,18 +548,15 @@ def sequence_feature(sample, record, weights, kind: str, config: CurvatureConfig
     if weights.shape[0] != len(subset):
         raise ValueError(f"need one weight per subset landmark "
                          f"({len(subset)}), got {weights.shape[0]}")
-    if frames == "onset-apex":
-        frame_ids = [record.onset, record.apex]
-    elif frames == "all":
-        frame_ids = list(range(record.onset, record.offset + 1))
-    else:
-        raise ValueError(f"frames must be 'onset-apex' or 'all', got {frames!r}")
+    frame_ids = curvature_frame_ids(record, frames)
 
     if sample.landmarks3d is None:
         raise ValueError("sample has no 3-d landmarks")
     for t in frame_ids:
         if t >= len(sample.clouds):
             raise ValueError(f"frame {t} not present in the sample ({len(sample.clouds)} frames)")
+        if sample.clouds[t] is None:
+            raise ValueError(f"the cloud of frame {t} was not read")
 
     toward_v = np.asarray(toward, dtype=np.float64)
     fits = {}

@@ -108,11 +108,12 @@ class SampleData:
     """Raw media for one sample: video frames, clouds, per-frame landmarks.
 
     ``clouds`` and the landmarks are None for a sample read for its video
-    frames only.
+    frames only; a sample read for some frames' clouds holds None in place
+    of each other frame's cloud.
     """
 
     video: FrameVolume
-    clouds: tuple[PointCloudFrame, ...] | None
+    clouds: tuple[PointCloudFrame | None, ...] | None
     landmarks2d: tuple[np.ndarray, ...] | None  # per frame, (49, 2) pixels
     landmarks3d: tuple[np.ndarray, ...] | None  # per frame, (49, 3) meters
     frame_rate: float

@@ -7,6 +7,7 @@ rerun with the same inputs produces byte-identical files.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -139,11 +140,16 @@ def _raise_bad_vertex_row(path, rows, first_line_no) -> None:
             raise ValueError(f"{path}:{line_no}: non-numeric vertex row {row!r}") from None
 
 
+def cloud_path(directory, t: int) -> Path:
+    """The file of frame ``t``'s cloud in a cloud-sequence directory."""
+    return Path(directory) / f"cloud_{t:04d}.ply"
+
+
 def write_cloud_sequence(directory, clouds) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for t, cloud in enumerate(clouds):
-        write_ply(directory / f"cloud_{t:04d}.ply", cloud)
+        write_ply(cloud_path(directory, t), cloud)
 
 
 def read_cloud_sequence(directory) -> list[PointCloudFrame]:
@@ -231,9 +237,20 @@ def _raise_bad_landmark_row(path, lines, dims) -> None:
 # --- feature vectors ------------------------------------------------------
 
 def write_feature_csv(path, feature: FeatureVector) -> None:
-    """One CSV row: tag,config_fingerprint,v0,v1,... (values as float64 repr)."""
+    """One CSV row: tag,config_fingerprint,v0,v1,... (values as float64 repr).
+
+    The row goes to a temporary file in the same directory, which is then
+    renamed onto ``path``: an interrupted write leaves no partial file there.
+    """
+    path = Path(path)
     values = ",".join(map(repr, feature.values.tolist()))
-    Path(path).write_text(f"{feature.tag},{feature.fingerprint},{values}\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(f"{feature.tag},{feature.fingerprint},{values}\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_feature_csv(path) -> FeatureVector:

@@ -193,7 +193,7 @@ class IcpResult:
 
 
 def icp_align(moving: PointCloudFrame, fixed: PointCloudFrame,
-              max_iter: int = 50, tol: float = 1e-6) -> IcpResult:
+              max_iter: int = 50, tol: float = 1e-6, *, tree: cKDTree | None = None) -> IcpResult:
     """Point-to-point ICP aligning ``moving`` onto ``fixed``.
 
     Correspondences come from a nearest-neighbor spatial index over the
@@ -202,12 +202,14 @@ def icp_align(moving: PointCloudFrame, fixed: PointCloudFrame,
     change drops below ``tol`` or after ``max_iter`` iterations; an
     iteration that would increase the residual is rejected, so the recorded
     residual history is non-increasing and the best transform so far is
-    returned.
+    returned. A prebuilt KD-tree over fixed.points may be passed to amortize
+    repeated alignments onto the same frame.
     """
     if len(moving) < 50 or len(fixed) < 50:
         raise ValueError("ICP needs at least 50 points in each cloud")
 
-    tree = cKDTree(fixed.points)
+    if tree is None:
+        tree = cKDTree(fixed.points)
     src = moving.points
     transform = RigidTransform.identity()
 
@@ -270,8 +272,9 @@ def register_sequence(clouds, landmarks3d=None, max_iter: int = 50,
     residuals = [0.0]
     converged = [True]
 
+    tree = cKDTree(clouds[0].points)  # every frame aligns onto frame 0
     for t in range(1, len(clouds)):
-        result = icp_align(clouds[t], clouds[0], max_iter=max_iter, tol=tol)
+        result = icp_align(clouds[t], clouds[0], max_iter=max_iter, tol=tol, tree=tree)
         transforms.append(result.transform)
         residuals.append(result.residual)
         converged.append(result.converged)

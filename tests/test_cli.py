@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from microexp import cli, dataset, fileio
+from microexp import cli, dataset, fileio, learn
 from microexp.cli import (CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE,
                           RunConfig, _build_parser, _load_cfg, cmd_eval, cmd_extract,
-                          cmd_preprocess, cmd_synth, cmd_sweep, extract_sample_feature,
-                          feature_fingerprint, main, parse_grid, preprocess_sample,
-                          read_sample_tree, stage_fingerprint)
+                          cmd_preprocess, cmd_synth, cmd_sweep, evaluate_features,
+                          extract_sample_feature, feature_fingerprint, main, parse_grid,
+                          preprocess_sample, read_sample_tree, stage_fingerprint)
 from microexp.curvature3d import CurvatureConfig
 from microexp.lbptop import LbpTopConfig
 from microexp.synth import SynthSpec
@@ -88,6 +88,23 @@ def _count_extract_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(cli, "extract_sample_feature", counted)
     return calls
+
+
+def _record_ply_reads(monkeypatch) -> list:
+    """Record the path of every later fileio.read_ply call."""
+    paths = []
+    real = fileio.read_ply
+
+    def recorded(path):
+        paths.append(Path(path))
+        return real(path)
+
+    monkeypatch.setattr(fileio, "read_ply", recorded)
+    return paths
+
+
+def _clouds_dir(root, record) -> Path:
+    return Path(root) / record.subject_id / record.sample_id / "clouds"
 
 
 @pytest.fixture(scope="module")
@@ -415,6 +432,79 @@ class TestExtract:
             assert (tmp_path / "features" / "2d" / path.relative_to(want)).read_bytes() == \
                 path.read_bytes()
 
+    @pytest.mark.parametrize("frames", ["onset-apex", "all"])
+    def test_3d_reads_only_its_curvature_frames(self, pipeline, tmp_path, monkeypatch, frames):
+        pre = tmp_path / "preprocessed"
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", pre)
+        cfg = replace(pipeline, out_dir=str(tmp_path), curvature_frames=frames,
+                      landmark_subset=(0, 1, 2, 3))
+        records = dataset.load_index(pre / "index.csv")
+        reads = _record_ply_reads(monkeypatch)
+        assert cmd_extract(cfg, "3d-si") == EXIT_OK
+        used = {"onset-apex": lambda r: {r.onset, r.apex},
+                "all": lambda r: set(range(r.onset, r.offset + 1))}[frames]
+        assert reads == [fileio.cloud_path(_clouds_dir(pre, r), t)
+                         for r in records for t in sorted(used(r))]
+        # The same bytes as features computed from every cloud of each sample.
+        for r in records:
+            full = read_sample_tree(pre, r, cfg.frame_rate)
+            assert None not in full.clouds
+            feature = extract_sample_feature(full, r, "3d-si", cfg)
+            want = tmp_path / "want.csv"
+            fileio.write_feature_csv(want, replace(feature,
+                                                   fingerprint=feature_fingerprint(cfg, "3d-si")))
+            got = tmp_path / "features" / "3d-si" / r.subject_id / f"{r.sample_id}.csv"
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_missing_cloud_at_needed_frame_named(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        record = dataset.load_index(out / "preprocessed" / "index.csv")[0]
+        missing = fileio.cloud_path(_clouds_dir(out / "preprocessed", record), record.apex)
+        missing.unlink()
+        cfg_path = tmp_path / "run.cfg"
+        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
+        assert main(["extract", "--kind", "3d-si", "--config", str(cfg_path)]) == EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: extract 3d-si {record.subject_id}/"
+                                           f"{record.sample_id}: missing cloud file: {missing}\n")
+        assert not (out / "features" / "3d-si").exists()
+
+    def test_damaged_cloud_at_unused_frame_ignored(self, pipeline, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        record = dataset.load_index(out / "preprocessed" / "index.csv")[0]
+        unused = min(set(range(record.offset + 1)) - {record.onset, record.apex})
+        fileio.cloud_path(_clouds_dir(out / "preprocessed", record), unused).write_text("damaged")
+        with pytest.raises(ValueError, match="not a PLY file"):
+            read_sample_tree(out / "preprocessed", record, pipeline.frame_rate)
+        assert cmd_extract(replace(pipeline, out_dir=str(out)), "3d-si") == EXIT_OK
+        want = Path(pipeline.out_dir) / "features" / "3d-si"
+        paths = sorted(want.rglob("*.csv"))
+        assert len(paths) == 12
+        for path in paths:
+            assert (out / "features" / "3d-si" / path.relative_to(want)).read_bytes() == \
+                path.read_bytes()
+
+    def test_config_preprocessed_otherwise_refused(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        for part in ("preprocessed", "features/2d"):
+            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
+        manifest = json.loads((out / "preprocessed" / "manifest.json").read_text())
+        assert manifest["config"]["clean.k"] == "8"
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        cfg_path = tmp_path / "run.cfg"
+        fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(out)).to_dict(),
+                                      "clean.k": "3"})
+        grid = tmp_path / "grid.txt"
+        grid.write_text("lbp.overlap=0|1\n", encoding="utf-8")
+        for argv in (["extract", "--kind", "2d"], ["sweep", "--grid", str(grid)]):
+            assert main([*argv, "--config", str(cfg_path)]) == EXIT_DATA
+            assert capsys.readouterr().err == (
+                f"data error: {out}/preprocessed was preprocessed under other preprocess keys "
+                "than the config (clean.k=8, not 3); run preprocess again with this config\n")
+        # Nothing written, nothing deleted.
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_2d_feature_length(self, pipeline):
         path = next((Path(pipeline.out_dir) / "features" / "2d").glob("*/*.csv"))
         fv = fileio.read_feature_csv(path)
@@ -607,6 +697,31 @@ class TestEval:
         with pytest.raises(DataError, match="does not match the config"):
             load_features(cfg, kind, records)
 
+    def test_cross_validation_cache_reused_and_read_only(self, pipeline, monkeypatch):
+        from microexp.cli import load_features
+        records = dataset.load_index(Path(pipeline.out_dir) / "preprocessed" / "index.csv")
+        cfg = replace(pipeline, protocol="kfold", kfold_k=3, kfold_repeats=2)
+        features = {kind: load_features(cfg, kind, records) for kind in cfg.eval_features}
+        plain = evaluate_features(cfg, records, features)[0]
+        cache = {}
+        assert evaluate_features(cfg, records, features, cv_cache=cache)[0] == plain
+        assert [key[0] for key in cache] == ["2d", "3d-si"]
+        for runs, result in cache.values():
+            assert len(runs) == 2
+            for array in (*runs, result.confusion):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 0.0
+
+        def untrainable(*args, **kwargs):
+            raise AssertionError("a cached kind was trained again")
+
+        monkeypatch.setattr(learn, "train", untrainable)
+        assert evaluate_features(cfg, records, features, cv_cache=cache)[0] == plain
+        # Another fold plan (here: seed) is a new entry.
+        with pytest.raises(AssertionError, match="trained again"):
+            evaluate_features(replace(cfg, seed=cfg.seed + 1), records, features,
+                              cv_cache=cache)
+
     def test_kfold_protocol_runs(self, pipeline):
         cfg = replace(pipeline, protocol="kfold", kfold_k=4, kfold_repeats=2,
                       eval_features=("2d",), fusion_sweep=False)
@@ -735,6 +850,75 @@ class TestSweep:
         assert Counter(kind for kind, _ in calls) == {"2d": 12, "3d-si": 24}
         lines = (Path(cfg.out_dir) / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 4 * 3  # 2d, 3d-si and 2d+3d-si rows per point
+
+    def test_each_kind_cross_validated_once_per_fold_plan(self, pipeline, tmp_path,
+                                                          monkeypatch):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("eval.protocol=loso|kfold\ncurv.radius=0.02|0.025\n",
+                        encoding="utf-8")
+        cfg = replace(pipeline, out_dir=str(tmp_path / "sweep_out"), kfold_k=3,
+                      kfold_repeats=2)
+        pre = Path(cfg.out_dir) / "preprocessed"
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", pre)
+        trained = []
+        real = learn.train
+
+        def counted(features, labels, *args, **kwargs):
+            trained.append(np.shape(features)[1])
+            return real(features, labels, *args, **kwargs)
+
+        monkeypatch.setattr(learn, "train", counted)
+        assert cmd_sweep(cfg, grid) == EXIT_OK
+        # One fold plan has 3 LOSO folds, the other 3 k-fold folds x 2 repeats.
+        # The 2d feature is trained once per plan, 3d-si once per plan and radius.
+        assert Counter(trained) == {2 * 2 * 3 * 256: 3 + 6, 32 * 2 * 9: 2 * (3 + 6)}
+
+        # The rows are those of a fresh evaluation of each point.
+        records = dataset.load_index(pre / "index.csv")
+        want = ["curv.radius,eval.protocol,radius,features,protocol,accuracy,f1"]
+        for point in parse_grid(grid.read_text(encoding="utf-8")):
+            point_cfg = RunConfig.from_dict({**cfg.to_dict(), **point})
+            features = {kind: [extract_sample_feature(read_sample_tree(pre, r, cfg.frame_rate),
+                                                      r, kind, point_cfg) for r in records]
+                        for kind in point_cfg.eval_features}
+            rows, _ = evaluate_features(point_cfg, records, features)
+            want += [",".join([point["curv.radius"], point["eval.protocol"], row["radius"],
+                               row["features"], row["protocol"], f"{row['accuracy']:.4f}",
+                               f"{row['f1']:.4f}"]) for row in rows]
+        assert (Path(cfg.out_dir) / "sweep.csv").read_text().splitlines() == want
+
+    @pytest.mark.parametrize("line, kinds, used", [
+        ("curv.radius=0.02|0.025", ("2d", "3d-si"), lambda r: {r.onset, r.apex}),
+        ("curv.frames=onset-apex|all", ("3d-si",), lambda r: range(r.onset, r.offset + 1)),
+        ("lbp.overlap=0|1", ("2d",), lambda r: ()),
+    ], ids=["radius", "frames", "2d-only"])
+    def test_reads_each_cloud_its_points_use_once(self, pipeline, tmp_path, monkeypatch,
+                                                  line, kinds, used):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(line + "\n", encoding="utf-8")
+        cfg = replace(pipeline, out_dir=str(tmp_path / "sweep_out"), eval_features=kinds,
+                      landmark_subset=(0, 1, 2, 3))
+        pre = Path(cfg.out_dir) / "preprocessed"
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", pre)
+        reads = _record_ply_reads(monkeypatch)
+        assert cmd_sweep(cfg, grid) == EXIT_OK
+        assert reads == [fileio.cloud_path(_clouds_dir(pre, r), t)
+                         for r in dataset.load_index(pre / "index.csv") for t in sorted(used(r))]
+
+    def test_damaged_cloud_at_used_frame_exit_data(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        record = dataset.load_index(out / "preprocessed" / "index.csv")[0]
+        damaged = fileio.cloud_path(_clouds_dir(out / "preprocessed", record), record.onset)
+        damaged.write_text("damaged", encoding="utf-8")
+        cfg_path = tmp_path / "run.cfg"
+        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
+        grid = tmp_path / "grid.txt"
+        grid.write_text("curv.radius=0.02|0.025\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid)]) == EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: sweep {record.subject_id}/"
+                                           f"{record.sample_id}: {damaged}: not a PLY file\n")
+        assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize("cut", ["last-row", "inside-last-point", "first-point", "header"])
     def test_torn_last_line_rerun_matches_uninterrupted_run(self, pipeline, tmp_path, cut):

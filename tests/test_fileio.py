@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +275,25 @@ class TestFeatures:
         path = tmp_path / "f.csv"
         fileio.write_feature_csv(path, fv)
         assert path.read_text() == "t,fp,0.5,0.25\n"
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_interrupted_write_leaves_no_partial_file(self, tmp_path, monkeypatch, existing):
+        path = tmp_path / "f.csv"
+        if existing:
+            fileio.write_feature_csv(path, FeatureVector(np.array([1.0]), tag="t", fingerprint="old"))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real = Path.write_text
+
+        def torn(self, text, *args, **kwargs):
+            real(self, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn)
+        fv = FeatureVector(np.arange(100.0), tag="t", fingerprint="new")
+        with pytest.raises(OSError, match="no space left"):
+            fileio.write_feature_csv(path, fv)
+        # Neither a torn file under the final name nor a temporary file is left.
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestConfig:

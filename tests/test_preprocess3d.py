@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from microexp import preprocess3d
 from microexp.preprocess3d import (PointCloudFrame, RigidTransform,
                                    denoise, find_nose_tip, icp_align,
                                    register_sequence, spherical_crop)
@@ -220,6 +221,35 @@ class TestRegisterSequence:
         for t in (0, 1):
             d = cKDTree(reg.clouds[t].points).query(reg.landmarks[t])[0]
             assert np.max(d) < 1e-9
+
+    def test_one_tree_per_sequence_same_results(self, monkeypatch):
+        base = make_surface("face_proxy", n_points=800, seed=21).cloud
+        clouds = [base] + [RigidTransform(_rotation([0.2, 0.9, 0.1], 0.01 * i),
+                                          np.array([0.001, -0.0005, 0.001]) * i).apply_cloud(base)
+                           for i in (1, 2, 3)]
+        # Each frame aligned on its own, building its own tree over frame 0.
+        alone = [icp_align(c, clouds[0]) for c in clouds[1:]]
+        shared = [icp_align(c, clouds[0], tree=cKDTree(clouds[0].points)) for c in clouds[1:]]
+        built = []
+
+        class CountedTree(cKDTree):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(preprocess3d, "cKDTree", CountedTree)
+        reg = register_sequence(clouds)
+        assert len(built) == 1
+        for a, b in zip(alone, shared):
+            assert np.array_equal(a.transform.rotation, b.transform.rotation)
+            assert np.array_equal(a.transform.translation, b.transform.translation)
+            assert (a.residual, a.converged, a.n_iter, a.residual_history) == \
+                (b.residual, b.converged, b.n_iter, b.residual_history)
+        assert [np.array_equal(t.rotation, a.transform.rotation)
+                and np.array_equal(t.translation, a.transform.translation)
+                for t, a in zip(reg.transforms[1:], alone)] == [True] * 3
+        assert reg.residuals[1:] == tuple(a.residual for a in alone)
+        assert reg.converged[1:] == tuple(a.converged for a in alone)
 
     def test_needs_two_frames(self, face_cloud):
         with pytest.raises(ValueError):
