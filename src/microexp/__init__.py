@@ -3,8 +3,8 @@
 Preprocessing (similarity alignment + face crop for video, denoise + nose
 tip + spherical crop + ICP registration for point clouds), LBP-TOP texture
 features, point-cloud curvature features (HK surface types and quantized
-shape index), probability-level fusion, and LOSO / repeated stratified
-k-fold evaluation.
+shape index), probability-level fusion of ``(n, C)`` class-probability arrays,
+and LOSO / repeated stratified k-fold evaluation.
 """
 
 from .curvature3d import (CurvatureConfig, PrincipalCurvatures, SurfaceType,
@@ -15,9 +15,8 @@ from .dataset import (DurationRule, MappingTable, NonObjectiveClass, ObjectiveCl
                       SampleData, SampleRecord, coder_reliability, load_index,
                       nonobjective_label, objective_label, save_index,
                       validate_duration)
-from .learn import (ClassDistribution, EvalResult, cross_val_runs, fuse, fusion_sweep,
-                    kfold_eval, kfold_splits, loso_eval, loso_split, metrics,
-                    predict_proba, read_probabilities_csv, select_fusion_weight, train,
+from .learn import (EvalResult, cross_val_runs, fuse, kfold_splits, loso_split, metrics,
+                    read_probabilities_csv, select_fusion_weight, train,
                     write_probabilities_csv)
 from .lbptop import (FeatureVector, LbpTopConfig, lbp_code, lbp_top_histogram,
                      mean_difference_weights)

@@ -512,7 +512,10 @@ def load_features(cfg: RunConfig, kind: str, records):
         if not path.exists():
             raise DataError(f"missing {kind} feature file for "
                             f"{record.subject_id}/{record.sample_id}: run extract first")
-        feature = fileio.read_feature_csv(path)
+        try:
+            feature = fileio.read_feature_csv(path)
+        except ValueError as exc:
+            raise DataError(f"damaged feature file {path} ({exc}): run extract again") from exc
         if (feature.tag, feature.fingerprint) != want:
             raise DataError(f"{path}: feature {feature.tag},{feature.fingerprint} does not "
                             f"match the config ({','.join(want)}); run extract again")

@@ -4,13 +4,15 @@ and LOSO / repeated stratified k-fold cross-validation.
 The built-in classifier is an L2-regularized multinomial logistic regression
 trained to its exact optimum (see ``train``), so every per-class probability
 needed by the fusion rule P = (1-a)*p1 + a*p2 is available without external
-dependencies. Evaluation carries one ``(n, C)`` probability array per run;
-``ClassDistribution`` is the single-sample form (``predict_proba``, ``fuse``).
+dependencies. Class probabilities have one form, an ``(n, C)`` float array
+whose columns are named by a ``classes`` tuple; ``fuse`` is the fusion rule on
+two such arrays and ``select_fusion_weight`` scores it over a weight grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -20,37 +22,16 @@ from .lbptop import FeatureVector
 FUSION_WEIGHTS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
-    """Probability simplex over an ordered label set."""
-
-    labels: tuple[str, ...]
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64).ravel()
-        labels = tuple(self.labels)
-        if len(labels) != probs.shape[0]:
-            raise ValueError("labels and probabilities must have matching length")
-        _check_simplex(probs)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def argmax_label(self) -> str:
-        # Ties break toward the lowest class index, for reproducibility.
-        return self.labels[int(np.argmax(self.probs))]
-
-
-def _check_simplex(probs: np.ndarray) -> None:
-    """Raise ValueError unless every vector along the last axis has no entry
-    below -1e-12 or NaN and sums to 1 within 1e-9."""
+def _check_simplex(probs: np.ndarray, where: str = "") -> None:
+    """Raise ValueError, its message prefixed by ``where``, unless every vector
+    along the last axis has no entry below -1e-12 or NaN and sums to 1 within 1e-9."""
     if not np.all(probs >= -1e-12):
-        raise ValueError("probabilities must be non-negative and not NaN")
+        raise ValueError(f"{where}probabilities must be non-negative and not NaN")
     sums = np.atleast_1d(probs.sum(axis=-1))
     bad = np.abs(sums - 1.0) > 1e-9
     if bad.any():
-        raise ValueError(f"probabilities must sum to 1 within 1e-9, got {float(sums[bad][0])!r}")
+        raise ValueError(f"{where}probabilities must sum to 1 within 1e-9, "
+                         f"got {float(sums[bad][0])!r}")
 
 
 @dataclass
@@ -88,6 +69,9 @@ class LogisticModel:
         return self.weights.shape[0]
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 2 or x.shape[1] != self.n_features:
+            raise ValueError(f"feature length {x.shape[-1]} of the (n, d) matrix does not "
+                             f"match the model ({self.n_features})")
         return _softmax(((x - self.mean) / self.scale) @ self.weights + self.bias)
 
 
@@ -187,31 +171,19 @@ def train(features, labels, seed: int = 0, l2: float = 1e-3,
                          mean=mean, scale=scale)
 
 
-def predict_proba(model: LogisticModel, feature) -> ClassDistribution:
-    """Class probabilities for one feature vector."""
-    vals = feature.values if isinstance(feature, FeatureVector) else \
-        np.asarray(feature, dtype=np.float64).ravel()
-    if vals.shape[0] != model.n_features:
-        raise ValueError(f"feature length {vals.shape[0]} does not match "
-                         f"model ({model.n_features})")
-    probs = model.predict_proba_matrix(vals[None, :])[0]
-    return ClassDistribution(model.classes, probs)
+def fuse(p1: np.ndarray, p2: np.ndarray, a: float) -> np.ndarray:
+    """Decision-level fusion P = (1 - a) * p1 + a * p2 of two probability
+    arrays of one shape, columns named by one ``classes`` tuple.
 
-
-def fuse(p1: ClassDistribution, p2: ClassDistribution, a: float) -> ClassDistribution:
-    """Probability-level fusion: (1 - a) * p1 + a * p2, elementwise.
-
-    a = 0 reproduces p1 (first modality only), a = 1 reproduces p2. The
-    fused prediction is the argmax of the mixed distribution.
+    a = 0 reproduces p1 (first modality only), a = 1 reproduces p2. Raises
+    ValueError for a weight outside [0, 1] (NaN included) or for arrays of
+    different shapes; it never broadcasts.
     """
     if not 0.0 <= a <= 1.0:
-        raise ValueError(f"fusion weight must lie in [0, 1], got {a}")
-    if set(p1.labels) != set(p2.labels):
-        raise ValueError(f"label sets differ: {p1.labels} vs {p2.labels}")
-    if p1.labels != p2.labels:
-        order = [p2.labels.index(l) for l in p1.labels]
-        p2 = ClassDistribution(p1.labels, p2.probs[order])
-    return ClassDistribution(p1.labels, (1.0 - a) * p1.probs + a * p2.probs)
+        raise ValueError(f"fusion weight must lie in [0, 1], got {a!r}")
+    if np.shape(p1) != np.shape(p2):
+        raise ValueError(f"fused arrays must have one shape, got {np.shape(p1)} and {np.shape(p2)}")
+    return (1.0 - a) * p1 + a * p2
 
 
 def metrics(predictions, truths) -> EvalResult:
@@ -375,12 +347,10 @@ def select_fusion_weight(p1_runs, p2_runs, truths, weights=FUSION_WEIGHTS,
 
     ``p1_runs`` and ``p2_runs`` hold one ``(n, C)`` array per run, rows
     aligned with ``truths``, columns labelled by ``classes`` (default: the
-    sorted set of ``truths``); weight ``a`` scores ``(1 - a) * p1 + a * p2``.
-    Every weight must lie in [0, 1]; ties go to the smaller weight, i.e. the
+    sorted set of ``truths``); weight ``a`` scores ``fuse(p1, p2, a)``, which
+    rejects a weight outside [0, 1]. Ties go to the smaller weight, i.e. the
     first in ``weights``. Returns the weight and its run-averaged EvalResult.
     """
-    if not all(0.0 <= a <= 1.0 for a in weights):
-        raise ValueError(f"fusion weights must lie in [0, 1], got {tuple(weights)}")
     truths = [str(t) for t in truths]
     names = np.array(_label_classes(truths) if classes is None else list(classes), dtype=object)
     shapes = {np.shape(p) for p in (*p1_runs, *p2_runs)}
@@ -393,76 +363,65 @@ def select_fusion_weight(p1_runs, p2_runs, truths, weights=FUSION_WEIGHTS,
     _check_simplex(stacked)
     best_a, best_result = None, None
     for a in weights:
-        predicted = names[((1.0 - a) * p1 + a * p2).argmax(axis=2)].tolist()
+        predicted = names[fuse(p1, p2, a).argmax(axis=2)].tolist()
         result = _run_mean([metrics(run, truths) for run in predicted])
         if best_result is None or result.accuracy > best_result.accuracy:
             best_a, best_result = a, result
     return best_a, best_result
 
 
-def loso_eval(features, labels, subjects, seed: int = 0, train_fn=None) -> EvalResult:
-    """Leave-one-subject-out evaluation with the built-in classifier."""
-    return cross_val_runs(features, labels, [loso_split(subjects)], seed, train_fn)[1]
-
-
-def kfold_eval(features, labels, k: int = 10, repeats: int = 10, seed: int = 0,
-               train_fn=None) -> EvalResult:
-    """Repeated stratified k-fold evaluation; see kfold_splits and cross_val_runs."""
-    return cross_val_runs(features, labels, kfold_splits(labels, k, repeats, seed),
-                          seed, train_fn)[1]
-
-
-def write_probabilities_csv(path, sample_ids, distributions) -> None:
-    """Per-sample probability file: header ``sample_id,p_class0,...`` then one
-    row per sample. All distributions must share one ordered label set; the
-    label order is recorded in a trailing comment line for reference."""
-    from pathlib import Path
-
-    distributions = list(distributions)
-    sample_ids = list(sample_ids)
-    if len(sample_ids) != len(distributions):
-        raise ValueError("one sample id per distribution required")
-    labels = distributions[0].labels
-    for d in distributions:
-        if d.labels != labels:
-            raise ValueError("all distributions must share one ordered label set")
-    lines = ["sample_id," + ",".join(f"p_class{i}" for i in range(len(labels)))]
-    for sid, d in zip(sample_ids, distributions):
-        lines.append(str(sid) + "," + ",".join(repr(float(p)) for p in d.probs))
-    lines.append("# classes: " + ",".join(labels))
+def write_probabilities_csv(path, sample_ids, proba, classes) -> None:
+    """Per-sample probability file: header ``sample_id,p_class0,...``, one row
+    per sample of the ``(n, C)`` array ``proba`` (each cell the ``repr`` of its
+    float), then a trailing ``# classes: ...`` line naming the columns."""
+    sample_ids, classes = list(sample_ids), tuple(classes)
+    proba = np.asarray(proba, dtype=np.float64)
+    if proba.shape != (len(sample_ids), len(classes)):
+        raise ValueError(f"probabilities of shape {proba.shape} do not match "
+                         f"{len(sample_ids)} sample ids and {len(classes)} classes")
+    _check_simplex(proba)
+    lines = ["sample_id," + ",".join(f"p_class{i}" for i in range(len(classes)))]
+    for sid, row in zip(sample_ids, proba):
+        lines.append(str(sid) + "," + ",".join(repr(float(p)) for p in row))
+    lines.append("# classes: " + ",".join(classes))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_probabilities_csv(path, labels) -> dict[str, ClassDistribution]:
-    """Read an externally produced per-sample probability file.
+def read_probabilities_csv(path, classes) -> tuple[list[str], np.ndarray]:
+    """Read a per-sample probability file, e.g. from an external classifier.
 
-    ``labels`` gives the class meaning of the p_class0... columns, in order.
-    Returns {sample_id: ClassDistribution}.
+    ``classes`` names the p_class0... columns, in order; a ``# classes:`` line
+    in the file, which is optional, must name the same classes in the same
+    order. Every row must be a probability vector and every ``sample_id``
+    distinct. Returns ``(sample_ids, proba)`` in file order, ``proba`` an
+    ``(n, C)`` array.
     """
-    from pathlib import Path
-
-    labels = tuple(labels)
+    classes = tuple(classes)
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("sample_id,"):
         raise ValueError(f"{path}: expected header 'sample_id,p_class0,...'")
     n_cols = len(lines[0].split(",")) - 1
-    if n_cols != len(labels):
+    if n_cols != len(classes):
         raise ValueError(f"{path}: file has {n_cols} probability columns, "
-                         f"expected {len(labels)}")
-    out: dict[str, ClassDistribution] = {}
+                         f"expected {len(classes)}")
+    first_line: dict[str, int] = {}
+    rows = []
     for line_no, line in enumerate(lines[1:], start=2):
         line = line.strip()
+        if line.startswith("# classes:"):
+            named = tuple(line[len("# classes:"):].strip().split(","))
+            if named != classes:
+                raise ValueError(f"{path} line {line_no}: file names classes {named}, "
+                                 f"expected {classes}")
         if not line or line.startswith("#"):
             continue
         parts = line.split(",")
-        if len(parts) != len(labels) + 1:
-            raise ValueError(f"{path} row {line_no}: wrong column count")
-        out[parts[0]] = ClassDistribution(labels, np.array([float(v) for v in parts[1:]]))
-    return out
-
-
-def fusion_sweep(p1_per_sample, p2_per_sample, truths, weights=FUSION_WEIGHTS,
-                 classes=None) -> tuple[float, EvalResult]:
-    """Pick the fusion weight with the best accuracy over the grid: the
-    one-run case of select_fusion_weight, on one ``(n, C)`` array per stream."""
-    return select_fusion_weight([p1_per_sample], [p2_per_sample], truths, weights, classes)
+        if len(parts) != len(classes) + 1:
+            raise ValueError(f"{path} line {line_no}: wrong column count")
+        if parts[0] in first_line:
+            raise ValueError(f"{path} line {line_no}: sample_id {parts[0]!r} repeats "
+                             f"line {first_line[parts[0]]}")
+        first_line[parts[0]] = line_no
+        rows.append(np.array([float(v) for v in parts[1:]]))
+        _check_simplex(rows[-1], f"{path} line {line_no}: ")
+    return list(first_line), np.array(rows, dtype=np.float64).reshape(len(rows), len(classes))

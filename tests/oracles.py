@@ -26,6 +26,9 @@ It knows nothing of the row-space reduction or the Newton solve.
 ``metrics_reference`` is the original per-sample, per-class loop form of
 ``learn.metrics``: the confusion matrix one increment at a time and F1 one
 class at a time.
+
+``fusion_reference`` is the paper's fusion rule one sample and one class at
+a time, in Python floats, with the first maximum as the fused label.
 """
 
 import math
@@ -446,3 +449,17 @@ def metrics_reference(predictions, truths) -> EvalResult:
                          if precision + recall > 0 else 0.0)
     f1 = float(np.mean(f1_scores)) if f1_scores else 0.0
     return EvalResult(accuracy=accuracy, f1=f1, confusion=confusion, classes=classes)
+
+
+def fusion_reference(p1, p2, a, classes) -> list:
+    """Fused label of each row: the class maximizing (1 - a) * p1 + a * p2,
+    ties to the lowest class index."""
+    labels = []
+    for row1, row2 in zip(p1, p2):
+        best, best_value = 0, None
+        for j in range(len(classes)):
+            value = (1.0 - a) * float(row1[j]) + a * float(row2[j])
+            if best_value is None or value > best_value:
+                best, best_value = j, value
+        labels.append(classes[best])
+    return labels

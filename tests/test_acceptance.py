@@ -17,8 +17,8 @@ from microexp.curvature3d import (CurvatureConfig, DEFAULT_LANDMARK_SUBSET,
                                   quantize_si, sequence_feature, shape_index)
 from microexp.dataset import (NonObjectiveClass, ObjectiveClass, SampleRecord,
                               coder_reliability)
-from microexp.learn import (ClassDistribution, cross_val_proba, fuse, fusion_sweep,
-                            kfold_eval, loso_split, metrics)
+from microexp.learn import (cross_val_proba, cross_val_runs, fuse, kfold_splits,
+                            loso_split, metrics, select_fusion_weight)
 from microexp.lbptop import LbpTopConfig, lbp_top_histogram, mean_difference_weights
 from microexp.preprocess2d import FrameVolume
 from microexp.preprocess3d import PointCloudFrame, RigidTransform, icp_align
@@ -141,18 +141,17 @@ def test_c05_shape_index_spot_values():
 def test_c06_fusion_contract():
     with criterion(6, "fusion endpoints exact and simplex preserved", 10):
         rng = np.random.default_rng(5)
-        labels = ("a", "b", "c")
         for _ in range(1000):
             v1 = rng.uniform(0.01, 1.0, 3)
             v2 = rng.uniform(0.01, 1.0, 3)
-            p1 = ClassDistribution(labels, v1 / v1.sum())
-            p2 = ClassDistribution(labels, v2 / v2.sum())
-            assert np.array_equal(fuse(p1, p2, 0.0).probs, p1.probs)
-            assert np.array_equal(fuse(p1, p2, 1.0).probs, p2.probs)
+            p1 = (v1 / v1.sum())[None, :]  # one sample, three classes
+            p2 = (v2 / v2.sum())[None, :]
+            assert np.array_equal(fuse(p1, p2, 0.0), p1)
+            assert np.array_equal(fuse(p1, p2, 1.0), p2)
             for a in (0.1, 0.2, 0.3, 0.4, 0.5):
                 fused = fuse(p1, p2, a)
-                assert abs(fused.probs.sum() - 1.0) <= 1e-9
-                assert np.all(fused.probs >= -1e-12)
+                assert abs(fused.sum() - 1.0) <= 1e-9
+                assert np.all(fused >= -1e-12)
 
 
 def test_c07_reliability_arithmetic():
@@ -187,8 +186,8 @@ def test_c08_cv_hygiene():
 
         x = rng.standard_normal((40, 6)) + 3.0 * np.repeat([0, 1], 20)[:, None]
         y = ["a"] * 20 + ["b"] * 20
-        r1 = kfold_eval(x, y, k=10, repeats=10, seed=42)
-        r2 = kfold_eval(x, y, k=10, repeats=10, seed=42)
+        r1 = cross_val_runs(x, y, kfold_splits(y, k=10, repeats=10, seed=42), 42)[1]
+        r2 = cross_val_runs(x, y, kfold_splits(y, k=10, repeats=10, seed=42), 42)[1]
         assert r1.accuracy == r2.accuracy and r1.f1 == r2.f1
         assert r1.per_fold == r2.per_fold
         assert np.array_equal(r1.confusion, r2.confusion)
@@ -217,7 +216,7 @@ def test_c09_end_to_end_fusion_improvement():
         classes = np.array(sorted(set(labels)))
         acc_2d_only = metrics(classes[p2d.argmax(1)], labels).accuracy
         acc_3d_only = metrics(classes[p3d.argmax(1)], labels).accuracy
-        best_a, best = fusion_sweep(p2d, p3d, labels)
+        best_a, best = select_fusion_weight([p2d], [p3d], labels)
         print(f"    2d-only={acc_2d_only:.3f} 3d-only={acc_3d_only:.3f} "
               f"fused(a={best_a})={best.accuracy:.3f}")
         assert acc_3d_only > 0.5  # the 3-d stream carries the class signal

@@ -682,7 +682,25 @@ class TestEval:
                                       "eval.features": "2d,3d-si", "fusion.sweep": "false",
                                       "fusion.a": "1.5"})
         assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
-        assert "fusion weights must lie in [0, 1], got (1.5,)" in capsys.readouterr().err
+        assert "fusion weight must lie in [0, 1], got 1.5" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("damage", ["overwrite", "append_nan"])
+    def test_damaged_feature_file_exits_data(self, pipeline, tmp_path, capsys, damage):
+        out = tmp_path / "out"
+        for part in ("preprocessed", "features"):
+            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
+        damaged = sorted((out / "features" / "2d").rglob("*.csv"))[0]
+        if damage == "overwrite":
+            damaged.write_text("2d-lbptop,abc\n")
+        else:
+            damaged.write_text(damaged.read_text().rstrip("\n") + ",nan\n")
+        cfg_path = tmp_path / "run.cfg"
+        fileio.save_config(cfg_path, replace(pipeline, out_dir=str(out)).to_dict())
+        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: damaged feature file {damaged}")
+        assert err.rstrip().endswith("run extract again")
         assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize("kind, source", [("3d-hk", "3d-si"), ("2d", "3d-si"),

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microexp.learn import (ClassDistribution, cross_val_proba, fuse, fusion_sweep,
-                            kfold_eval, kfold_splits, loso_eval, loso_split, metrics,
-                            predict_proba, read_probabilities_csv,
+from microexp import learn
+from microexp.learn import (FUSION_WEIGHTS, cross_val_proba, cross_val_runs, fuse,
+                            kfold_splits, loso_split, metrics, read_probabilities_csv,
                             select_fusion_weight, stratified_kfold_indices, train,
                             write_probabilities_csv)
 
-from .oracles import metrics_reference, primal_gradient, train_reference
+from .oracles import fusion_reference, metrics_reference, primal_gradient, train_reference
 
 
 def _blobs(n_per=20, d=5, sep=6.0, seed=0):
@@ -21,29 +21,11 @@ def _blobs(n_per=20, d=5, sep=6.0, seed=0):
     return x, y
 
 
-class TestClassDistribution:
-    def test_valid_simplex(self):
-        d = ClassDistribution(("a", "b"), np.array([0.3, 0.7]))
-        assert d.argmax_label == "b"
-
-    def test_sum_enforced(self):
-        with pytest.raises(ValueError):
-            ClassDistribution(("a", "b"), np.array([0.3, 0.6]))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ClassDistribution(("a", "b"), np.array([-0.1, 1.1]))
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            ClassDistribution(("a", "b"), np.array([np.nan, np.nan]))
-
-
 class TestTrainPredict:
     def test_separable_blobs_high_train_accuracy(self):
         x, y = _blobs()
         model = train(x, y, seed=0)
-        preds = [predict_proba(model, row).argmax_label for row in x]
+        preds = [model.classes[i] for i in model.predict_proba_matrix(x).argmax(axis=1)]
         acc = np.mean([p == t for p, t in zip(preds, y)])
         assert acc >= 0.95
 
@@ -70,27 +52,29 @@ class TestTrainPredict:
     def test_predict_sums_to_one(self):
         x, y = _blobs(n_per=10)
         model = train(x, y, seed=1)
-        d = predict_proba(model, x[0])
-        assert d.probs.sum() == pytest.approx(1.0, abs=1e-9)
+        row = model.predict_proba_matrix(x[:1])[0]
+        assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_deep_inside_blob_confident(self):
         x, y = _blobs(sep=8.0)
         model = train(x, y, seed=0)
-        deep = np.full(5, 4.0)
-        d = predict_proba(model, deep)
-        assert d.probs[d.labels.index("pos")] >= 0.9
+        deep = np.full((1, 5), 4.0)
+        row = model.predict_proba_matrix(deep)[0]
+        assert row[model.classes.index("pos")] >= 0.9
 
     def test_zero_vector_total(self):
         x, y = _blobs(n_per=10)
         model = train(x, y, seed=0)
-        d = predict_proba(model, np.zeros(5))
-        assert d.probs.sum() == pytest.approx(1.0, abs=1e-9)
+        row = model.predict_proba_matrix(np.zeros((1, 5)))[0]
+        assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_feature_length_mismatch(self):
         x, y = _blobs(n_per=10)
         model = train(x, y, seed=0)
         with pytest.raises(ValueError, match="length"):
-            predict_proba(model, np.zeros(7))
+            model.predict_proba_matrix(np.zeros((1, 7)))
+        with pytest.raises(ValueError, match="length"):
+            model.predict_proba_matrix(np.zeros(5))  # a row, not an (n, d) matrix
 
     def test_deterministic_given_seed(self):
         x, y = _blobs(n_per=12, seed=4)
@@ -146,34 +130,26 @@ class TestTrainOptimum:
 
 class TestFuse:
     def test_endpoints_exact(self):
-        p1 = ClassDistribution(("a", "b"), np.array([0.6, 0.4]))
-        p2 = ClassDistribution(("a", "b"), np.array([0.2, 0.8]))
-        assert np.array_equal(fuse(p1, p2, 0.0).probs, p1.probs)
-        assert np.array_equal(fuse(p1, p2, 1.0).probs, p2.probs)
+        p1 = np.array([[0.6, 0.4], [0.3, 0.7]])
+        p2 = np.array([[0.2, 0.8], [0.9, 0.1]])
+        assert np.array_equal(fuse(p1, p2, 0.0), p1)
+        assert np.array_equal(fuse(p1, p2, 1.0), p2)
 
     def test_mixture_value(self):
-        p1 = ClassDistribution(("c1", "c2"), np.array([0.6, 0.4]))
-        p2 = ClassDistribution(("c1", "c2"), np.array([0.2, 0.8]))
+        classes = ("c1", "c2")
+        p1 = np.array([[0.6, 0.4]])
+        p2 = np.array([[0.2, 0.8]])
         fused = fuse(p1, p2, 0.4)
-        assert np.allclose(fused.probs, [0.44, 0.56])
-        assert fused.argmax_label == "c2"
+        assert np.allclose(fused, [[0.44, 0.56]])
+        assert classes[int(fused[0].argmax())] == "c2"
 
-    def test_label_mismatch_rejected(self):
-        p1 = ClassDistribution(("a", "b"), np.array([0.5, 0.5]))
-        p2 = ClassDistribution(("a", "c"), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="label"):
-            fuse(p1, p2, 0.5)
-
-    def test_label_reordering_handled(self):
-        p1 = ClassDistribution(("a", "b"), np.array([0.7, 0.3]))
-        p2 = ClassDistribution(("b", "a"), np.array([0.9, 0.1]))
-        fused = fuse(p1, p2, 0.5)
-        assert np.allclose(fused.probs, [0.4, 0.6])
-
-    def test_weight_out_of_range(self):
-        p = ClassDistribution(("a", "b"), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            fuse(p, p, 1.5)
+    def test_shape_mismatch_rejected(self):
+        # an (n, C) array never broadcasts against a (1, C) row
+        p = np.array([[0.5, 0.5]])
+        with pytest.raises(ValueError, match="shape"):
+            fuse(np.vstack([p, p]), p, 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            fuse(p, np.array([[0.2, 0.3, 0.5]]), 0.5)
 
     @given(st.lists(st.floats(0.001, 1.0), min_size=2, max_size=5),
            st.lists(st.floats(0.001, 1.0), min_size=2, max_size=5),
@@ -181,12 +157,11 @@ class TestFuse:
     @settings(max_examples=100)
     def test_simplex_preserved(self, raw1, raw2, a):
         n = min(len(raw1), len(raw2))
-        labels = tuple(f"c{i}" for i in range(n))
-        v1 = np.array(raw1[:n]) / np.sum(raw1[:n])
-        v2 = np.array(raw2[:n]) / np.sum(raw2[:n])
-        fused = fuse(ClassDistribution(labels, v1), ClassDistribution(labels, v2), a)
-        assert abs(fused.probs.sum() - 1.0) <= 1e-9
-        assert np.all(fused.probs >= -1e-12)
+        v1 = np.array([raw1[:n]]) / np.sum(raw1[:n])
+        v2 = np.array([raw2[:n]]) / np.sum(raw2[:n])
+        fused = fuse(v1, v2, a)
+        assert abs(fused.sum() - 1.0) <= 1e-9
+        assert np.all(fused >= -1e-12)
 
 
 class TestMetrics:
@@ -255,10 +230,10 @@ class TestLoso:
         with pytest.raises(ValueError):
             loso_split(["only", "only"])
 
-    def test_loso_eval_runs(self):
+    def test_loso_cross_val_runs(self):
         x, y = _blobs(n_per=12, seed=2)
         subjects = [f"s{i % 4}" for i in range(len(y))]
-        result = loso_eval(x, y, subjects, seed=0)
+        result = cross_val_runs(x, y, [loso_split(subjects)], seed=0)[1]
         assert len(result.per_fold) == 4
         assert 0.0 <= result.accuracy <= 1.0
 
@@ -336,14 +311,14 @@ class TestCrossValProba:
             cross_val_proba(x, y, folds,
                             train_fn=lambda f, l, seed=0: _FixedModel(("neg", "zzz"), [0.5, 0.5]))
 
-    def test_batched_rows_match_predict_proba(self):
+    def test_batched_rows_match_one_row_predictions(self):
         x, y = _blobs(n_per=6, seed=3)
         folds = loso_split([i % 3 for i in range(len(y))])
         proba, _ = cross_val_proba(x, y, folds)
         for train_idx, test_idx in folds:
             model = train(x[train_idx], [y[i] for i in train_idx])
             for i in test_idx:
-                assert np.allclose(proba[i], predict_proba(model, x[i]).probs,
+                assert np.allclose(proba[i], model.predict_proba_matrix(x[i:i + 1])[0],
                                    rtol=0, atol=1e-15)
 
 
@@ -356,11 +331,15 @@ def _perfect_train_fn(all_features, all_labels):
     return fn
 
 
+def _kfold_result(x, y, k, repeats, seed, train_fn=None):
+    return cross_val_runs(x, y, kfold_splits(y, k, repeats, seed), seed, train_fn)[1]
+
+
 class TestKfold:
     def test_same_seed_bit_reproducible(self):
         x, y = _blobs(n_per=15, seed=6)
-        r1 = kfold_eval(x, y, k=5, repeats=3, seed=11)
-        r2 = kfold_eval(x, y, k=5, repeats=3, seed=11)
+        r1 = _kfold_result(x, y, k=5, repeats=3, seed=11)
+        r2 = _kfold_result(x, y, k=5, repeats=3, seed=11)
         assert r1.accuracy == r2.accuracy
         assert r1.f1 == r2.f1
         assert r1.per_fold == r2.per_fold
@@ -376,8 +355,8 @@ class TestKfold:
 
     def test_perfect_stub_scores_one(self):
         x, y = _blobs(n_per=10, seed=1)
-        result = kfold_eval(x, y, k=4, repeats=2, seed=0,
-                            train_fn=_perfect_train_fn(x, y))
+        result = _kfold_result(x, y, k=4, repeats=2, seed=0,
+                               train_fn=_perfect_train_fn(x, y))
         assert result.accuracy == 1.0
 
     def test_splits_partition_each_repeat(self):
@@ -393,18 +372,14 @@ class TestKfold:
         assert kfold_splits(labels, k=3, repeats=4, seed=5) == runs
 
     def test_k_exceeds_samples_rejected(self):
-        x, y = _blobs(n_per=2)
+        _, y = _blobs(n_per=2)
         with pytest.raises(ValueError, match="exceeds"):
             kfold_splits(y, k=10, repeats=1, seed=0)
-        with pytest.raises(ValueError, match="exceeds"):
-            kfold_eval(x, y, k=10, repeats=1, seed=0)
 
     def test_k_below_two_or_no_repeats_rejected(self):
-        x, y = _blobs(n_per=2)
+        _, y = _blobs(n_per=2)
         with pytest.raises(ValueError, match="k must be at least 2"):
             kfold_splits(y, k=1, repeats=1, seed=0)
-        with pytest.raises(ValueError, match="k must be at least 2"):
-            kfold_eval(x, y, k=1, repeats=1, seed=0)
         with pytest.raises(ValueError, match="repeats"):
             kfold_splits(y, k=2, repeats=0, seed=0)
 
@@ -412,7 +387,7 @@ class TestKfold:
 class TestFusionSweep:
     def test_identical_streams_tie_returns_smallest(self):
         p = np.tile([0.7, 0.3], (4, 1))
-        best_a, result = fusion_sweep(p, p, ["a"] * 4, classes=("a", "b"))
+        best_a, result = select_fusion_weight([p], [p], ["a"] * 4, classes=("a", "b"))
         assert best_a == 0.1
         assert result.accuracy == 1.0
 
@@ -421,7 +396,7 @@ class TestFusionSweep:
         # a/(1-a) > 0.8, i.e. a > 4/9, so 0.5 is the only winning grid point.
         p1 = np.tile([0.1, 0.9], (6, 1))
         p2 = np.tile([1.0, 0.0], (6, 1))
-        best_a, result = fusion_sweep(p1, p2, ["a"] * 6, classes=("a", "b"))
+        best_a, result = select_fusion_weight([p1], [p2], ["a"] * 6, classes=("a", "b"))
         assert best_a == 0.5
         assert result.accuracy == 1.0
 
@@ -434,14 +409,33 @@ class TestFusionSweep:
             return v / v.sum(axis=1, keepdims=True)
         p1 = rand_rows()
         p2 = rand_rows()
-        best_a, result = fusion_sweep(p1, p2, truths)
+        best_a, result = select_fusion_weight([p1], [p2], truths)
         per_a = []
         for a in (0.1, 0.2, 0.3, 0.4, 0.5):
-            # the single-sample fuse as the reference
-            fused = [fuse(ClassDistribution(labels, x), ClassDistribution(labels, y), a)
-                     for x, y in zip(p1, p2)]
-            per_a.append(metrics([f.argmax_label for f in fused], truths).accuracy)
+            predicted = fusion_reference(p1, p2, a, labels)
+            per_a.append(sum(p == t for p, t in zip(predicted, truths)) / len(truths))
         assert result.accuracy == max(per_a)
+        assert best_a == (0.1, 0.2, 0.3, 0.4, 0.5)[per_a.index(max(per_a))]
+
+    def test_fusion_goes_through_learn_fuse(self, monkeypatch):
+        # the benchmark tracer times fusion by wrapping learn.fuse
+        rng = np.random.default_rng(8)
+        truths = ["a", "b", "c"] * 4
+        p1, p2 = rng.dirichlet(np.ones(3), (2, len(truths)))
+        expected = select_fusion_weight([p1], [p2], truths)
+        calls = []
+        real = learn.fuse
+
+        def counted(q1, q2, a):
+            calls.append(a)
+            return real(q1, q2, a)
+
+        monkeypatch.setattr(learn, "fuse", counted)
+        best_a, result = select_fusion_weight([p1], [p2], truths)
+        assert calls == list(FUSION_WEIGHTS)
+        assert best_a == expected[0]
+        assert (result.accuracy, result.f1) == (expected[1].accuracy, expected[1].f1)
+        assert np.array_equal(result.confusion, expected[1].confusion)
 
     def test_run_mean_argmax_beats_each_runs_own_best(self):
         # Every truth is "a"; each sample is (p1("a"), p2("a")) and is fused
@@ -461,8 +455,8 @@ class TestFusionSweep:
         truths = ["a"] * 7
         classes = ("a", "b")
         (p1_r1, p2_r1), (p1_r2, p2_r2) = streams(run1), streams(run2)
-        assert fusion_sweep(p1_r1, p2_r1, truths, classes=classes)[0] == 0.1
-        assert fusion_sweep(p1_r2, p2_r2, truths, classes=classes)[0] == 0.5
+        assert select_fusion_weight([p1_r1], [p2_r1], truths, classes=classes)[0] == 0.1
+        assert select_fusion_weight([p1_r2], [p2_r2], truths, classes=classes)[0] == 0.5
         best_a, result = select_fusion_weight([p1_r1, p1_r2], [p2_r1, p2_r2], truths,
                                               classes=classes)
         assert best_a == 0.3
@@ -474,7 +468,7 @@ class TestFusionSweep:
         pp = np.vstack([p, p])
         classes = ("a", "b")
         with pytest.raises(ValueError, match="aligned"):
-            fusion_sweep(p, pp, ["a"], classes=classes)
+            select_fusion_weight([p], [pp], ["a"], classes=classes)
         with pytest.raises(ValueError, match="aligned"):
             select_fusion_weight([p, p], [p], ["a"], classes=classes)
         with pytest.raises(ValueError, match="aligned"):
@@ -486,62 +480,94 @@ class TestFusionSweep:
     def test_weight_outside_unit_interval_rejected(self, weight):
         p = np.array([[0.5, 0.5]])
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            fusion_sweep(p, p, ["a"], weights=(weight,), classes=("a", "b"))
+            fuse(p, p, weight)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            select_fusion_weight([p], [p], ["a"], weights=(weight,), classes=("a", "b"))
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             select_fusion_weight([p], [p], ["a"], weights=(0.1, weight), classes=("a", "b"))
 
     def test_column_count_must_match_classes(self):
         p = np.array([[0.2, 0.3, 0.5]])
         with pytest.raises(ValueError, match="column"):
-            fusion_sweep(p, p, ["a"], classes=("a", "b"))
+            select_fusion_weight([p], [p], ["a"], classes=("a", "b"))
         with pytest.raises(ValueError, match="column"):
-            fusion_sweep(p, p, ["a"])  # default classes: the one truth label
+            select_fusion_weight([p], [p], ["a"])  # default classes: the one truth label
 
 
 class TestExternalProbabilities:
     def test_round_trip_exact(self, tmp_path, rng):
         labels = ("neg", "pos")
         ids = [f"s{i}" for i in range(5)]
-        dists = []
-        for _ in ids:
-            v = rng.uniform(0.01, 1.0, 2)
-            dists.append(ClassDistribution(labels, v / v.sum()))
+        v = rng.uniform(0.01, 1.0, (len(ids), 2))
+        proba = v / v.sum(axis=1, keepdims=True)
         path = tmp_path / "proba.csv"
-        write_probabilities_csv(path, ids, dists)
-        back = read_probabilities_csv(path, labels)
-        assert set(back) == set(ids)
-        for sid, d in zip(ids, dists):
-            assert np.array_equal(back[sid].probs, d.probs)
+        write_probabilities_csv(path, ids, proba, labels)
+        back_ids, back = read_probabilities_csv(path, labels)
+        assert back_ids == ids
+        assert np.array_equal(back, proba)
 
     def test_header_format(self, tmp_path):
         labels = ("a", "b", "c")
         path = tmp_path / "proba.csv"
-        write_probabilities_csv(path, ["x"], [ClassDistribution(labels, np.ones(3) / 3)])
+        write_probabilities_csv(path, ["x"], np.ones((1, 3)) / 3, labels)
         assert path.read_text().splitlines()[0] == "sample_id,p_class0,p_class1,p_class2"
+
+    def test_bytes_pinned(self, tmp_path):
+        path = tmp_path / "proba.csv"
+        write_probabilities_csv(path, ["s1", "s2"], [[0.1, 0.9], [2 / 3, 1 / 3]], ("a", "b"))
+        assert path.read_text() == ("sample_id,p_class0,p_class1\n"
+                                    "s1,0.1,0.9\n"
+                                    "s2,0.6666666666666666,0.3333333333333333\n"
+                                    "# classes: a,b\n")
 
     def test_external_probabilities_feed_fusion(self, tmp_path):
         # the out-of-band route: probabilities from files, fused and scored
         labels = ("a", "b")
         truths = ["a", "b", "a"]
         ids = ["s0", "s1", "s2"]
-        p_2d = [ClassDistribution(labels, np.array([0.4, 0.6])),
-                ClassDistribution(labels, np.array([0.5, 0.5])),
-                ClassDistribution(labels, np.array([0.45, 0.55]))]
-        p_3d = [ClassDistribution(labels, np.array([0.95, 0.05])),
-                ClassDistribution(labels, np.array([0.1, 0.9])),
-                ClassDistribution(labels, np.array([0.9, 0.1]))]
+        p_2d = np.array([[0.4, 0.6], [0.5, 0.5], [0.45, 0.55]])
+        p_3d = np.array([[0.95, 0.05], [0.1, 0.9], [0.9, 0.1]])
         f1, f2 = tmp_path / "p2d.csv", tmp_path / "p3d.csv"
-        write_probabilities_csv(f1, ids, p_2d)
-        write_probabilities_csv(f2, ids, p_3d)
-        r1 = read_probabilities_csv(f1, labels)
-        r2 = read_probabilities_csv(f2, labels)
-        best_a, result = fusion_sweep(np.stack([r1[i].probs for i in ids]),
-                                      np.stack([r2[i].probs for i in ids]), truths)
+        write_probabilities_csv(f1, ids, p_2d, labels)
+        write_probabilities_csv(f2, ids, p_3d, labels)
+        ids1, r1 = read_probabilities_csv(f1, labels)
+        ids2, r2 = read_probabilities_csv(f2, labels)
+        assert ids1 == ids2 == ids
+        best_a, result = select_fusion_weight([r1], [r2], truths, classes=labels)
         assert result.accuracy == 1.0
 
     def test_column_count_checked(self, tmp_path):
         path = tmp_path / "proba.csv"
-        write_probabilities_csv(path, ["x"], [ClassDistribution(("a", "b"),
-                                                                np.array([0.5, 0.5]))])
+        write_probabilities_csv(path, ["x"], [[0.5, 0.5]], ("a", "b"))
         with pytest.raises(ValueError, match="columns"):
             read_probabilities_csv(path, ("a", "b", "c"))
+
+    @pytest.mark.parametrize("row", ["0.3,0.6", "-0.1,1.1", "nan,nan"],
+                             ids=["sum", "negative", "nan"])
+    def test_non_simplex_row_rejected(self, tmp_path, row):
+        path = tmp_path / "proba.csv"
+        path.write_text(f"sample_id,p_class0,p_class1\ns0,0.5,0.5\ns1,{row}\n")
+        with pytest.raises(ValueError, match=r"proba\.csv line 3: probabilities must"):
+            read_probabilities_csv(path, ("a", "b"))
+
+    def test_repeated_sample_id_rejected(self, tmp_path):
+        path = tmp_path / "proba.csv"
+        path.write_text("sample_id,p_class0,p_class1\ns0,0.5,0.5\ns1,0.2,0.8\n"
+                        "s0,0.9,0.1\n")
+        with pytest.raises(ValueError, match=r"proba\.csv line 4: sample_id 's0' repeats line 2"):
+            read_probabilities_csv(path, ("a", "b"))
+
+    @pytest.mark.parametrize("named", ["b,a", "a,c"], ids=["reordered", "other"])
+    def test_classes_line_must_match(self, tmp_path, named):
+        path = tmp_path / "proba.csv"
+        write_probabilities_csv(path, ["s0"], [[0.3, 0.7]], ("a", "b"))
+        path.write_text(path.read_text().replace("# classes: a,b", f"# classes: {named}"))
+        with pytest.raises(ValueError, match=r"proba\.csv line 3: file names classes"):
+            read_probabilities_csv(path, ("a", "b"))
+
+    def test_classes_line_optional(self, tmp_path):
+        path = tmp_path / "proba.csv"
+        path.write_text("sample_id,p_class0,p_class1\ns1,0.2,0.8\ns0,0.5,0.5\n")
+        ids, proba = read_probabilities_csv(path, ("a", "b"))
+        assert ids == ["s1", "s0"]
+        assert np.array_equal(proba, [[0.2, 0.8], [0.5, 0.5]])
