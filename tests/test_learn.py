@@ -151,6 +151,11 @@ class TestFuse:
         with pytest.raises(ValueError, match="shape"):
             fuse(p, np.array([[0.2, 0.3, 0.5]]), 0.5)
 
+    def test_weight_out_of_range(self):
+        p = np.array([[0.5, 0.5]])
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            fuse(p, p, 1.5)
+
     @given(st.lists(st.floats(0.001, 1.0), min_size=2, max_size=5),
            st.lists(st.floats(0.001, 1.0), min_size=2, max_size=5),
            st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 1.0]))
