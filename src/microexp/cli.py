@@ -300,8 +300,10 @@ def read_sample_tree(root, record: SampleRecord, frame_rate: float,
 
     ``clouds`` names the frames whose clouds are read, along with both
     landmark files; every other frame's cloud is None, and so is a named
-    frame past the video's last. ``None`` (the default) reads every cloud,
-    and an empty set reads the video frames alone (no clouds or landmarks).
+    frame past the video's last. ``None`` (the default) reads the cloud of
+    every video frame, and an empty set reads the video frames alone (no
+    clouds or landmarks). A frame's cloud is ``fileio.cloud_path`` of its
+    index; other files in the clouds directory are never read.
     """
     d = sample_dir(root, record)
     if not d.is_dir():
@@ -317,14 +319,13 @@ def read_sample_tree(root, record: SampleRecord, frame_rate: float,
     if not lm3_path.exists():
         raise DataError(f"missing landmark file: {lm3_path}")
     if clouds is None:
-        read = fileio.read_cloud_sequence(d / "clouds")
-    else:
-        read = [None] * video.n_frames
-        for t in sorted(t for t in clouds if t < video.n_frames):
-            path = fileio.cloud_path(d / "clouds", t)
-            if not path.exists():
-                raise DataError(f"missing cloud file: {path}")
-            read[t] = fileio.read_ply(path)
+        clouds = range(video.n_frames)
+    read = [None] * video.n_frames
+    for t in sorted(t for t in clouds if t < video.n_frames):
+        path = fileio.cloud_path(d / "clouds", t)
+        if not path.exists():
+            raise DataError(f"missing cloud file: {path}")
+        read[t] = fileio.read_ply(path)
     return SampleData(
         video=video,
         clouds=tuple(read),
@@ -384,10 +385,15 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     out_root = Path(cfg.out_dir) / "preprocessed"
     records = dataset.load_index(root / "index.csv")
 
+    # Each sample is written as soon as it is processed, and the index and
+    # manifest last: a run that stops halfway leaves a tree without them,
+    # which extract refuses, not an old manifest over a mix of samples.
+    out_root.mkdir(parents=True, exist_ok=True)
+    (out_root / "index.csv").unlink(missing_ok=True)
+    (out_root / "manifest.json").unlink(missing_ok=True)
     statuses: dict[str, str] = {}
     details: dict[str, dict] = {}
     kept_records = []
-    results = []
     for record in records:
         key = f"{record.subject_id}/{record.sample_id}"
         try:
@@ -396,16 +402,13 @@ def cmd_preprocess(cfg: RunConfig) -> int:
         except (ValueError, OSError) as exc:
             statuses[key] = f"skipped: {exc}"
             continue
+        write_sample_tree(out_root, record, processed)
+        del sample, processed  # not alive while the next sample is read
         statuses[key] = "ok"
         details[key] = info
         kept_records.append(record)
-        results.append(processed)
 
-    out_root.mkdir(parents=True, exist_ok=True)
     dataset.save_index(kept_records, out_root / "index.csv")
-    for record, processed in zip(kept_records, results):
-        write_sample_tree(out_root, record, processed)
-
     manifest = {
         "config": cfg.to_dict(),
         "fingerprint": stage_fingerprint(cfg, "preprocess"),
@@ -432,6 +435,8 @@ def extract_sample_feature(sample: SampleData, record: SampleRecord,
     offset under ``curv.frames=all``), and the other clouds may be None. The
     3-d kinds keep each frame's curvature fit in ``<run.out>/cache/curvature/``,
     where every 3-d kind and sweep point with the same fit inputs reuses it.
+    Curvature normals point toward the sensor: -z under ``clean.tip_at=min``
+    (the nose tip is the smallest z), +z under ``max``.
     """
     if kind == "2d":
         return lbp_top_histogram(sample.video, cfg.lbp)
@@ -442,6 +447,7 @@ def extract_sample_feature(sample: SampleData, record: SampleRecord,
         return curvature3d.sequence_feature(
             sample, record, weights, kind.removeprefix("3d-"), cfg.curvature,
             frames=cfg.curvature_frames, subset=cfg.landmark_subset,
+            toward=(0.0, 0.0, -1.0 if cfg.tip_at == "min" else 1.0),
             store=Path(cfg.out_dir) / "cache" / "curvature")
     raise UsageError(f"unknown feature kind {kind!r}")
 
@@ -451,7 +457,6 @@ def load_preprocessed(cfg: RunConfig) -> tuple[Path, list[SampleRecord]]:
     fingerprint is not the one ``cfg``'s ``preprocess`` keys give is a data
     error: features extracted from it would match no config."""
     pre_root = Path(cfg.out_dir) / "preprocessed"
-    records = dataset.load_index(pre_root / "index.csv")
     path = pre_root / "manifest.json"
     if not path.exists():
         raise DataError(f"missing {path}: run preprocess first")
@@ -471,7 +476,7 @@ def load_preprocessed(cfg: RunConfig) -> tuple[Path, list[SampleRecord]]:
         raise DataError(f"{pre_root} was preprocessed under other preprocess keys than the "
                         f"config ({'; '.join(changed) or f'fingerprint {fingerprint}, not {want}'})"
                         "; run preprocess again with this config")
-    return pre_root, records
+    return pre_root, dataset.load_index(pre_root / "index.csv")
 
 
 def cmd_extract(cfg: RunConfig, kind: str) -> int:
@@ -480,47 +485,69 @@ def cmd_extract(cfg: RunConfig, kind: str) -> int:
     pre_root, records = load_preprocessed(cfg)
     fingerprint = feature_fingerprint(cfg, kind)
     out_dir = Path(cfg.out_dir) / "features" / kind
-    # The kind's old files go first, so a failed run leaves none for eval.
+    # The kind's old files go first, and the files of a run that fails go
+    # with it, so a failed run leaves none for eval.
     if out_dir.exists():
         shutil.rmtree(out_dir)
-
-    features = []
-    for record in records:
-        try:
-            sample = read_sample_tree(pre_root, record, cfg.frame_rate,
-                                      cloud_frames(kind, cfg, record))
-            features.append(extract_sample_feature(sample, record, kind, cfg))
-        except (ValueError, OSError) as exc:
-            raise DataError(f"extract {kind} {record.subject_id}/{record.sample_id}: "
-                            f"{exc}") from exc
-
-    for record, feature in zip(records, features):
-        d = out_dir / record.subject_id
-        d.mkdir(parents=True, exist_ok=True)
-        fileio.write_feature_csv(d / f"{record.sample_id}.csv",
-                                 replace(feature, fingerprint=fingerprint))
+    try:
+        for record in records:
+            try:
+                sample = read_sample_tree(pre_root, record, cfg.frame_rate,
+                                          cloud_frames(kind, cfg, record))
+                feature = extract_sample_feature(sample, record, kind, cfg)
+            except (ValueError, OSError) as exc:
+                raise DataError(f"extract {kind} {record.subject_id}/{record.sample_id}: "
+                                f"{exc}") from exc
+            d = out_dir / record.subject_id
+            d.mkdir(parents=True, exist_ok=True)
+            fileio.write_feature_csv(d / f"{record.sample_id}.csv",
+                                     replace(feature, fingerprint=fingerprint))
+    except BaseException:
+        shutil.rmtree(out_dir, ignore_errors=True)
+        raise
     return EXIT_OK
 
 
-def load_features(cfg: RunConfig, kind: str, records):
-    """The kind's feature file of each record; one whose tag or fingerprint
-    differs from what ``cfg`` preprocesses and extracts is a data error."""
+def _row_matrix(n: int, rows) -> np.ndarray:
+    """The ``(n, d)`` float64 matrix of ``rows``, n ``(values, source)``
+    pairs, filled one row at a time; ``d`` is the first row's length, and a
+    row of another length is a DataError naming its source."""
+    matrix = None
+    for i, (values, source) in enumerate(rows):
+        if matrix is None:
+            matrix, first = np.empty((n, len(values))), source
+        elif len(values) != matrix.shape[1]:
+            raise DataError(f"{source}: {len(values)} feature values, but {first} has "
+                            f"{matrix.shape[1]}")
+        matrix[i] = values
+    return np.empty((0, 0)) if matrix is None else matrix
+
+
+def load_features(cfg: RunConfig, kind: str, records) -> np.ndarray:
+    """The ``(n, d)`` matrix of the kind's feature files, one row per record
+    in record order. A missing or damaged file, one whose tag or fingerprint
+    differs from what ``cfg`` preprocesses and extracts, and one whose length
+    is not the first file's are data errors."""
     want = ("2d-lbptop" if kind == "2d" else kind, feature_fingerprint(cfg, kind))
-    out = []
-    for record in records:
-        path = Path(cfg.out_dir) / "features" / kind / record.subject_id / f"{record.sample_id}.csv"
-        if not path.exists():
-            raise DataError(f"missing {kind} feature file for "
-                            f"{record.subject_id}/{record.sample_id}: run extract first")
-        try:
-            feature = fileio.read_feature_csv(path)
-        except ValueError as exc:
-            raise DataError(f"damaged feature file {path} ({exc}): run extract again") from exc
-        if (feature.tag, feature.fingerprint) != want:
-            raise DataError(f"{path}: feature {feature.tag},{feature.fingerprint} does not "
-                            f"match the config ({','.join(want)}); run extract again")
-        out.append(feature)
-    return out
+
+    def rows():
+        for record in records:
+            path = (Path(cfg.out_dir) / "features" / kind / record.subject_id
+                    / f"{record.sample_id}.csv")
+            if not path.exists():
+                raise DataError(f"missing {kind} feature file for "
+                                f"{record.subject_id}/{record.sample_id}: run extract first")
+            try:
+                feature = fileio.read_feature_csv(path)
+            except ValueError as exc:
+                raise DataError(f"damaged feature file {path} ({exc}): "
+                                "run extract again") from exc
+            if (feature.tag, feature.fingerprint) != want:
+                raise DataError(f"{path}: feature {feature.tag},{feature.fingerprint} does not "
+                                f"match the config ({','.join(want)}); run extract again")
+            yield feature.values, path
+
+    return _row_matrix(len(records), rows())
 
 
 # --- eval -------------------------------------------------------------------
@@ -715,9 +742,10 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
     csv_path = Path(cfg.out_dir) / "sweep.csv"
     done = _resume_sweep(csv_path, grid_keys)
 
-    # Each distinct feature is extracted once per sweep: (kind, fingerprint) -> features;
-    # each distinct cross-validation of a kind is run once (see evaluate_features).
-    extracted: dict[tuple[str, str], list] = {}
+    # Each distinct feature is extracted once per sweep: (kind, fingerprint) ->
+    # (n, d) matrix; each distinct cross-validation of a kind is run once (see
+    # evaluate_features).
+    extracted: dict[tuple[str, str], np.ndarray] = {}
     cv_cache: dict = {}
     n_failed = 0
     with csv_path.open("a", encoding="utf-8", newline="") as fh:
@@ -733,10 +761,11 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
                     for kind in point_cfg.eval_features:
                         key = (kind, feature_fingerprint(point_cfg, kind))
                         if key not in extracted:
-                            extracted[key] = [
-                                extract_sample_feature(samples[(r.subject_id, r.sample_id)],
-                                                       r, kind, point_cfg)
-                                for r in records]
+                            extracted[key] = _row_matrix(len(records), (
+                                (extract_sample_feature(samples[(r.subject_id, r.sample_id)],
+                                                        r, kind, point_cfg).values,
+                                 f"{kind} feature of {r.subject_id}/{r.sample_id}")
+                                for r in records))
                         features_by_kind[kind] = extracted[key]
                     rows = [_row_fields(row) for row in evaluate_features(
                         point_cfg, records, features_by_kind, cv_cache=cv_cache)[0]]

@@ -2,9 +2,9 @@
 features: nine-way HK surface typing and the nine-bin shape index.
 
 Curvature sign convention: the local surface normal is oriented toward the
-sensor (the -z half-space), so a patch bulging toward the sensor has
-negative principal curvatures and lands at the convex end (1.0) of the
-shape-index scale, while a pit maps toward 0.0.
+sensor (along ``toward``, by default the -z half-space), so a patch bulging
+toward the sensor has negative principal curvatures and lands at the convex
+end (1.0) of the shape-index scale, while a pit maps toward 0.0.
 """
 
 from __future__ import annotations

@@ -152,14 +152,6 @@ def write_cloud_sequence(directory, clouds) -> None:
         write_ply(cloud_path(directory, t), cloud)
 
 
-def read_cloud_sequence(directory) -> list[PointCloudFrame]:
-    directory = Path(directory)
-    paths = sorted(directory.glob("cloud_*.ply"))
-    if not paths:
-        raise FileNotFoundError(f"no cloud_*.ply files in {directory}")
-    return [read_ply(p) for p in paths]
-
-
 # --- landmarks ----------------------------------------------------------
 
 _LANDMARK_HEADER = {2: "frame,idx,x,y", 3: "frame,idx,x,y,z"}

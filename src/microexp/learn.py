@@ -110,7 +110,8 @@ def train(features, labels, seed: int = 0, l2: float = 1e-3,
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     scale[scale == 0.0] = 1.0
-    xs = (x - mean) / scale
+    xs = x - mean  # divided in place: one (n, d) temporary fewer
+    xs /= scale
 
     # Row-space coordinates; eigenvalues at round-off level of the largest
     # carry no direction (duplicated rows, the centred ones vector).
@@ -422,6 +423,9 @@ def read_probabilities_csv(path, classes) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"{path} line {line_no}: sample_id {parts[0]!r} repeats "
                              f"line {first_line[parts[0]]}")
         first_line[parts[0]] = line_no
-        rows.append(np.array([float(v) for v in parts[1:]]))
+        try:
+            rows.append(np.array([float(v) for v in parts[1:]]))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line_no}: {exc}") from None
         _check_simplex(rows[-1], f"{path} line {line_no}: ")
     return list(first_line), np.array(rows, dtype=np.float64).reshape(len(rows), len(classes))

@@ -413,6 +413,50 @@ class TestSynthAndPreprocess:
         assert status.startswith(f"skipped: {lm3}:2: expected 5 fields")
         assert sum(s == "ok" for s in manifest["samples"].values()) == 3
 
+    def test_clouds_read_by_frame_index(self, tmp_path):
+        cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
+            n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=6))
+        cfg_path = tmp_path / "run.cfg"
+        cfg.to_file(cfg_path)
+        assert main(["synth", "--config", str(cfg_path)]) == EXIT_OK
+        root = Path(cfg.dataset_root)
+        missing = root / "01" / "1_1" / "clouds" / "cloud_0003.ply"
+        missing.unlink()
+        stray = root / "01" / "1_2" / "clouds" / "cloud_0099.ply"
+        shutil.copyfile(root / "01" / "1_2" / "clouds" / "cloud_0000.ply", stray)
+        assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_PARTIAL
+        manifest = json.loads(
+            (Path(cfg.out_dir) / "preprocessed" / "manifest.json").read_text())
+        assert manifest["samples"] == {"01/1_1": f"skipped: missing cloud file: {missing}",
+                                       "01/1_2": "ok", "02/2_1": "ok", "02/2_2": "ok"}
+
+    def test_interrupted_run_leaves_no_index_or_manifest(self, tmp_path, monkeypatch, capsys):
+        cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
+            n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=6))
+        cmd_synth(cfg)
+        assert cmd_preprocess(cfg) == EXIT_OK
+        pre = Path(cfg.out_dir) / "preprocessed"
+        assert (pre / "manifest.json").exists() and (pre / "index.csv").exists()
+        real, calls = cli.write_sample_tree, []
+
+        def fails_second(*args):
+            calls.append(args[1].sample_id)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "write_sample_tree", fails_second)
+        with pytest.raises(OSError, match="disk full"):
+            cmd_preprocess(cfg)
+        assert calls == ["1_1", "1_2"]
+        assert not (pre / "manifest.json").exists()
+        assert not (pre / "index.csv").exists()
+        cfg_path = tmp_path / "run.cfg"
+        cfg.to_file(cfg_path)
+        assert main(["extract", "--kind", "2d", "--config", str(cfg_path)]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            f"data error: missing {pre / 'manifest.json'}: run preprocess first\n"
+
 
 class TestExtract:
     def test_2d_reads_only_frames(self, pipeline, tmp_path, monkeypatch):
@@ -456,10 +500,12 @@ class TestExtract:
             got = tmp_path / "features" / "3d-si" / r.subject_id / f"{r.sample_id}.csv"
             assert got.read_bytes() == want.read_bytes()
 
-    def test_missing_cloud_at_needed_frame_named(self, pipeline, tmp_path, capsys):
+    # When the last record fails, the files of the others were already written.
+    @pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
+    def test_missing_cloud_at_needed_frame_named(self, pipeline, tmp_path, capsys, which):
         out = tmp_path / "out"
         shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
-        record = dataset.load_index(out / "preprocessed" / "index.csv")[0]
+        record = dataset.load_index(out / "preprocessed" / "index.csv")[which]
         missing = fileio.cloud_path(_clouds_dir(out / "preprocessed", record), record.apex)
         missing.unlink()
         cfg_path = tmp_path / "run.cfg"
@@ -484,6 +530,25 @@ class TestExtract:
         for path in paths:
             assert (out / "features" / "3d-si" / path.relative_to(want)).read_bytes() == \
                 path.read_bytes()
+
+    def test_normals_follow_tip_at(self, pipeline, tmp_path):
+        # A sample mirrored in z under clean.tip_at=max is the original under
+        # min: its normals point toward the sensor, now along +z.
+        pre = Path(pipeline.out_dir) / "preprocessed"
+        record = dataset.load_index(pre / "index.csv")[0]
+        sample = read_sample_tree(pre, record, pipeline.frame_rate)
+        flip = np.array([1.0, 1.0, -1.0])
+        mirrored = replace(sample,
+                           clouds=tuple(replace(c, points=c.points * flip) for c in sample.clouds),
+                           landmarks3d=tuple(m * flip for m in sample.landmarks3d))
+        cfg = replace(pipeline, out_dir=str(tmp_path))
+        for kind in ("3d-si", "3d-hk", "3d-sihk"):
+            want = extract_sample_feature(sample, record, kind, cfg).values
+            got = extract_sample_feature(mirrored, record, kind, replace(cfg, tip_at="max"))
+            assert np.array_equal(got.values, want)
+            # Under min the mirrored sample's normals point away from the sensor.
+            assert not np.array_equal(
+                extract_sample_feature(mirrored, record, kind, cfg).values, want)
 
     def test_config_preprocessed_otherwise_refused(self, pipeline, tmp_path, capsys):
         out = tmp_path / "out"
@@ -714,6 +779,31 @@ class TestEval:
         records = load_index(Path(pipeline.out_dir) / "preprocessed" / "index.csv")
         with pytest.raises(DataError, match="does not match the config"):
             load_features(cfg, kind, records)
+
+    def test_load_features_stacks_files_in_record_order(self, pipeline):
+        from microexp.cli import load_features
+        records = dataset.load_index(Path(pipeline.out_dir) / "preprocessed" / "index.csv")
+        for kind in pipeline.eval_features:
+            matrix = load_features(pipeline, kind, records)
+            want = np.vstack([fileio.read_feature_csv(
+                Path(pipeline.out_dir) / "features" / kind / r.subject_id / f"{r.sample_id}.csv"
+            ).values for r in records])
+            assert matrix.dtype == np.float64
+            assert np.array_equal(matrix, want)
+
+    def test_feature_length_mismatch_named(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        for part in ("preprocessed", "features"):
+            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
+        first, *_, longer = sorted((out / "features" / "2d").rglob("*.csv"))
+        longer.write_text(longer.read_text().rstrip("\n") + ",0.5\n")
+        cfg_path = tmp_path / "run.cfg"
+        fileio.save_config(cfg_path, replace(pipeline, out_dir=str(out)).to_dict())
+        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
+        n = len(fileio.read_feature_csv(first))
+        assert capsys.readouterr().err == (f"data error: {longer}: {n + 1} feature values, "
+                                           f"but {first} has {n}\n")
+        assert not (out / "results.csv").exists()
 
     def test_cross_validation_cache_reused_and_read_only(self, pipeline, monkeypatch):
         from microexp.cli import load_features

@@ -99,8 +99,9 @@ class TestPly:
     def test_sequence_round_trip(self, tmp_path, rng):
         clouds = [PointCloudFrame(rng.standard_normal((10, 3))) for _ in range(3)]
         fileio.write_cloud_sequence(tmp_path / "clouds", clouds)
-        back = fileio.read_cloud_sequence(tmp_path / "clouds")
-        assert len(back) == 3
+        back = [fileio.read_ply(fileio.cloud_path(tmp_path / "clouds", t)) for t in range(3)]
+        for cloud, read in zip(clouds, back):
+            assert np.array_equal(read.points, cloud.points.astype(np.float32))
 
 
 class TestPlyAgainstOracle:

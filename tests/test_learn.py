@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -553,6 +555,13 @@ class TestExternalProbabilities:
         path = tmp_path / "proba.csv"
         path.write_text(f"sample_id,p_class0,p_class1\ns0,0.5,0.5\ns1,{row}\n")
         with pytest.raises(ValueError, match=r"proba\.csv line 3: probabilities must"):
+            read_probabilities_csv(path, ("a", "b"))
+
+    def test_non_numeric_cell_named(self, tmp_path):
+        path = tmp_path / "proba.csv"
+        path.write_text("sample_id,p_class0,p_class1\ns0,0.5,x\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} line 2: could not convert string to float: 'x'")):
             read_probabilities_csv(path, ("a", "b"))
 
     def test_repeated_sample_id_rejected(self, tmp_path):
