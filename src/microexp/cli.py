@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import itertools
 import json
 import shutil
@@ -104,7 +105,6 @@ STAGES = ("synth", "preprocess", "extract-2d", "extract-3d", "eval", "run")
 CONFIG_KEYS: dict[str, ConfigKey] = {
     "data.root": ConfigKey("dataset_root", "run"),
     "data.label_mode": ConfigKey("label_mode", "eval"),
-    "data.frame_rate": ConfigKey("frame_rate", "run", float, repr),  # only carried in SampleData
     "lbp.radii": ConfigKey("lbp.radii", "extract-2d", _ints(3), _join),
     "lbp.neighbors": ConfigKey("lbp.neighbors", "extract-2d", _ints(3), _join),
     "lbp.blocks": ConfigKey("lbp.blocks", "extract-2d", _ints(2), _join),
@@ -156,7 +156,6 @@ class RunConfig:
 
     dataset_root: str = "data"
     label_mode: str = "objective"           # objective | nonobjective
-    frame_rate: float = 60.0
     lbp: LbpTopConfig = field(default_factory=LbpTopConfig)
     curvature: CurvatureConfig = field(default_factory=CurvatureConfig)
     curvature_frames: str = "onset-apex"    # onset-apex | all
@@ -194,7 +193,7 @@ class RunConfig:
                             ("workers", 1), ("denoise_k", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        for name in ("frame_rate", "denoise_sigma", "crop_radius"):
+        for name in ("denoise_sigma", "crop_radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if not self.eval_features:
@@ -294,8 +293,7 @@ def cloud_frames(kind: str, cfg: RunConfig, record: SampleRecord) -> frozenset[i
     return frozenset(curvature3d.curvature_frame_ids(record, cfg.curvature_frames))
 
 
-def read_sample_tree(root, record: SampleRecord, frame_rate: float,
-                     clouds=None) -> SampleData:
+def read_sample_tree(root, record: SampleRecord, clouds=None) -> SampleData:
     """One sample's media.
 
     ``clouds`` names the frames whose clouds are read, along with both
@@ -310,8 +308,7 @@ def read_sample_tree(root, record: SampleRecord, frame_rate: float,
         raise DataError(f"sample directory missing: {d}")
     video = fileio.read_volume(d / "frames")
     if clouds is not None and not clouds:
-        return SampleData(video=video, clouds=None, landmarks2d=None, landmarks3d=None,
-                          frame_rate=frame_rate)
+        return SampleData(video=video, clouds=None, landmarks2d=None, landmarks3d=None)
     lm2_path = d / "landmarks2d.csv"
     lm3_path = d / "landmarks3d.csv"
     if not lm2_path.exists():
@@ -331,7 +328,6 @@ def read_sample_tree(root, record: SampleRecord, frame_rate: float,
         clouds=tuple(read),
         landmarks2d=tuple(fileio.read_landmarks(lm2_path, dims=2)),
         landmarks3d=tuple(fileio.read_landmarks(lm3_path, dims=3)),
-        frame_rate=frame_rate,
     )
 
 
@@ -375,7 +371,6 @@ def preprocess_sample(sample: SampleData, cfg: RunConfig) -> tuple[SampleData, d
         clouds=registered.clouds,
         landmarks2d=tuple(shifted_marks),
         landmarks3d=registered.landmarks,
-        frame_rate=sample.frame_rate,
     )
     return out, info
 
@@ -397,7 +392,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     for record in records:
         key = f"{record.subject_id}/{record.sample_id}"
         try:
-            sample = read_sample_tree(root, record, cfg.frame_rate)
+            sample = read_sample_tree(root, record)
             processed, info = preprocess_sample(sample, cfg)
         except (ValueError, OSError) as exc:
             statuses[key] = f"skipped: {exc}"
@@ -492,8 +487,7 @@ def cmd_extract(cfg: RunConfig, kind: str) -> int:
     try:
         for record in records:
             try:
-                sample = read_sample_tree(pre_root, record, cfg.frame_rate,
-                                          cloud_frames(kind, cfg, record))
+                sample = read_sample_tree(pre_root, record, cloud_frames(kind, cfg, record))
                 feature = extract_sample_feature(sample, record, kind, cfg)
             except (ValueError, OSError) as exc:
                 raise DataError(f"extract {kind} {record.subject_id}/{record.sample_id}: "
@@ -567,8 +561,8 @@ def evaluate_features(cfg: RunConfig, records, features_by_kind, train_fn=None,
 
     ``cv_cache``, a dict kept across calls, holds each kind's cross-validation
     (per-run probabilities, read-only, and EvalResult) under what it depends
-    on: the kind, ``feature_fingerprint(cfg, kind)``, the labels, the fold
-    runs' indices and the seed. A kind found there is not trained again, so
+    on: the kind, ``feature_fingerprint(cfg, kind)``, the labels and the fold
+    runs' indices. A kind found there is not trained again, so
     the features of each kind must be those its fingerprint names, and one
     cache serves one ``train_fn``.
     """
@@ -580,14 +574,13 @@ def evaluate_features(cfg: RunConfig, records, features_by_kind, train_fn=None,
 
     def cross_validate(kind):
         if cv_cache is None:
-            return learn.cross_val_runs(features_by_kind[kind], labels, fold_runs,
-                                        seed=cfg.seed, train_fn=train_fn)
+            return learn.cross_val_runs(features_by_kind[kind], labels, fold_runs, train_fn)
         key = (kind, feature_fingerprint(cfg, kind), tuple(labels),
                tuple(tuple((tuple(train), tuple(test)) for train, test in run)
-                     for run in fold_runs), cfg.seed)
+                     for run in fold_runs))
         if key not in cv_cache:
             runs, result = learn.cross_val_runs(features_by_kind[kind], labels, fold_runs,
-                                                seed=cfg.seed, train_fn=train_fn)
+                                                train_fn)
             for array in (*runs, result.confusion):
                 array.flags.writeable = False
             cv_cache[key] = runs, result
@@ -636,8 +629,12 @@ def _csv_writer(fh):
 
 
 def cmd_eval(cfg: RunConfig, train_fn=None) -> int:
-    pre_root = Path(cfg.out_dir) / "preprocessed"
-    records = dataset.load_index(pre_root / "index.csv")
+    _, records = load_preprocessed(cfg)
+    # The old results go once the tree is accepted, so a run that fails
+    # afterwards leaves none; each file is written whole or not at all.
+    out = Path(cfg.out_dir)
+    for name in ("results.csv", "eval_details.json"):
+        (out / name).unlink(missing_ok=True)
     features_by_kind = {kind: load_features(cfg, kind, records)
                         for kind in cfg.eval_features}
     try:
@@ -646,12 +643,11 @@ def cmd_eval(cfg: RunConfig, train_fn=None) -> int:
         raise DataError(f"cannot evaluate {cfg.protocol}: {exc}") from exc
 
     details["fingerprints"] = {kind: feature_fingerprint(cfg, kind) for kind in cfg.eval_features}
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "results.csv").open("w", encoding="utf-8", newline="") as fh:
-        _csv_writer(fh).writerows([RESULTS_HEADER, *map(_row_fields, rows)])
-    (out / "eval_details.json").write_text(json.dumps(details, indent=2, sort_keys=True),
-                                           encoding="utf-8")
+    table = io.StringIO()
+    _csv_writer(table).writerows([RESULTS_HEADER, *map(_row_fields, rows)])
+    fileio.write_text_atomic(out / "results.csv", table.getvalue())
+    fileio.write_text_atomic(out / "eval_details.json",
+                             json.dumps(details, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -735,8 +731,7 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
     for r in records:
         try:
             samples[(r.subject_id, r.sample_id)] = read_sample_tree(
-                pre_root, r, cfg.frame_rate,
-                frozenset().union(*(cloud_frames(kind, c, r) for kind, c in uses)))
+                pre_root, r, frozenset().union(*(cloud_frames(kind, c, r) for kind, c in uses)))
         except (ValueError, OSError) as exc:
             raise DataError(f"sweep {r.subject_id}/{r.sample_id}: {exc}") from exc
     csv_path = Path(cfg.out_dir) / "sweep.csv"

@@ -109,12 +109,6 @@ class CurvatureConfig:
         if not self.zero_eps > 0:
             raise ValueError("zero_eps must be positive")
 
-    @property
-    def fingerprint(self) -> str:
-        key = (f"curv;nr={self.neighborhood_radius!r};eps={self.zero_eps!r};"
-               f"rr={self.landmark_region_radius!r}")
-        return hashlib.sha1(key.encode()).hexdigest()[:12]
-
 
 def _curvatures_from_neighbors(neighbors: np.ndarray, point: np.ndarray,
                                toward: np.ndarray) -> PrincipalCurvatures:
@@ -580,5 +574,4 @@ def sequence_feature(sample, record, weights, kind: str, config: CurvatureConfig
                     raise ValueError(f"landmark {lm_idx} (frame {t}): {exc}") from None
                 parts[k].append(weights[j] * hist)
 
-    return FeatureVector(np.concatenate([p for k in kinds for p in parts[k]]),
-                         tag=f"3d-{kind}", fingerprint=config.fingerprint)
+    return FeatureVector(np.concatenate([p for k in kinds for p in parts[k]]), tag=f"3d-{kind}")

@@ -116,15 +116,12 @@ class SampleData:
     clouds: tuple[PointCloudFrame | None, ...] | None
     landmarks2d: tuple[np.ndarray, ...] | None  # per frame, (49, 2) pixels
     landmarks3d: tuple[np.ndarray, ...] | None  # per frame, (49, 3) meters
-    frame_rate: float
 
     def __post_init__(self):
         if self.clouds is not None:
             object.__setattr__(self, "clouds", tuple(self.clouds))
             if len(self.clouds) != self.video.n_frames:
                 raise ValueError("need exactly one cloud per video frame")
-        if not self.frame_rate > 0:
-            raise ValueError("frame rate must be positive")
         for name in ("landmarks2d", "landmarks3d"):
             marks = getattr(self, name)
             if marks is None:

@@ -228,21 +228,24 @@ def _raise_bad_landmark_row(path, lines, dims) -> None:
 
 # --- feature vectors ------------------------------------------------------
 
-def write_feature_csv(path, feature: FeatureVector) -> None:
-    """One CSV row: tag,config_fingerprint,v0,v1,... (values as float64 repr).
-
-    The row goes to a temporary file in the same directory, which is then
-    renamed onto ``path``: an interrupted write leaves no partial file there.
-    """
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` (UTF-8) to a temporary file in the same directory, then
+    rename it onto ``path``: an interrupted write leaves no partial file there."""
     path = Path(path)
-    values = ",".join(map(repr, feature.values.tolist()))
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_text(f"{feature.tag},{feature.fingerprint},{values}\n", encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_feature_csv(path, feature: FeatureVector) -> None:
+    """One CSV row: tag,config_fingerprint,v0,v1,... (values as float64 repr),
+    written atomically (``write_text_atomic``)."""
+    values = ",".join(map(repr, feature.values.tolist()))
+    write_text_atomic(path, f"{feature.tag},{feature.fingerprint},{values}\n")
 
 
 def read_feature_csv(path) -> FeatureVector:

@@ -20,7 +20,6 @@ Conventions (fixed here, used identically by every plane):
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -54,12 +53,6 @@ class LbpTopConfig:
         object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
 
     @property
-    def fingerprint(self) -> str:
-        key = (f"lbptop;radii={self.radii};neighbors={self.neighbors};"
-               f"blocks={self.blocks};overlap={self.overlap}")
-        return hashlib.sha1(key.encode()).hexdigest()[:12]
-
-    @property
     def feature_length(self) -> int:
         bx, by = self.blocks
         return bx * by * sum(2 ** p for p in self.neighbors)
@@ -71,7 +64,7 @@ class FeatureVector:
 
     values: np.ndarray
     tag: str
-    fingerprint: str
+    fingerprint: str = ""  # set by the CLI (cli.feature_fingerprint); empty otherwise
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64).ravel()
@@ -82,26 +75,10 @@ class FeatureVector:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def concat(self, other: "FeatureVector", tag: str) -> "FeatureVector":
-        """This feature and ``other`` laid end to end under a new tag."""
-        fp = self.fingerprint if self.fingerprint == other.fingerprint else \
-            hashlib.sha1(f"{self.fingerprint}+{other.fingerprint}".encode()).hexdigest()[:12]
-        return FeatureVector(np.concatenate([self.values, other.values]), tag, fp)
-
 
 def _snap(value: float) -> float:
     rounded = round(value)
     return float(rounded) if abs(value - rounded) < _SNAP_EPS else value
-
-
-def lbp_code_from_samples(neighbor_values, center_value: float) -> int:
-    """LBP code of a center given its sampled neighbor gray values, in
-    neighbor order p = 0, 1, ...: sum of 2^p over neighbors >= center."""
-    code = 0
-    for p, g in enumerate(neighbor_values):
-        if g - center_value >= 0:
-            code += 1 << p
-    return code
 
 
 def lbp_code(image, x: int, y: int, p_count: int = 8, radius: int = 1) -> int:
@@ -221,7 +198,7 @@ def lbp_top_histogram(volume: FrameVolume, config: LbpTopConfig) -> FeatureVecto
                 counts = np.bincount(sub.ravel(), minlength=2 ** p_count)
                 hists.append(counts.astype(np.float64) / sub.size)
 
-    return FeatureVector(np.concatenate(hists), tag="2d-lbptop", fingerprint=config.fingerprint)
+    return FeatureVector(np.concatenate(hists), tag="2d-lbptop")
 
 
 def mean_difference_weights(volume: FrameVolume, landmarks, radius_px: int) -> np.ndarray:

@@ -80,8 +80,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def train(features, labels, seed: int = 0, l2: float = 1e-3,
-          max_iter: int = 500) -> LogisticModel:
+def train(features, labels, l2: float = 1e-3, max_iter: int = 500) -> LogisticModel:
     """Fit the multinomial logistic classifier to the exact optimum of the
     mean cross-entropy plus ``0.5 * l2 * ||W||^2`` (bias unpenalized).
 
@@ -89,10 +88,9 @@ def train(features, labels, seed: int = 0, l2: float = 1e-3,
     matrix ``Xs``, so the fit is solved in the r <= min(n, d) coordinates
     ``Phi = U sqrt(lam)`` of the Gram matrix ``Xs Xs^T = U lam U^T``, where
     ``Xs W = Phi beta`` and ``||W|| = ||beta||``. Damped Newton from zero over
-    ``(r + 1) * C`` parameters, then ``W = Xs^T U lam^(-1/2) beta``. The fit
-    does not depend on ``seed``, which is accepted for the ``train_fn``
-    contract. The mean-loss form makes it insensitive to duplicating every
-    training point; ``max_iter`` caps the Newton iterations.
+    ``(r + 1) * C`` parameters, then ``W = Xs^T U lam^(-1/2) beta``. The
+    mean-loss form makes it insensitive to duplicating every training point;
+    ``max_iter`` caps the Newton iterations.
     """
     x = _as_matrix(features)
     labels = [str(l) for l in labels]
@@ -256,13 +254,15 @@ def _label_classes(labels) -> tuple[str, ...]:
     return tuple(sorted({str(l) for l in labels}))
 
 
-def cross_val_proba(features, labels, folds, seed: int = 0, train_fn=None):
+def cross_val_proba(features, labels, folds, train_fn=None):
     """Out-of-fold class probabilities for every sample.
 
     ``folds`` is a list of (train indices, test indices) covering each
-    sample exactly once on the test side. Returns (proba, per_fold_accuracies):
-    ``proba`` is an ``(n, C)`` array whose columns are the sorted label set
-    (zero for classes a fold's model never saw).
+    sample exactly once on the test side; each fold's model is
+    ``train_fn(features, labels)`` of its training rows (default ``train``).
+    Returns (proba, per_fold_accuracies): ``proba`` is an ``(n, C)`` array
+    whose columns are the sorted label set (zero for classes a fold's model
+    never saw).
     """
     x = _as_matrix(features)
     labels = [str(l) for l in labels]
@@ -272,8 +272,8 @@ def cross_val_proba(features, labels, folds, seed: int = 0, train_fn=None):
 
     proba = np.full((len(labels), len(classes)), np.nan)  # NaN: no fold has tested the row
     per_fold = []
-    for fold_no, (train_idx, test_idx) in enumerate(folds):
-        model = train_fn(x[train_idx], [labels[i] for i in train_idx], seed=seed + fold_no)
+    for train_idx, test_idx in folds:
+        model = train_fn(x[train_idx], [labels[i] for i in train_idx])
         block = np.asarray(model.predict_proba_matrix(x[test_idx]), dtype=np.float64)
         _check_simplex(block)
         model_classes = tuple(model.classes)
@@ -323,9 +323,9 @@ def _run_mean(results, per_fold=()) -> EvalResult:
                       classes=results[-1].classes, per_fold=list(per_fold))
 
 
-def cross_val_runs(features, labels, fold_runs, seed: int = 0, train_fn=None):
+def cross_val_runs(features, labels, fold_runs, train_fn=None):
     """Out-of-fold probabilities for each run of folds (one run for LOSO, one
-    per repeat for k-fold); run ``r`` trains with seeds from ``seed + 1000*r``.
+    per repeat for k-fold), each from ``cross_val_proba``.
 
     Returns (per-run ``(n, C)`` probability arrays, EvalResult): accuracy and
     F1 are means over the runs, the confusion matrix accumulates over all
@@ -333,9 +333,8 @@ def cross_val_runs(features, labels, fold_runs, seed: int = 0, train_fn=None):
     """
     classes = _label_classes(labels)
     proba_runs, results, per_fold = [], [], []
-    for run, folds in enumerate(fold_runs):
-        proba, fold_accs = cross_val_proba(features, labels, folds,
-                                           seed=seed + 1000 * run, train_fn=train_fn)
+    for folds in fold_runs:
+        proba, fold_accs = cross_val_proba(features, labels, folds, train_fn)
         proba_runs.append(proba)
         results.append(metrics([classes[i] for i in proba.argmax(axis=1)], labels))
         per_fold.extend(fold_accs)

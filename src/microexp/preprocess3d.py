@@ -26,10 +26,9 @@ NOSE_MIN_NEIGHBORS = 5
 
 @dataclass(frozen=True)
 class PointCloudFrame:
-    """Unordered 3-d points in meters, with optional unit normals."""
+    """Unordered 3-d points in meters."""
 
     points: np.ndarray
-    normals: np.ndarray | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -38,22 +37,13 @@ class PointCloudFrame:
         if not np.all(np.isfinite(pts)):
             raise ValueError("point coordinates must be finite")
         object.__setattr__(self, "points", pts)
-        if self.normals is not None:
-            nrm = np.asarray(self.normals, dtype=np.float64)
-            if nrm.shape != pts.shape:
-                raise ValueError("normals must match points in shape")
-            lengths = np.linalg.norm(nrm, axis=1)
-            if np.any(np.abs(lengths - 1.0) > 1e-6):
-                raise ValueError("normals must be unit length within 1e-6")
-            object.__setattr__(self, "normals", nrm)
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def select(self, mask_or_idx) -> "PointCloudFrame":
         """Sub-cloud by boolean mask or index array, order preserved."""
-        nrm = self.normals[mask_or_idx] if self.normals is not None else None
-        return PointCloudFrame(self.points[mask_or_idx], nrm)
+        return PointCloudFrame(self.points[mask_or_idx])
 
 
 @dataclass(frozen=True)
@@ -84,10 +74,7 @@ class RigidTransform:
         return pts @ self.rotation.T + self.translation
 
     def apply_cloud(self, frame: PointCloudFrame) -> PointCloudFrame:
-        nrm = None
-        if frame.normals is not None:
-            nrm = frame.normals @ self.rotation.T
-        return PointCloudFrame(self.apply(frame.points), nrm)
+        return PointCloudFrame(self.apply(frame.points))
 
     def compose(self, inner: "RigidTransform") -> "RigidTransform":
         """Transform equal to applying ``inner`` first, then self."""

@@ -419,7 +419,6 @@ def make_dataset(spec: SynthSpec):
                 clouds=tuple(clouds),
                 landmarks2d=tuple(pixels.copy() for _ in range(n_frames)),
                 landmarks3d=tuple(landmarks3d),
-                frame_rate=spec.frame_rate,
             ))
             records.append(record)
 

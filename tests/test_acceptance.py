@@ -186,8 +186,8 @@ def test_c08_cv_hygiene():
 
         x = rng.standard_normal((40, 6)) + 3.0 * np.repeat([0, 1], 20)[:, None]
         y = ["a"] * 20 + ["b"] * 20
-        r1 = cross_val_runs(x, y, kfold_splits(y, k=10, repeats=10, seed=42), 42)[1]
-        r2 = cross_val_runs(x, y, kfold_splits(y, k=10, repeats=10, seed=42), 42)[1]
+        r1 = cross_val_runs(x, y, kfold_splits(y, k=10, repeats=10, seed=42))[1]
+        r2 = cross_val_runs(x, y, kfold_splits(y, k=10, repeats=10, seed=42))[1]
         assert r1.accuracy == r2.accuracy and r1.f1 == r2.f1
         assert r1.per_fold == r2.per_fold
         assert np.array_equal(r1.confusion, r2.confusion)
@@ -210,8 +210,8 @@ def test_c09_end_to_end_fusion_improvement():
 
         labels = [r.objective_label.value for r in records]
         folds = loso_split([r.subject_id for r in records])
-        p2d, _ = cross_val_proba(f2d, labels, folds, seed=0)
-        p3d, _ = cross_val_proba(f3d, labels, folds, seed=0)
+        p2d, _ = cross_val_proba(f2d, labels, folds)
+        p3d, _ = cross_val_proba(f3d, labels, folds)
 
         classes = np.array(sorted(set(labels)))
         acc_2d_only = metrics(classes[p2d.argmax(1)], labels).accuracy

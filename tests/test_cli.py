@@ -40,7 +40,6 @@ def _pipeline_cfg(base_dir: Path, **overrides) -> RunConfig:
 NON_DEFAULT_VALUES = {
     "data.root": "d1",
     "data.label_mode": "nonobjective",
-    "data.frame_rate": "30.0",
     "lbp.radii": "2,2,3",
     "lbp.neighbors": "4,8,16",
     "lbp.blocks": "3,4",
@@ -179,7 +178,6 @@ class TestRunConfig:
         assert RunConfig().to_dict() == {
             "data.root": "data",
             "data.label_mode": "objective",
-            "data.frame_rate": "60.0",
             "lbp.radii": "1,1,4",
             "lbp.neighbors": "8,8,8",
             "lbp.blocks": "5,5",
@@ -226,7 +224,7 @@ class TestRunConfig:
         else:
             d["landmarks.subset"] = "3,1,4"
         cfg = RunConfig(
-            dataset_root="d1", label_mode="nonobjective", frame_rate=30.0,
+            dataset_root="d1", label_mode="nonobjective",
             lbp=LbpTopConfig(radii=(2, 2, 3), neighbors=(4, 8, 16), blocks=(3, 4), overlap=2),
             curvature=CurvatureConfig(neighborhood_radius=0.025, zero_eps=0.25,
                                       landmark_region_radius=0.015),
@@ -491,7 +489,7 @@ class TestExtract:
                          for r in records for t in sorted(used(r))]
         # The same bytes as features computed from every cloud of each sample.
         for r in records:
-            full = read_sample_tree(pre, r, cfg.frame_rate)
+            full = read_sample_tree(pre, r)
             assert None not in full.clouds
             feature = extract_sample_feature(full, r, "3d-si", cfg)
             want = tmp_path / "want.csv"
@@ -522,7 +520,7 @@ class TestExtract:
         unused = min(set(range(record.offset + 1)) - {record.onset, record.apex})
         fileio.cloud_path(_clouds_dir(out / "preprocessed", record), unused).write_text("damaged")
         with pytest.raises(ValueError, match="not a PLY file"):
-            read_sample_tree(out / "preprocessed", record, pipeline.frame_rate)
+            read_sample_tree(out / "preprocessed", record)
         assert cmd_extract(replace(pipeline, out_dir=str(out)), "3d-si") == EXIT_OK
         want = Path(pipeline.out_dir) / "features" / "3d-si"
         paths = sorted(want.rglob("*.csv"))
@@ -536,7 +534,7 @@ class TestExtract:
         # min: its normals point toward the sensor, now along +z.
         pre = Path(pipeline.out_dir) / "preprocessed"
         record = dataset.load_index(pre / "index.csv")[0]
-        sample = read_sample_tree(pre, record, pipeline.frame_rate)
+        sample = read_sample_tree(pre, record)
         flip = np.array([1.0, 1.0, -1.0])
         mirrored = replace(sample,
                            clouds=tuple(replace(c, points=c.points * flip) for c in sample.clouds),
@@ -590,8 +588,9 @@ class TestExtract:
 
     def test_changed_radius_changes_fingerprint(self, pipeline):
         from microexp.curvature3d import CurvatureConfig
-        a = pipeline.curvature.fingerprint
-        b = CurvatureConfig(neighborhood_radius=0.03).fingerprint
+        a = feature_fingerprint(pipeline, "3d-si")
+        b = feature_fingerprint(replace(pipeline, curvature=CurvatureConfig(
+            neighborhood_radius=0.03)), "3d-si")
         assert a != b
 
     def test_failed_sample_named_and_old_features_removed(self, pipeline, tmp_path, capsys):
@@ -676,7 +675,7 @@ class TestEval:
         labels = [r.objective_label.value for r in records]
 
         def train_fn_factory():
-            def fn(features, lab, seed=0):
+            def fn(features, lab):
                 return _StubModel(features, lab)
             return fn
 
@@ -685,7 +684,7 @@ class TestEval:
         feats = {k: load_features(pipeline, k, records) for k in pipeline.eval_features}
         full_stub = _StubModel(feats["2d"], labels)
 
-        def train_fn(f, l, seed=0):
+        def train_fn(f, l):
             return full_stub
 
         cfg = replace(pipeline, eval_features=("2d",), fusion_sweep=False)
@@ -713,12 +712,15 @@ class TestEval:
         assert not (out / "results.csv").exists()
 
     # Each key changes what preprocess or a 3-d extract writes, so features
-    # extracted under the pipeline's config no longer describe it.
-    @pytest.mark.parametrize("key, value", [
-        ("weights.radius_px", "3"), ("curv.frames", "all"),
-        ("landmarks.subset", "0,1,2,3"), ("clean.k", "3"),
+    # extracted under the pipeline's config no longer describe it. A
+    # preprocess key is refused at the tree, before any feature is read.
+    @pytest.mark.parametrize("key, value, message", [
+        ("weights.radius_px", "3", "does not match the config"),
+        ("curv.frames", "all", "does not match the config"),
+        ("landmarks.subset", "0,1,2,3", "does not match the config"),
+        ("clean.k", "3", "(clean.k=8, not 3); run preprocess again with this config"),
     ], ids=["weights.radius_px", "curv.frames", "landmarks.subset", "clean.k"])
-    def test_stale_features_refused(self, pipeline, tmp_path, capsys, key, value):
+    def test_stale_features_refused(self, pipeline, tmp_path, capsys, key, value, message):
         out = tmp_path / "out"
         for part in ("preprocessed", "features"):
             shutil.copytree(Path(pipeline.out_dir) / part, out / part)
@@ -726,7 +728,7 @@ class TestEval:
         fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(out)).to_dict(),
                                       key: value})
         assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
-        assert "does not match the config" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
     def test_fingerprints_recorded(self, pipeline):
@@ -767,6 +769,58 @@ class TestEval:
         assert err.startswith(f"data error: damaged feature file {damaged}")
         assert err.rstrip().endswith("run extract again")
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("fault", ["damaged_2d_file", "fusion.a=1.5"])
+    def test_failed_eval_leaves_no_results(self, pipeline, tmp_path, capsys, fault):
+        out = tmp_path / "out"
+        for part in ("preprocessed", "features"):
+            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
+        config = replace(pipeline, out_dir=str(out)).to_dict()
+        cfg_path = tmp_path / "run.cfg"
+        fileio.save_config(cfg_path, config)
+        assert main(["eval", "--config", str(cfg_path)]) == EXIT_OK
+        assert (out / "results.csv").exists() and (out / "eval_details.json").exists()
+        if fault == "damaged_2d_file":
+            sorted((out / "features" / "2d").rglob("*.csv"))[0].write_text("2d-lbptop,abc\n")
+        else:
+            fileio.save_config(cfg_path, {**config, "fusion.sweep": "false", "fusion.a": "1.5"})
+        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not (out / "results.csv").exists()
+        assert not (out / "eval_details.json").exists()
+
+    def test_interrupted_results_write_leaves_no_partial_file(self, pipeline, tmp_path,
+                                                              monkeypatch):
+        out = tmp_path / "out"
+        for part in ("preprocessed", "features"):
+            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
+        cfg = replace(pipeline, out_dir=str(out), fusion_sweep=False)
+        assert cmd_eval(cfg) == EXIT_OK
+        before = sorted(p.name for p in out.iterdir())
+        real = Path.write_text
+
+        def torn(self, text, *args, **kwargs):
+            real(self, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn)
+        with pytest.raises(OSError, match="no space left"):
+            cmd_eval(cfg)
+        # The old results went first; no torn or temporary file is left.
+        assert sorted(p.name for p in out.iterdir()) == \
+            [name for name in before if name not in ("results.csv", "eval_details.json")]
+
+    def test_interrupted_preprocess_tree_names_manifest(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        for part in ("preprocessed", "features"):
+            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
+        for name in ("index.csv", "manifest.json"):
+            (out / "preprocessed" / name).unlink()
+        cfg_path = tmp_path / "run.cfg"
+        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
+        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: missing {out}/preprocessed/"
+                                           "manifest.json: run preprocess first\n")
 
     @pytest.mark.parametrize("kind, source", [("3d-hk", "3d-si"), ("2d", "3d-si"),
                                               ("3d-si", "2d")])
@@ -837,8 +891,8 @@ class TestEval:
         lines = (Path(cfg.out_dir) / "results.csv").read_text().splitlines()
         assert lines[1].split(",")[2] == "kfold"
 
-    # Exact outputs on a fixed dataset: they pin fold construction, per-run
-    # training seeds and the run-averaged choice of the fusion weight.
+    # Exact outputs on a fixed dataset: they pin fold construction, the
+    # trained models and the run-averaged choice of the fusion weight.
     @pytest.mark.parametrize("protocol, results, best_a", [
         ("loso", ["-,2d,loso,0.5833,0.5556",
                   "0.02,3d-si,loso,0.5833,0.5804",
@@ -986,7 +1040,7 @@ class TestSweep:
         want = ["curv.radius,eval.protocol,radius,features,protocol,accuracy,f1"]
         for point in parse_grid(grid.read_text(encoding="utf-8")):
             point_cfg = RunConfig.from_dict({**cfg.to_dict(), **point})
-            features = {kind: [extract_sample_feature(read_sample_tree(pre, r, cfg.frame_rate),
+            features = {kind: [extract_sample_feature(read_sample_tree(pre, r),
                                                       r, kind, point_cfg) for r in records]
                         for kind in point_cfg.eval_features}
             rows, _ = evaluate_features(point_cfg, records, features)
@@ -1117,13 +1171,15 @@ class TestMainEntry:
 
     def test_unknown_config_keys_exit_data(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
+        # data.frame_rate is no key (it changed no output); a config naming it is refused.
         cfg_path.write_text("synth.n_subjects=3\nsynth.samples_per_subject=2\n"
-                            "synth.n_points=800\n", encoding="utf-8")
+                            "synth.n_points=800\ndata.frame_rate=60.0\n", encoding="utf-8")
         assert main(["synth", "--config", str(cfg_path),
                      "--root", str(tmp_path / "data")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:")
-        for key in ("synth.n_subjects", "synth.samples_per_subject", "synth.n_points"):
+        for key in ("synth.n_subjects", "synth.samples_per_subject", "synth.n_points",
+                    "data.frame_rate"):
             assert key in err
         assert not (tmp_path / "data").exists()
 
@@ -1167,13 +1223,12 @@ class TestMainEntry:
     @pytest.mark.parametrize("key, value, command, reason", [
         ("weights.radius_px", "0", ["extract", "--kind", "3d-si"],
          "weight_radius_px must be at least 1"),
-        ("data.frame_rate", "-5", ["preprocess"], "frame_rate must be positive"),
         ("run.workers", "0", ["preprocess"], "workers must be at least 1"),
         ("eval.k", "1", ["eval"], "kfold_k must be at least 2"),
         ("eval.repeats", "0", ["eval"], "kfold_repeats must be at least 1"),
         ("eval.features", "", ["eval"], "eval_features names no feature kind"),
         ("eval.features", "2d,2d", ["eval"], "eval_features names '2d' twice"),
-    ], ids=["weights.radius_px", "data.frame_rate", "run.workers", "eval.k", "eval.repeats",
+    ], ids=["weights.radius_px", "run.workers", "eval.k", "eval.repeats",
             "eval.features-empty", "eval.features-repeated"])
     def test_bad_run_value_rejected_before_any_work(self, pipeline, tmp_path, capsys,
                                                     key, value, command, reason):
@@ -1201,8 +1256,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("line, stage", [
         ("clean.k=1|8", "preprocess"), ("synth.points=700|800", "synth"),
-        ("data.frame_rate=30.0|60.0", "run"),
-    ], ids=["clean.k", "synth.points", "data.frame_rate"])
+        ("run.workers=1|2", "run"),
+    ], ids=["clean.k", "synth.points", "run.workers"])
     def test_sweep_refuses_keys_it_cannot_vary(self, pipeline, tmp_path, capsys, line, stage):
         out = tmp_path / "out"
         shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")

@@ -187,7 +187,7 @@ def _single_landmark_sample(sphere_cap):
     lm = np.tile(sphere_cap.cloud.points[i], (49, 1))
     video = FrameVolume(np.zeros((2, 16, 16), dtype=np.uint8))
     return SampleData(video=video, clouds=(sphere_cap.cloud, sphere_cap.cloud),
-                      landmarks2d=None, landmarks3d=(lm, lm.copy()), frame_rate=60.0)
+                      landmarks2d=None, landmarks3d=(lm, lm.copy()))
 
 
 class TestSequenceFeature:
@@ -224,7 +224,7 @@ class TestSequenceFeature:
         record = _record(onset=0, apex=1, offset=1)
         si = sequence_feature(sample, record, [1.0], "si", cfg, subset=(0,))
         hk = sequence_feature(sample, record, [1.0], "hk", cfg, subset=(0,))
-        both = si.concat(hk, tag="3d-sihk")
+        both = sequence_feature(sample, record, [1.0], "sihk", cfg, subset=(0,))
         assert len(both) == len(si) + len(hk)
         assert np.array_equal(both.values, np.concatenate([si.values, hk.values]))
 

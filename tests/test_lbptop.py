@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from microexp.lbptop import (FeatureVector, LbpTopConfig, block_spans, lbp_code,
-                             lbp_code_from_samples, lbp_top_histogram,
-                             mean_difference_weights)
+                             lbp_top_histogram, mean_difference_weights)
 from microexp.preprocess2d import FrameVolume
 
 from .oracles import lbp_code_reference, lbp_pixel_reference, lbp_top_reference
@@ -25,7 +24,6 @@ class TestLbpCode:
     def test_documented_sample_ordering(self):
         # neighbors p = 0..7 starting at angle 0, counter-clockwise
         samples = [6, 5, 2, 1, 7, 8, 9, 3]
-        assert lbp_code_from_samples(samples, 5) == 115
         assert lbp_code_reference(samples, 5) == 115
 
     def test_four_neighbors_integer_positions(self):
@@ -149,25 +147,11 @@ class TestLbpTopHistogram:
         with pytest.raises(ValueError):
             LbpTopConfig(overlap=-1)
 
-    def test_fingerprint_tracks_config(self):
-        a = LbpTopConfig(radii=(1, 1, 2))
-        b = LbpTopConfig(radii=(1, 1, 3))
-        assert a.fingerprint != b.fingerprint
-        assert a.fingerprint == LbpTopConfig(radii=(1, 1, 2)).fingerprint
-
 
 class TestFeatureVector:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             FeatureVector(np.array([1.0, np.inf]), "t", "f")
-
-    def test_concat_lays_end_to_end(self):
-        a = FeatureVector(np.array([1.0, 2.0]), "a", "f1")
-        b = FeatureVector(np.array([3.0]), "b", "f2")
-        c = a.concat(b, tag="ab")
-        assert np.array_equal(c.values, [1.0, 2.0, 3.0])
-        assert c.tag == "ab"
-        assert len(c) == len(a) + len(b)
 
 
 class TestMeanDifferenceWeights:

@@ -26,7 +26,7 @@ def _blobs(n_per=20, d=5, sep=6.0, seed=0):
 class TestTrainPredict:
     def test_separable_blobs_high_train_accuracy(self):
         x, y = _blobs()
-        model = train(x, y, seed=0)
+        model = train(x, y)
         preds = [model.classes[i] for i in model.predict_proba_matrix(x).argmax(axis=1)]
         acc = np.mean([p == t for p, t in zip(preds, y)])
         assert acc >= 0.95
@@ -35,8 +35,8 @@ class TestTrainPredict:
         # the mean-loss objective is unchanged by duplicating every point, so
         # the fit agrees up to optimizer round-off and predictions match
         x, y = _blobs(n_per=15)
-        m1 = train(x, y, seed=3)
-        m2 = train(np.vstack([x, x]), y + y, seed=3)
+        m1 = train(x, y)
+        m2 = train(np.vstack([x, x]), y + y)
         p1 = m1.predict_proba_matrix(x)
         p2 = m2.predict_proba_matrix(x)
         assert np.array_equal(np.argmax(p1, axis=1), np.argmax(p2, axis=1))
@@ -45,34 +45,34 @@ class TestTrainPredict:
     def test_single_class_rejected(self):
         x = np.zeros((5, 3))
         with pytest.raises(ValueError, match="classes"):
-            train(x, ["same"] * 5, seed=0)
+            train(x, ["same"] * 5)
 
     def test_inconsistent_lengths_rejected(self):
         with pytest.raises(ValueError, match="length"):
-            train([np.zeros(3), np.zeros(4)], ["a", "b"], seed=0)
+            train([np.zeros(3), np.zeros(4)], ["a", "b"])
 
     def test_predict_sums_to_one(self):
         x, y = _blobs(n_per=10)
-        model = train(x, y, seed=1)
+        model = train(x, y)
         row = model.predict_proba_matrix(x[:1])[0]
         assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_deep_inside_blob_confident(self):
         x, y = _blobs(sep=8.0)
-        model = train(x, y, seed=0)
+        model = train(x, y)
         deep = np.full((1, 5), 4.0)
         row = model.predict_proba_matrix(deep)[0]
         assert row[model.classes.index("pos")] >= 0.9
 
     def test_zero_vector_total(self):
         x, y = _blobs(n_per=10)
-        model = train(x, y, seed=0)
+        model = train(x, y)
         row = model.predict_proba_matrix(np.zeros((1, 5)))[0]
         assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_feature_length_mismatch(self):
         x, y = _blobs(n_per=10)
-        model = train(x, y, seed=0)
+        model = train(x, y)
         with pytest.raises(ValueError, match="length"):
             model.predict_proba_matrix(np.zeros((1, 7)))
         with pytest.raises(ValueError, match="length"):
@@ -80,8 +80,8 @@ class TestTrainPredict:
 
     def test_deterministic_given_seed(self):
         x, y = _blobs(n_per=12, seed=4)
-        p1 = train(x, y, seed=9).predict_proba_matrix(x)
-        p2 = train(x, y, seed=9).predict_proba_matrix(x)
+        p1 = train(x, y).predict_proba_matrix(x)
+        p2 = train(x, y).predict_proba_matrix(x)
         assert np.array_equal(p1, p2)
 
 
@@ -114,20 +114,14 @@ class TestTrainOptimum:
     def test_matches_primal_oracle(self, case):
         x, y = TRAIN_CASES[case]()
         probe = np.vstack([x, 0.5 * (x + x[::-1]), x.mean(axis=0) + 2 * x.std(axis=0)])
-        fast = train(x, y, seed=0).predict_proba_matrix(probe)
+        fast = train(x, y).predict_proba_matrix(probe)
         ref = train_reference(x, y).predict_proba_matrix(probe)
         assert np.abs(fast - ref).max() <= 1e-6
 
     @pytest.mark.parametrize("case", sorted(TRAIN_CASES))
-    def test_seed_independent(self, case):
-        x, y = TRAIN_CASES[case]()
-        assert np.array_equal(train(x, y, seed=0).predict_proba_matrix(x),
-                              train(x, y, seed=7).predict_proba_matrix(x))
-
-    @pytest.mark.parametrize("case", sorted(TRAIN_CASES))
     def test_stationary(self, case):
         x, y = TRAIN_CASES[case]()
-        assert np.linalg.norm(primal_gradient(train(x, y, seed=0), x, y)) < 1e-6
+        assert np.linalg.norm(primal_gradient(train(x, y), x, y)) < 1e-6
 
 
 class TestFuse:
@@ -240,7 +234,7 @@ class TestLoso:
     def test_loso_cross_val_runs(self):
         x, y = _blobs(n_per=12, seed=2)
         subjects = [f"s{i % 4}" for i in range(len(y))]
-        result = cross_val_runs(x, y, [loso_split(subjects)], seed=0)[1]
+        result = cross_val_runs(x, y, [loso_split(subjects)])[1]
         assert len(result.per_fold) == 4
         assert 0.0 <= result.accuracy <= 1.0
 
@@ -284,7 +278,7 @@ class TestCrossValProba:
         folds = [([0, 2, 3, 5, 6, 7], [1, 4]), ([1, 2, 3, 4, 5, 6, 7], [0])] + \
             [([i for i in range(8) if i != j], [j]) for j in (2, 3, 5, 6, 7)]
 
-        def train_fn(features, labels, seed=0):
+        def train_fn(features, labels):
             classes = sorted(set(labels))
             row = [0.6, 0.4] if classes == ["a", "c"] else [0.2, 0.3, 0.5]
             return _FixedModel(classes, row)
@@ -302,7 +296,7 @@ class TestCrossValProba:
         folds = loso_split([i % 2 for i in range(len(y))])
         with pytest.raises(ValueError, match="probabilities"):
             cross_val_proba(x, y, folds,
-                            train_fn=lambda f, l, seed=0: _FixedModel(("neg", "pos"), row))
+                            train_fn=lambda f, l: _FixedModel(("neg", "pos"), row))
 
     def test_uncovered_samples_rejected(self):
         x, y = _blobs(n_per=4)
@@ -316,7 +310,7 @@ class TestCrossValProba:
         folds = loso_split([i % 2 for i in range(len(y))])
         with pytest.raises(ValueError, match="label set"):
             cross_val_proba(x, y, folds,
-                            train_fn=lambda f, l, seed=0: _FixedModel(("neg", "zzz"), [0.5, 0.5]))
+                            train_fn=lambda f, l: _FixedModel(("neg", "zzz"), [0.5, 0.5]))
 
     def test_batched_rows_match_one_row_predictions(self):
         x, y = _blobs(n_per=6, seed=3)
@@ -332,14 +326,14 @@ class TestCrossValProba:
 def _perfect_train_fn(all_features, all_labels):
     lookup = _PerfectModel(all_features, all_labels)
 
-    def fn(features, labels, seed=0):
+    def fn(features, labels):
         return lookup
 
     return fn
 
 
 def _kfold_result(x, y, k, repeats, seed, train_fn=None):
-    return cross_val_runs(x, y, kfold_splits(y, k, repeats, seed), seed, train_fn)[1]
+    return cross_val_runs(x, y, kfold_splits(y, k, repeats, seed), train_fn)[1]
 
 
 class TestKfold:

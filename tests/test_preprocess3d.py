@@ -31,11 +31,6 @@ class TestPointCloudFrame:
         with pytest.raises(ValueError):
             PointCloudFrame(pts)
 
-    def test_normals_must_be_unit(self):
-        pts = np.random.default_rng(0).standard_normal((5, 3))
-        with pytest.raises(ValueError):
-            PointCloudFrame(pts, normals=2.0 * np.ones((5, 3)))
-
 
 class TestRigidTransform:
     def test_orthonormality_enforced(self):

@@ -93,7 +93,7 @@ class TestMakeDataset:
         records, samples = tiny_dataset
         assert len(records) == len(samples) == 3 * 4
         for record, sample in zip(records, samples):
-            assert validate_duration(record, sample.frame_rate)
+            assert validate_duration(record, SynthSpec().frame_rate)
             assert sample.video.n_frames == len(sample.clouds)
             assert sample.landmarks3d[0].shape == (49, 3)
 
