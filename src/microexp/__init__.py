@@ -7,10 +7,9 @@ shape index), probability-level fusion of ``(n, C)`` class-probability arrays,
 and LOSO / repeated stratified k-fold evaluation.
 """
 
-from .curvature3d import (CurvatureConfig, PrincipalCurvatures, SurfaceType,
-                          estimate_principal_curvatures, gaussian_mean_curvature,
-                          hk_classify, landmark_local_histogram, load_landmark_subset,
-                          quantize_si, sequence_feature, shape_index)
+from .curvature3d import (CurvatureConfig, SurfaceType, hk_classify, landmark_local_histogram,
+                          load_landmark_subset, principal_curvatures, quantize_si,
+                          sequence_feature, shape_index)
 from .dataset import (DurationRule, MappingTable, NonObjectiveClass, ObjectiveClass,
                       SampleData, SampleRecord, coder_reliability, load_index,
                       nonobjective_label, objective_label, save_index,

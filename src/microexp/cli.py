@@ -28,7 +28,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import curvature3d, dataset, fileio, learn, preprocess2d, preprocess3d
-from .curvature3d import CurvatureConfig, DEFAULT_LANDMARK_SUBSET, load_landmark_subset
+from .curvature3d import (CurvatureConfig, DEFAULT_LANDMARK_SUBSET, check_landmark_indices,
+                          load_landmark_subset)
 from .dataset import IndexFormatError, SampleData, SampleRecord
 from .lbptop import LbpTopConfig, lbp_top_histogram, mean_difference_weights
 from .synth import SynthSpec, make_dataset
@@ -196,6 +197,11 @@ class RunConfig:
         for name in ("denoise_sigma", "crop_radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for key, indices in (("landmarks.inner_eye_left", [self.inner_eye_left]),
+                             ("landmarks.inner_eye_right", [self.inner_eye_right]),
+                             ("landmarks.nasal_spine", [self.nasal_spine]),
+                             ("landmarks.subset", self.landmark_subset)):
+            check_landmark_indices(indices, key)
         if not self.eval_features:
             raise ValueError("eval_features names no feature kind")
         for i, kind in enumerate(self.eval_features):
@@ -645,9 +651,9 @@ def cmd_eval(cfg: RunConfig, train_fn=None) -> int:
     details["fingerprints"] = {kind: feature_fingerprint(cfg, kind) for kind in cfg.eval_features}
     table = io.StringIO()
     _csv_writer(table).writerows([RESULTS_HEADER, *map(_row_fields, rows)])
-    fileio.write_text_atomic(out / "results.csv", table.getvalue())
-    fileio.write_text_atomic(out / "eval_details.json",
-                             json.dumps(details, indent=2, sort_keys=True))
+    fileio.write_atomic(out / "results.csv", table.getvalue())
+    fileio.write_atomic(out / "eval_details.json",
+                        json.dumps(details, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -699,12 +705,12 @@ def _resume_sweep(csv_path: Path, grid_keys: list[str]) -> set[tuple[str, ...]]:
     return {tuple(row[:n]) for row in rows[1:]}
 
 
-def _point_config(cfg: RunConfig, point: dict[str, str]) -> RunConfig | None:
-    """``cfg`` with a grid point's values, or None when they make no valid config."""
+def _point_config(cfg: RunConfig, point: dict[str, str]) -> RunConfig | ValueError:
+    """``cfg`` with a grid point's values, or the error that makes them no valid config."""
     try:
         return RunConfig.from_dict({**cfg.to_dict(), **point})
-    except ValueError:
-        return None
+    except ValueError as exc:
+        return exc
 
 
 def cmd_sweep(cfg: RunConfig, grid_path) -> int:
@@ -725,7 +731,7 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
     pre_root, records = load_preprocessed(cfg)
     point_cfgs = [_point_config(cfg, point) for point in points]
     # Each sample is read once, with the clouds that any point's kinds use.
-    uses = [(kind, point_cfg) for point_cfg in point_cfgs if point_cfg is not None
+    uses = [(kind, point_cfg) for point_cfg in point_cfgs if isinstance(point_cfg, RunConfig)
             for kind in point_cfg.eval_features]
     samples = {}
     for r in records:
@@ -749,8 +755,8 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
             values = [point[k] for k in grid_keys]
             if tuple(values) in done:
                 continue
-            rows = None
-            if point_cfg is not None:
+            error = point_cfg if isinstance(point_cfg, ValueError) else None
+            if error is None:
                 try:
                     features_by_kind = {}
                     for kind in point_cfg.eval_features:
@@ -764,11 +770,13 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
                         features_by_kind[kind] = extracted[key]
                     rows = [_row_fields(row) for row in evaluate_features(
                         point_cfg, records, features_by_kind, cv_cache=cv_cache)[0]]
-                except (ValueError, KeyError):
-                    pass
-            if rows is None:
+                except (ValueError, KeyError) as exc:
+                    error = exc
+            if error is not None:
                 n_failed += 1
-                protocol = cfg.protocol if point_cfg is None else point_cfg.protocol
+                where = " ".join(f"{k}={point[k]}" for k in grid_keys)
+                print(f"sweep point {where} failed: {error}", file=sys.stderr)
+                protocol = (point_cfg if isinstance(point_cfg, RunConfig) else cfg).protocol
                 rows = [["-", "error", protocol, "nan", "nan"]]
             writer.writerows(values + row for row in rows)
             fh.flush()

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
+import io
 import math
-import os
-import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -23,6 +23,7 @@ import numpy as np
 import scipy
 from scipy.spatial import cKDTree
 
+from . import fileio
 from .lbptop import FeatureVector
 from .preprocess3d import PointCloudFrame
 
@@ -41,6 +42,14 @@ SI_BIN_NAMES = ("Cup", "Trough", "Rut Saddle", "Rut", "Saddle",
                 "Saddle Ridge", "Ridge", "Dome", "Cap")
 
 
+def check_landmark_indices(indices, where: str) -> None:
+    """Raise ValueError, naming ``where``, unless every index addresses the
+    49-point markup (0..48)."""
+    for idx in indices:
+        if not 0 <= idx <= 48:
+            raise ValueError(f"{where}: landmark index {idx} outside 0..48")
+
+
 def load_landmark_subset(path) -> tuple[int, ...]:
     """Read a landmark-subset file: one 0-based index per line, '#' comments."""
     indices = []
@@ -52,16 +61,11 @@ def load_landmark_subset(path) -> tuple[int, ...]:
             idx = int(line)
         except ValueError:
             raise ValueError(f"{path} line {line_no}: expected an integer index") from None
-        if not 0 <= idx <= 48:
-            raise ValueError(f"{path} line {line_no}: index {idx} outside 0..48")
+        check_landmark_indices([idx], f"{path} line {line_no}")
         indices.append(idx)
     if not indices:
         raise ValueError(f"{path}: empty landmark subset")
     return tuple(indices)
-
-
-class DegenerateSurfaceError(ValueError):
-    """Neighborhood too flat/collinear for a surface fit."""
 
 
 class SurfaceType(Enum):
@@ -82,20 +86,6 @@ class SurfaceType(Enum):
 
 
 @dataclass(frozen=True)
-class PrincipalCurvatures:
-    """Minimum and maximum normal curvature at a point, in 1/meters."""
-
-    p_min: float
-    p_max: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.p_min) and math.isfinite(self.p_max)):
-            raise ValueError("principal curvatures must be finite")
-        if self.p_min > self.p_max:
-            raise ValueError(f"need p_min <= p_max, got {self.p_min} > {self.p_max}")
-
-
-@dataclass(frozen=True)
 class CurvatureConfig:
     """Radii and thresholds for the 3-d curvature features."""
 
@@ -108,20 +98,6 @@ class CurvatureConfig:
             raise ValueError("radii must be positive")
         if not self.zero_eps > 0:
             raise ValueError("zero_eps must be positive")
-
-
-def _curvatures_from_neighbors(neighbors: np.ndarray, point: np.ndarray,
-                               toward: np.ndarray) -> PrincipalCurvatures:
-    """Principal curvatures at ``point`` from its neighborhood: the fit of
-    _fit_block for a single vertex."""
-    if neighbors.shape[0] < 10:
-        raise ValueError(f"need at least 10 neighbors, got {neighbors.shape[0]}")
-    p_min, p_max, valid = _fit_block(neighbors, point[None], [np.arange(neighbors.shape[0])],
-                                     toward)
-    if not valid[0]:
-        raise DegenerateSurfaceError(
-            "rank-deficient cubic fit or non-finite curvature; neighborhood is degenerate")
-    return PrincipalCurvatures(p_min=float(p_min[0]), p_max=float(p_max[0]))
 
 
 def _weingarten(coeffs, scale):
@@ -149,25 +125,6 @@ def _weingarten(coeffs, scale):
     return h - root, h + root
 
 
-def estimate_principal_curvatures(cloud: PointCloudFrame, point, radius: float,
-                                  toward=(0.0, 0.0, -1.0)) -> PrincipalCurvatures:
-    """Principal curvatures of the cloud surface at ``point`` using neighbors
-    within ``radius``. Raises if fewer than 10 neighbors are found or the
-    neighborhood does not determine a surface."""
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    p = np.asarray(point, dtype=np.float64).reshape(3)
-    tree = cKDTree(cloud.points)
-    idx = tree.query_ball_point(p, r=radius)
-    return _curvatures_from_neighbors(cloud.points[idx], p,
-                                      np.asarray(toward, dtype=np.float64))
-
-
-def gaussian_mean_curvature(pc: PrincipalCurvatures) -> tuple[float, float]:
-    """(K, H): product and average of the principal curvatures."""
-    return pc.p_min * pc.p_max, 0.5 * (pc.p_min + pc.p_max)
-
-
 # Surface type bin by [sign K + 1, sign H + 1], signs in (-1, 0, 1).
 _HK_SIGN_BINS = np.array([[t.value for t in row] for row in (
     (SurfaceType.SADDLE_VALLEY, SurfaceType.MINIMAL_SURFACE, SurfaceType.SADDLE_RIDGE),  # K < 0
@@ -176,43 +133,26 @@ _HK_SIGN_BINS = np.array([[t.value for t in row] for row in (
 )])  # columns: H < 0, H = 0, H > 0
 
 
-def hk_classify(k: float, h: float, zero_eps: float = 0.5) -> SurfaceType:
-    """Nine-way surface type from the signs of K and H; values within
-    zero_eps of zero count as zero."""
+def hk_classify(k, h, zero_eps: float) -> np.ndarray:
+    """SurfaceType bin numbers from the signs of Gaussian curvature ``k`` and
+    mean curvature ``h``, elementwise; values within zero_eps of zero count
+    as zero."""
     if not zero_eps > 0:
         raise ValueError("zero_eps must be positive")
-    return SurfaceType(int(_hk_bins(np.array([k], dtype=np.float64),
-                                    np.array([h], dtype=np.float64), zero_eps)[0]))
-
-
-def _hk_bins(k: np.ndarray, h: np.ndarray, zero_eps: float) -> np.ndarray:
-    """SurfaceType bin numbers from the signs of k and h, elementwise; values
-    within zero_eps of zero count as zero."""
-    sk = np.where(np.abs(k) <= zero_eps, 0, np.where(k > 0, 1, -1))
-    sh = np.where(np.abs(h) <= zero_eps, 0, np.where(h > 0, 1, -1))
+    sk = np.where(np.abs(k) <= zero_eps, 0, np.where(np.greater(k, 0), 1, -1))
+    sh = np.where(np.abs(h) <= zero_eps, 0, np.where(np.greater(h, 0), 1, -1))
     return _HK_SIGN_BINS[sk + 1, sh + 1]
 
 
-def shape_index(pc: PrincipalCurvatures) -> float:
-    """Shape index in [0, 1]: 1/2 - (1/pi) * atan((p_max+p_min)/(p_max-p_min)).
+def shape_index(p_min, p_max) -> np.ndarray:
+    """Shape index in [0, 1] of each principal-curvature pair (1-d arrays):
+    1/2 - (1/pi) * atan((p_max+p_min)/(p_max-p_min)).
 
     Umbilic points (p_max == p_min) take the limit value: 0 for a positive
     pair, 1 for a negative pair, and 0.5 for the flat point.
     """
-    return float(_shape_indices(np.array([pc.p_min], dtype=np.float64),
-                                np.array([pc.p_max], dtype=np.float64))[0])
-
-
-def quantize_si(si: float) -> int:
-    """Nearest of the nine shape-index bin centers {0, 0.125, ..., 1};
-    midpoints round toward the saddle (0.5)."""
-    if not 0.0 <= si <= 1.0:
-        raise ValueError(f"shape index must lie in [0, 1], got {si}")
-    return int(_quantize_si_bins(np.array([si], dtype=np.float64))[0])
-
-
-def _shape_indices(p_min: np.ndarray, p_max: np.ndarray) -> np.ndarray:
-    """shape_index over float64 arrays of principal-curvature pairs."""
+    p_min = np.asarray(p_min, dtype=np.float64)
+    p_max = np.asarray(p_max, dtype=np.float64)
     spread = p_max - p_min
     total = p_max + p_min
     ratio = np.divide(total, spread, out=np.zeros_like(total), where=spread != 0.0)
@@ -224,9 +164,14 @@ def _shape_indices(p_min: np.ndarray, p_max: np.ndarray) -> np.ndarray:
     return np.where(spread == 0.0, umbilic, si)
 
 
-def _quantize_si_bins(si: np.ndarray) -> np.ndarray:
-    """Nearest of the nine bin centers for each shape index in [0, 1];
-    midpoints round toward the saddle (0.5)."""
+def quantize_si(si) -> np.ndarray:
+    """Nearest of the nine bin centers {0, 0.125, ..., 1} for each shape
+    index; midpoints round toward the saddle (0.5). Raises ValueError for a
+    value outside [0, 1]."""
+    si = np.asarray(si, dtype=np.float64)
+    outside = ~((si >= 0.0) & (si <= 1.0))
+    if outside.any():
+        raise ValueError(f"shape index must lie in [0, 1], got {si[outside].flat[0]}")
     centers = np.asarray(SI_BIN_CENTERS)
     low = np.floor(si * 8).astype(np.intp)
     high = np.minimum(low + 1, 8)
@@ -240,8 +185,8 @@ def _vertex_bins(kind: str, p_min: np.ndarray, p_max: np.ndarray,
                  zero_eps: float) -> np.ndarray:
     """Per-vertex histogram bin of the "si" or "hk" feature."""
     if kind == "si":
-        return _quantize_si_bins(_shape_indices(p_min, p_max))
-    return _hk_bins(p_min * p_max, 0.5 * (p_min + p_max), zero_eps)
+        return quantize_si(shape_index(p_min, p_max))
+    return hk_classify(p_min * p_max, 0.5 * (p_min + p_max), zero_eps)
 
 
 # Vertices per batched fit. The padded neighbourhood arrays grow with the
@@ -257,8 +202,8 @@ _FIT_BLOCK = 128
 _CERTIFIED_CONDITION = 1e-4
 
 
-def _batched_curvatures(points: np.ndarray, tree: cKDTree, vertex_idx, radius: float,
-                        toward: np.ndarray):
+def principal_curvatures(points: np.ndarray, tree: cKDTree, vertex_idx, radius: float,
+                         toward: np.ndarray):
     """Principal curvatures at ``points[vertex_idx]`` from the neighbors
     within ``radius``, fitted _FIT_BLOCK vertices at a time.
 
@@ -404,41 +349,19 @@ def _region_histogram(landmark, bins: np.ndarray, valid: np.ndarray) -> np.ndarr
     return np.bincount(bins[valid], minlength=9) / n_ok
 
 
-def landmark_local_histogram(cloud: PointCloudFrame, landmark, region_radius: float,
-                             kind: str, config: CurvatureConfig,
-                             toward=(0.0, 0.0, -1.0), tree: cKDTree | None = None) -> np.ndarray:
-    """Nine-bin curvature-feature frequencies over the spherical region
-    around one landmark.
-
-    ``kind`` is "si" (quantized shape index) or "hk" (surface types in
-    SurfaceType order). Frequencies are counts divided by the number of
-    region vertices with a valid estimate, so the histogram sums to 1;
-    vertices whose fit fails (speckle, degenerate neighborhood) are dropped.
-    A prebuilt KD-tree over cloud.points may be passed to amortize repeated
-    calls on the same frame.
-    """
-    kind = kind.lower()
-    if kind not in ("si", "hk"):
-        raise ValueError(f"kind must be 'si' or 'hk', got {kind!r}")
-    if not region_radius > 0:
-        raise ValueError("region radius must be positive")
-
-    lm = np.asarray(landmark, dtype=np.float64).reshape(3)
-    if tree is None:
-        tree = cKDTree(cloud.points)
-    region_idx = tree.query_ball_point(lm, r=region_radius)
-    p_min, p_max, valid = _batched_curvatures(cloud.points, tree, region_idx,
-                                              config.neighborhood_radius,
-                                              np.asarray(toward, dtype=np.float64))
-    return _region_histogram(lm, _vertex_bins(kind, p_min, p_max, config.zero_eps), valid)
+# The functions a stored field is fitted by, in call order from _frame_field.
+_FIT_FUNCTIONS = ("_frame_field", "principal_curvatures", "_fit_block", "_certified_lstsq",
+                  "_svd_lstsq", "_each_matrix", "_weingarten")
 
 
 @functools.cache
 def _store_salt() -> bytes:
-    """Everything a stored field depends on besides its inputs: this module's
-    source and the numpy and scipy versions."""
-    return b"\0".join([Path(__file__).read_bytes(), np.__version__.encode(),
-                       scipy.__version__.encode()])
+    """Everything a stored field depends on besides its inputs: the source of
+    the fit (_FIT_FUNCTIONS), the constants it reads, and the numpy and scipy
+    versions. Other edits to this module keep the store's entries."""
+    sources = [inspect.getsource(globals()[name]).encode() for name in _FIT_FUNCTIONS]
+    return b"\0".join([*sources, f"{_FIT_BLOCK!r};{_CERTIFIED_CONDITION!r}".encode(),
+                       np.__version__.encode(), scipy.__version__.encode()])
 
 
 def _field_key(points, marks, config: CurvatureConfig, toward) -> str:
@@ -467,28 +390,14 @@ def _load_field(path: Path, n: int):
     return field[0], field[1], field[2] == 1.0
 
 
-def _save_field(path: Path, p_min, p_max, valid) -> None:
-    """Write an entry through a temporary file and a rename, so that neither
-    a concurrent reader nor an interrupted run sees a partial entry."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.save(fh, np.stack([p_min, p_max, valid]).astype(np.float64), allow_pickle=False)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _frame_field(points, marks, config: CurvatureConfig, toward, store):
     """(regions, union, p_min, p_max, valid): the vertex indices of each
     landmark region of one frame, their sorted union, and the curvature field
     over the union.
 
     With a ``store`` directory the field is read from the entry keyed by
-    _field_key, and fitted and written there when the entry is missing or
-    damaged; without one it is always fitted.
+    _field_key, and fitted and written there (fileio.write_atomic) when the
+    entry is missing or damaged; without one it is always fitted.
     """
     tree = cKDTree(points)
     regions = tree.query_ball_point(marks, r=config.landmark_region_radius)
@@ -498,10 +407,35 @@ def _frame_field(points, marks, config: CurvatureConfig, toward, store):
         path = Path(store) / f"{_field_key(points, marks, config, toward)}.npy"
         field = _load_field(path, union.shape[0])
     if field is None:
-        field = _batched_curvatures(points, tree, union, config.neighborhood_radius, toward)
+        field = principal_curvatures(points, tree, union, config.neighborhood_radius, toward)
         if store is not None:
-            _save_field(path, *field)
+            entry = io.BytesIO()
+            np.save(entry, np.stack(field).astype(np.float64), allow_pickle=False)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fileio.write_atomic(path, entry.getvalue())
     return (regions, union, *field)
+
+
+def landmark_local_histogram(cloud: PointCloudFrame, landmark, region_radius: float,
+                             kind: str, config: CurvatureConfig,
+                             toward=(0.0, 0.0, -1.0)) -> np.ndarray:
+    """Nine-bin curvature-feature frequencies over the spherical region
+    around one landmark, fitted as sequence_feature fits a frame
+    (_frame_field).
+
+    ``kind`` is "si" (quantized shape index) or "hk" (surface types in
+    SurfaceType order). Frequencies are counts divided by the number of
+    region vertices with a valid estimate, so the histogram sums to 1;
+    vertices whose fit fails (speckle, degenerate neighborhood) are dropped.
+    """
+    kind = kind.lower()
+    if kind not in ("si", "hk"):
+        raise ValueError(f"kind must be 'si' or 'hk', got {kind!r}")
+    config = replace(config, landmark_region_radius=region_radius)
+    lm = np.asarray(landmark, dtype=np.float64).reshape(1, 3)
+    _, _, p_min, p_max, valid = _frame_field(cloud.points, lm, config,
+                                             np.asarray(toward, dtype=np.float64), None)
+    return _region_histogram(lm[0], _vertex_bins(kind, p_min, p_max, config.zero_eps), valid)
 
 
 def curvature_frame_ids(record, frames: str = "onset-apex") -> list[int]:

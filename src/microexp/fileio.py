@@ -8,6 +8,7 @@ rerun with the same inputs produces byte-identical files.
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -228,13 +229,26 @@ def _raise_bad_landmark_row(path, lines, dims) -> None:
 
 # --- feature vectors ------------------------------------------------------
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` (UTF-8) to a temporary file in the same directory, then
-    rename it onto ``path``: an interrupted write leaves no partial file there."""
+# The process umask, read once: a temporary file from mkstemp is private
+# (0600), and write_atomic gives it the mode a plain open would have.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
+def write_atomic(path, data: str | bytes) -> None:
+    """Write ``data`` (a str as UTF-8) to a new temporary file in ``path``'s
+    directory, then rename it onto ``path``: neither a concurrent reader nor
+    an interrupted write sees a partial file under that name."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    os.close(fd)
+    tmp = Path(tmp)
     try:
-        tmp.write_text(text, encoding="utf-8")
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        if isinstance(data, str):
+            tmp.write_text(data, encoding="utf-8")
+        else:
+            tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -243,9 +257,9 @@ def write_text_atomic(path, text: str) -> None:
 
 def write_feature_csv(path, feature: FeatureVector) -> None:
     """One CSV row: tag,config_fingerprint,v0,v1,... (values as float64 repr),
-    written atomically (``write_text_atomic``)."""
+    written atomically (``write_atomic``)."""
     values = ",".join(map(repr, feature.values.tolist()))
-    write_text_atomic(path, f"{feature.tag},{feature.fingerprint},{values}\n")
+    write_atomic(path, f"{feature.tag},{feature.fingerprint},{values}\n")
 
 
 def read_feature_csv(path) -> FeatureVector:

@@ -11,10 +11,9 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.spatial import cKDTree
 
-from microexp.curvature3d import (CurvatureConfig, DEFAULT_LANDMARK_SUBSET,
-                                  PrincipalCurvatures, SurfaceType,
-                                  _curvatures_from_neighbors, hk_classify,
-                                  quantize_si, sequence_feature, shape_index)
+from microexp.curvature3d import (CurvatureConfig, DEFAULT_LANDMARK_SUBSET, SurfaceType,
+                                  hk_classify, principal_curvatures, quantize_si,
+                                  sequence_feature, shape_index)
 from microexp.dataset import (NonObjectiveClass, ObjectiveClass, SampleRecord,
                               coder_reliability)
 from microexp.learn import (cross_val_proba, cross_val_runs, fuse, kfold_splits,
@@ -62,13 +61,10 @@ def test_c01_lbp_oracle_equivalence():
 
 
 def _estimate_batch(cloud, indices, radius):
-    tree = cKDTree(cloud.points)
-    out = []
-    for i in indices:
-        neigh = tree.query_ball_point(cloud.points[i], radius)
-        pc = _curvatures_from_neighbors(cloud.points[neigh], cloud.points[i], TOWARD)
-        out.append((pc.p_min, pc.p_max))
-    return np.array(out)
+    p_min, p_max, valid = principal_curvatures(cloud.points, cKDTree(cloud.points), indices,
+                                               radius, TOWARD)
+    assert valid.all()
+    return np.column_stack([p_min, p_max])
 
 
 def test_c02_curvature_oracle_accuracy():
@@ -121,21 +117,17 @@ def test_c04_hk_table_exhaustive():
                     (0, 0): SurfaceType.FLAT, (-1, 0): SurfaceType.MINIMAL_SURFACE,
                     (1, -1): SurfaceType.PIT, (0, -1): SurfaceType.VALLEY,
                     (-1, -1): SurfaceType.SADDLE_VALLEY}
-        seen = set()
-        for (sk, sh), surface_type in expected.items():
-            got = hk_classify(2.0 * sk, 2.0 * sh, eps)
-            assert got is surface_type
-            seen.add(got)
-        assert seen == set(SurfaceType)
+        sk, sh = np.array(list(expected), dtype=np.float64).T
+        got = [SurfaceType(b) for b in hk_classify(2.0 * sk, 2.0 * sh, eps)]
+        assert got == list(expected.values())
+        assert set(got) == set(SurfaceType)
 
 
 def test_c05_shape_index_spot_values():
     with criterion(5, "shape-index spot values and quantization bins", 10):
-        assert abs(shape_index(PrincipalCurvatures(-1, 1)) - 0.5) <= 1e-12
-        assert abs(shape_index(PrincipalCurvatures(0, 1)) - 0.25) <= 1e-12
-        assert abs(shape_index(PrincipalCurvatures(-1, 0)) - 0.75) <= 1e-12
-        for i in range(9):
-            assert quantize_si(i / 8) == i
+        si = shape_index(np.array([-1.0, 0.0, -1.0]), np.array([1.0, 1.0, 0.0]))
+        assert np.all(np.abs(si - [0.5, 0.25, 0.75]) <= 1e-12)
+        assert quantize_si(np.arange(9) / 8).tolist() == list(range(9))
 
 
 def test_c06_fusion_contract():

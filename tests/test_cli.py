@@ -941,14 +941,20 @@ class TestSweep:
         assert (Path(cfg.out_dir) / "sweep.csv").read_text() == \
             "radius,features,protocol,accuracy,f1\n"
 
-    def test_failing_grid_point_recorded(self, pipeline, tmp_path, monkeypatch):
+    def test_failing_grid_point_recorded(self, pipeline, tmp_path, monkeypatch, capsys):
         grid = tmp_path / "grid.txt"
         grid.write_text("lbp.radii=1,1,2|0,0,0\n", encoding="utf-8")  # second point invalid
         cfg = replace(pipeline, out_dir=str(tmp_path / "sweep_out"),
                       eval_features=("2d",), fusion_sweep=False)
         shutil.copytree(Path(pipeline.out_dir) / "preprocessed",
                         Path(cfg.out_dir) / "preprocessed")
+        capsys.readouterr()
         assert cmd_sweep(cfg, grid) == EXIT_PARTIAL
+        # one stderr line for the failed point: its grid values and why
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0] == ("sweep point lbp.radii=0,0,0 failed: "
+                          "radii must be three integers >= 1, got (0, 0, 0)")
         lines = (Path(cfg.out_dir) / "sweep.csv").read_text().splitlines()
         # the point's config does not parse, so its row names the base protocol
         assert '"0,0,0",-,error,loso,nan,nan' in lines
@@ -1186,6 +1192,14 @@ class TestMainEntry:
     @pytest.mark.parametrize("line, reason", [
         ("eval.k=ten", "eval.k='ten'"),
         ("eval.protocol=bootstrap", "protocol must be loso|kfold"),
+        # Landmark indices address the 49-point markup: 0..48, no negatives.
+        ("landmarks.subset=0,60", "landmarks.subset: landmark index 60 outside 0..48"),
+        ("landmarks.subset=0,-1", "landmarks.subset: landmark index -1 outside 0..48"),
+        ("landmarks.inner_eye_left=60",
+         "landmarks.inner_eye_left: landmark index 60 outside 0..48"),
+        ("landmarks.inner_eye_right=49",
+         "landmarks.inner_eye_right: landmark index 49 outside 0..48"),
+        ("landmarks.nasal_spine=-3", "landmarks.nasal_spine: landmark index -3 outside 0..48"),
     ])
     def test_bad_config_value_exit_data(self, tmp_path, capsys, line, reason):
         cfg_path = tmp_path / "run.cfg"
@@ -1195,6 +1209,7 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert reason in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_tip_at_rejected_before_any_sample(self, pipeline, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"

@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from microexp import curvature3d
-from microexp.curvature3d import (CurvatureConfig, DEFAULT_LANDMARK_SUBSET,
-                                  DegenerateSurfaceError, PrincipalCurvatures,
-                                  SurfaceType, _FIT_BLOCK, _batched_curvatures, _hk_bins,
-                                  _quantize_si_bins, _shape_indices, _vertex_bins,
-                                  estimate_principal_curvatures,
-                                  gaussian_mean_curvature, hk_classify,
+from microexp.curvature3d import (CurvatureConfig, DEFAULT_LANDMARK_SUBSET, SurfaceType,
+                                  _FIT_BLOCK, _vertex_bins, hk_classify,
                                   landmark_local_histogram, load_landmark_subset,
-                                  quantize_si, sequence_feature, shape_index)
+                                  principal_curvatures, quantize_si, sequence_feature,
+                                  shape_index)
 from microexp.dataset import (NonObjectiveClass, ObjectiveClass, SampleData,
                               SampleRecord)
 from microexp.preprocess2d import FrameVolume
@@ -31,63 +28,56 @@ def _record(onset=0, apex=0, offset=1):
                         ObjectiveClass.OTHERS, NonObjectiveClass.OTHERS)
 
 
+_TOWARD = np.array([0.0, 0.0, -1.0])
+
+
+def _fit(cloud, idx, radius):
+    """(p_min, p_max, valid) at cloud.points[idx]."""
+    return principal_curvatures(cloud.points, cKDTree(cloud.points), idx, radius, _TOWARD)
+
+
 class TestEstimate:
     def test_sphere_curvatures(self, sphere_cap, rng):
-        pts = sphere_cap.cloud.points
-        for i in rng.choice(len(pts), 25, replace=False):
-            pc = estimate_principal_curvatures(sphere_cap.cloud, pts[i], 0.01)
-            assert abs(abs(pc.p_min) - 20.0) < 2.0
-            assert abs(abs(pc.p_max) - 20.0) < 2.0
-            assert np.sign(pc.p_min) == np.sign(pc.p_max)
+        idx = rng.choice(len(sphere_cap.cloud.points), 25, replace=False)
+        p_min, p_max, valid = _fit(sphere_cap.cloud, idx, 0.01)
+        assert valid.all()
+        assert np.all(np.abs(np.abs(p_min) - 20.0) < 2.0)
+        assert np.all(np.abs(np.abs(p_max) - 20.0) < 2.0)
+        assert np.array_equal(np.sign(p_min), np.sign(p_max))
 
     def test_plane_curvatures(self, rng):
         plane = make_surface("plane", n_points=3000, seed=2)
-        pts = plane.cloud.points
-        for i in rng.choice(len(pts), 20, replace=False):
-            pc = estimate_principal_curvatures(plane.cloud, pts[i], 0.012)
-            assert abs(pc.p_min) <= 0.5 and abs(pc.p_max) <= 0.5
+        idx = rng.choice(len(plane.cloud.points), 20, replace=False)
+        p_min, p_max, valid = _fit(plane.cloud, idx, 0.012)
+        assert valid.all()
+        assert np.all(np.abs(p_min) <= 0.5) and np.all(np.abs(p_max) <= 0.5)
 
     def test_cylinder_curvatures(self, rng):
         cyl = make_surface("cylinder", {"radius": 0.05}, n_points=4000, seed=3)
-        pts = cyl.cloud.points
-        small, big = [], []
-        for i in rng.choice(len(pts), 25, replace=False):
-            pc = estimate_principal_curvatures(cyl.cloud, pts[i], 0.01)
-            mags = sorted([abs(pc.p_min), abs(pc.p_max)])
-            small.append(mags[0])
-            big.append(mags[1])
+        idx = rng.choice(len(cyl.cloud.points), 25, replace=False)
+        p_min, p_max, valid = _fit(cyl.cloud, idx, 0.01)
+        assert valid.all()
+        small, big = np.sort(np.abs([p_min, p_max]), axis=0)
         assert np.median(small) < 0.5
         assert abs(np.median(big) - 20.0) / 20.0 < 0.1
 
     def test_too_few_neighbors_rejected(self):
         cloud = PointCloudFrame(np.random.default_rng(0).standard_normal((30, 3)))
-        with pytest.raises(ValueError, match="neighbors"):
-            estimate_principal_curvatures(cloud, cloud.points[0], 1e-6)
+        p_min, p_max, valid = _fit(cloud, [0], 1e-6)
+        assert not valid[0] and p_min[0] == p_max[0] == 0.0
 
     def test_collinear_neighborhood_rejected(self):
         t = np.linspace(0, 1, 40)
-        line = np.column_stack([t, 2 * t, 0 * t]) * 0.01
-        cloud = PointCloudFrame(line)
-        with pytest.raises(DegenerateSurfaceError):
-            estimate_principal_curvatures(cloud, line[20], 0.02)
-
-    def test_invariants_on_type(self):
-        with pytest.raises(ValueError):
-            PrincipalCurvatures(2.0, 1.0)
-        with pytest.raises(ValueError):
-            PrincipalCurvatures(np.nan, 1.0)
+        cloud = PointCloudFrame(np.column_stack([t, 2 * t, 0 * t]) * 0.01)
+        p_min, p_max, valid = _fit(cloud, [20], 0.02)
+        assert not valid[0] and p_min[0] == p_max[0] == 0.0
 
 
 class TestKH:
-    def test_direct_values(self):
-        assert gaussian_mean_curvature(PrincipalCurvatures(1, 1)) == (1, 1)
-        assert gaussian_mean_curvature(PrincipalCurvatures(0, 0)) == (0, 0)
-        assert gaussian_mean_curvature(PrincipalCurvatures(-1, 2)) == (-2, 0.5)
-
     def test_table_rows(self):
-        assert hk_classify(1, 1) is SurfaceType.PEAK
-        assert hk_classify(0, 0) is SurfaceType.FLAT
-        assert hk_classify(-1, 0) is SurfaceType.MINIMAL_SURFACE
+        got = hk_classify(np.array([1.0, 0.0, -1.0]), np.array([1.0, 0.0, 0.0]), 0.5)
+        assert [SurfaceType(b) for b in got] == [SurfaceType.PEAK, SurfaceType.FLAT,
+                                                 SurfaceType.MINIMAL_SURFACE]
 
     def test_exhaustive_sign_grid(self):
         eps = 0.5
@@ -100,52 +90,47 @@ class TestKH:
                 (1, -1): SurfaceType.PIT,
                 (1, 0): SurfaceType.UNDEFINED,
                 (1, 1): SurfaceType.PEAK}
-        for (sk, sh), expected in grid.items():
-            assert hk_classify(2.0 * sk, 2.0 * sh, eps) is expected
+        sk, sh = np.array(list(grid), dtype=np.float64).T
+        got = hk_classify(2.0 * sk, 2.0 * sh, eps)
+        assert [SurfaceType(b) for b in got] == list(grid.values())
         assert len({v for v in grid.values()}) == 9
 
     def test_zero_eps_required(self):
         with pytest.raises(ValueError):
-            hk_classify(1, 1, zero_eps=0)
+            hk_classify(np.array([1.0]), np.array([1.0]), zero_eps=0)
 
 
 class TestShapeIndex:
     def test_spot_values(self):
-        assert shape_index(PrincipalCurvatures(-1, 1)) == pytest.approx(0.5, abs=1e-12)
-        assert shape_index(PrincipalCurvatures(0, 1)) == pytest.approx(0.25, abs=1e-12)
-        assert shape_index(PrincipalCurvatures(-1, 0)) == pytest.approx(0.75, abs=1e-12)
+        got = shape_index(np.array([-1.0, 0.0, -1.0]), np.array([1.0, 1.0, 0.0]))
+        assert got == pytest.approx([0.5, 0.25, 0.75], abs=1e-12)
 
     def test_umbilic_conventions(self):
-        assert shape_index(PrincipalCurvatures(1, 1)) == 0.0
-        assert shape_index(PrincipalCurvatures(-1, -1)) == 1.0
-        assert shape_index(PrincipalCurvatures(0, 0)) == 0.5
+        got = shape_index(np.array([1.0, -1.0, 0.0]), np.array([1.0, -1.0, 0.0]))
+        assert got.tolist() == [0.0, 1.0, 0.5]
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     @settings(max_examples=200)
     def test_range_property(self, a, b):
-        pc = PrincipalCurvatures(min(a, b), max(a, b))
-        assert 0.0 <= shape_index(pc) <= 1.0
+        si = shape_index(np.array([min(a, b)]), np.array([max(a, b)]))
+        assert 0.0 <= si[0] <= 1.0
 
 
 class TestQuantize:
     def test_nine_centers_map_to_bins(self):
-        for i, center in enumerate(i / 8 for i in range(9)):
-            assert quantize_si(center) == i
+        assert quantize_si(np.arange(9) / 8).tolist() == list(range(9))
 
     def test_nearest_center(self):
-        assert quantize_si(0.7) == 6
-        assert quantize_si(0.06) == 0
-        assert quantize_si(0.07) == 1
+        assert quantize_si(np.array([0.7, 0.06, 0.07])).tolist() == [6, 0, 1]
 
     def test_ties_round_toward_saddle(self):
-        assert quantize_si(0.4375) == 4  # midpoint of bins 3 and 4
-        assert quantize_si(0.5625) == 4  # midpoint of bins 4 and 5
+        # midpoints of bins 3 and 4, and of bins 4 and 5
+        assert quantize_si(np.array([0.4375, 0.5625])).tolist() == [4, 4]
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            quantize_si(1.2)
-        with pytest.raises(ValueError):
-            quantize_si(-0.01)
+        for bad in (1.2, -0.01, np.nan):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                quantize_si(np.array([0.5, bad]))
 
 
 class TestLandmarkHistogram:
@@ -287,21 +272,11 @@ class TestRotationInvariance:
     def test_magnitudes_stable_under_rotation(self, sphere_cap, rng):
         from microexp.synth import _random_rotation
 
-        pts = sphere_cap.cloud.points
-        idx = rng.choice(len(pts), 20, replace=False)
-        base = []
-        for i in idx:
-            pc = estimate_principal_curvatures(sphere_cap.cloud, pts[i], 0.01)
-            base.append(sorted([abs(pc.p_min), abs(pc.p_max)]))
-        base = np.array(base)
-
+        idx = rng.choice(len(sphere_cap.cloud.points), 20, replace=False)
+        base = np.sort(np.abs(_fit(sphere_cap.cloud, idx, 0.01)[:2]), axis=0)
         rot = _random_rotation(np.random.default_rng(5))
-        rotated = PointCloudFrame(pts @ rot.T)
-        after = []
-        for i in idx:
-            pc = estimate_principal_curvatures(rotated, rotated.points[i], 0.01)
-            after.append(sorted([abs(pc.p_min), abs(pc.p_max)]))
-        after = np.array(after)
+        rotated = PointCloudFrame(sphere_cap.cloud.points @ rot.T)
+        after = np.sort(np.abs(_fit(rotated, idx, 0.01)[:2]), axis=0)
         rel = np.abs(after - base) / np.abs(base)
         assert np.median(rel) < 0.01
 
@@ -376,8 +351,8 @@ class TestBatchedAgainstOracle:
 
         tree = cKDTree(points)
         region = sorted(tree.query_ball_point(lm, r=cfg.landmark_region_radius))
-        _, _, valid = _batched_curvatures(points, tree, region, cfg.neighborhood_radius,
-                                          np.array([0.0, 0.0, -1.0]))
+        _, _, valid = principal_curvatures(points, tree, region, cfg.neighborhood_radius,
+                                           _TOWARD)
         dropped = [i for i, ok in zip(region, valid) if not ok]
         assert dropped == list(range(len(plane), len(points)))
 
@@ -389,9 +364,6 @@ class TestBatchedAgainstOracle:
             assert ref_dropped == dropped
             got = landmark_local_histogram(cloud, lm, cfg.landmark_region_radius, kind, cfg)
             assert np.array_equal(got, np.array(ref))
-
-
-_TOWARD = np.array([0.0, 0.0, -1.0])
 
 
 def _strip(half_width, n=400, seed=0):
@@ -457,7 +429,7 @@ class TestCertifiedSolve:
         points = _strip(5e-4)
         tree = cKDTree(points)
         idx = np.flatnonzero(np.abs(points[:, 0]) < 0.005)
-        p_min, p_max, valid = _batched_curvatures(points, tree, idx, 0.004, _TOWARD)
+        p_min, p_max, valid = principal_curvatures(points, tree, idx, 0.004, _TOWARD)
         assert svd_rows == []
         assert valid.all()
         ref = np.array([curvature_reference(points, tree, i, 0.004, _TOWARD) for i in idx])
@@ -471,7 +443,7 @@ class TestCertifiedSolve:
         # One block: 40 plane vertices, the speckle and the whole strip.
         idx = np.concatenate([np.arange(0, n_plane, n_plane // 40)[:40],
                               np.arange(n_plane, len(points))])
-        _, _, valid = _batched_curvatures(points, tree, idx, 0.004, _TOWARD)
+        _, _, valid = principal_curvatures(points, tree, idx, 0.004, _TOWARD)
         assert np.array_equal(valid, idx < n_plane)
         counts = tree.query_ball_point(points[idx], r=0.004, return_length=True)
         collinear = (idx >= strip_start) & (counts >= 10)
@@ -483,8 +455,8 @@ class TestCertifiedSolve:
         tree = cKDTree(points)
         idx = np.asarray(tree.query_ball_point([0.0, 0.0, 0.4], r=0.012))
         perm = np.random.default_rng(1).permutation(len(idx))
-        fit = _batched_curvatures(points, tree, idx, 0.004, _TOWARD)
-        shuffled = _batched_curvatures(points, tree, idx[perm], 0.004, _TOWARD)
+        fit = principal_curvatures(points, tree, idx, 0.004, _TOWARD)
+        shuffled = principal_curvatures(points, tree, idx[perm], 0.004, _TOWARD)
         assert len(idx) > 2 * _FIT_BLOCK and sum(svd_rows) > 0  # three blocks, some SVD
         for whole, part in zip(fit, shuffled):
             assert np.array_equal(whole[perm], part)
@@ -511,15 +483,15 @@ def store_sample():
 
 @pytest.fixture()
 def fitted_frames(monkeypatch):
-    """Vertex counts of the frames fitted by _batched_curvatures, in call order."""
+    """Vertex counts of the frames fitted by principal_curvatures, in call order."""
     fitted = []
-    fit = curvature3d._batched_curvatures
+    fit = curvature3d.principal_curvatures
 
     def counting_fit(points, tree, vertex_idx, *args, **kwargs):
         fitted.append(len(vertex_idx))
         return fit(points, tree, vertex_idx, *args, **kwargs)
 
-    monkeypatch.setattr(curvature3d, "_batched_curvatures", counting_fit)
+    monkeypatch.setattr(curvature3d, "principal_curvatures", counting_fit)
     return fitted
 
 
@@ -609,17 +581,38 @@ class TestFieldStore:
         assert len(list(tmp_path.iterdir())) == 2
 
 
+    @pytest.fixture()
+    def fresh_salt(self, monkeypatch):
+        """An empty salt cache before the test and again before its patches
+        are undone, so no other test reads a salt computed under them."""
+        curvature3d._store_salt.cache_clear()
+        yield
+        curvature3d._store_salt.cache_clear()
+
+    def test_salt_covers_the_fit_only(self, monkeypatch, fresh_salt):
+        base = curvature3d._store_salt()
+
+        def other(*args, **kwargs):
+            raise AssertionError("never called")
+
+        monkeypatch.setattr(curvature3d, "sequence_feature", other)
+        curvature3d._store_salt.cache_clear()
+        assert curvature3d._store_salt() == base
+        monkeypatch.setattr(curvature3d, "_fit_block", other)
+        curvature3d._store_salt.cache_clear()
+        assert curvature3d._store_salt() != base
+
+
 class TestVectorisedBinning:
-    """The array forms behind shape_index / quantize_si / hk_classify against
-    the per-value oracles, including exact bin edges and the zero_eps
-    boundary."""
+    """shape_index, quantize_si and hk_classify against the per-value
+    oracles, including exact bin edges and the zero_eps boundary."""
 
     def test_quantize_si_grid(self):
         mids = np.arange(17) / 16
         si = np.concatenate([np.linspace(0.0, 1.0, 4001), mids,
                              np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf)])
         si = si[(si >= 0.0) & (si <= 1.0)]
-        assert np.array_equal(_quantize_si_bins(si), [si_quantize_reference(x) for x in si])
+        assert np.array_equal(quantize_si(si), [si_quantize_reference(x) for x in si])
 
     def test_shape_index_grid_with_umbilics(self):
         vals = np.concatenate([np.linspace(-3.0, 3.0, 61),
@@ -629,7 +622,7 @@ class TestVectorisedBinning:
         umbilic = p_min == p_max
         assert all(np.any(umbilic & cond) for cond in (p_min < 0, p_min == 0, p_min > 0))
         ref = [shape_index_reference(lo, hi) for lo, hi in zip(p_min, p_max)]
-        assert np.array_equal(_shape_indices(p_min, p_max), ref)
+        assert np.array_equal(shape_index(p_min, p_max), ref)
         assert np.array_equal(_vertex_bins("si", p_min, p_max, 0.5),
                               [si_bin_reference(lo, hi) for lo, hi in zip(p_min, p_max)])
 
@@ -639,7 +632,7 @@ class TestVectorisedBinning:
         vals = np.concatenate([np.linspace(-4 * eps, 4 * eps, 33), edges,
                                np.nextafter(edges, 0.0), np.nextafter(edges, 2 * edges)])
         k, h = (g.ravel() for g in np.meshgrid(vals, vals))
-        assert np.array_equal(_hk_bins(k, h, eps),
+        assert np.array_equal(hk_classify(k, h, eps),
                               [hk_sign_reference(a, b, eps) for a, b in zip(k, h)])
 
     def test_hk_from_curvature_pairs(self):
