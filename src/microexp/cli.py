@@ -52,6 +52,11 @@ class DataError(ValueError):
     pass
 
 
+class SampleFileError(DataError):
+    """A sample file that cannot be read or written: a fault of the tree or
+    the disk, not of the config its feature is extracted under."""
+
+
 def _ints(n: int) -> Callable[[str], tuple[int, ...]]:
     """Parser of exactly n comma-separated integers."""
     def parse(text: str) -> tuple[int, ...]:
@@ -416,8 +421,8 @@ def cmd_preprocess(cfg: RunConfig) -> int:
         "samples": statuses,
         "details": details,
     }
-    (out_root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True),
-                                            encoding="utf-8")
+    fileio.write_atomic(out_root / "manifest.json",
+                        json.dumps(manifest, indent=2, sort_keys=True))
     n_failed = sum(1 for s in statuses.values() if s != "ok")
     if records and n_failed / len(records) > 0.1:
         return EXIT_PARTIAL
@@ -477,7 +482,29 @@ def load_preprocessed(cfg: RunConfig) -> tuple[Path, list[SampleRecord]]:
         raise DataError(f"{pre_root} was preprocessed under other preprocess keys than the "
                         f"config ({'; '.join(changed) or f'fingerprint {fingerprint}, not {want}'})"
                         "; run preprocess again with this config")
-    return pre_root, dataset.load_index(pre_root / "index.csv")
+    index = pre_root / "index.csv"
+    if not index.exists():
+        raise DataError(f"missing {index}: run preprocess again")
+    return pre_root, dataset.load_index(index)
+
+
+def extract_samples(pre_root, records, kind: str, cfg: RunConfig):
+    """``(record, feature)`` of each record in turn, its sample read with the
+    files ``kind`` uses. A failure names ``extract <kind> <subject>/<sample>``:
+    a SampleFileError for an OSError or an unreadable sample, else a DataError."""
+    for record in records:
+        where = f"extract {kind} {record.subject_id}/{record.sample_id}"
+        try:
+            sample = read_sample_tree(pre_root, record, cloud_frames(kind, cfg, record))
+        except (ValueError, OSError) as exc:
+            raise SampleFileError(f"{where}: {exc}") from exc
+        try:
+            feature = extract_sample_feature(sample, record, kind, cfg)
+        except OSError as exc:
+            raise SampleFileError(f"{where}: {exc}") from exc
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from exc
+        yield record, feature
 
 
 def cmd_extract(cfg: RunConfig, kind: str) -> int:
@@ -491,13 +518,7 @@ def cmd_extract(cfg: RunConfig, kind: str) -> int:
     if out_dir.exists():
         shutil.rmtree(out_dir)
     try:
-        for record in records:
-            try:
-                sample = read_sample_tree(pre_root, record, cloud_frames(kind, cfg, record))
-                feature = extract_sample_feature(sample, record, kind, cfg)
-            except (ValueError, OSError) as exc:
-                raise DataError(f"extract {kind} {record.subject_id}/{record.sample_id}: "
-                                f"{exc}") from exc
+        for record, feature in extract_samples(pre_root, records, kind, cfg):
             d = out_dir / record.subject_id
             d.mkdir(parents=True, exist_ok=True)
             fileio.write_feature_csv(d / f"{record.sample_id}.csv",
@@ -558,20 +579,20 @@ def _labels_of(records, label_mode: str):
     return [r.nonobjective_label.value for r in records]
 
 
-def evaluate_features(cfg: RunConfig, records, features_by_kind, train_fn=None,
-                      cv_cache: dict | None = None):
+def evaluate_features(cfg: RunConfig, records, features_by_kind, cv_cache: dict | None = None):
     """Per-kind and fused evaluation rows under the configured protocol.
 
     Returns (rows, details) where each row is a dict with keys radius,
     features, protocol, accuracy, f1.
 
-    ``cv_cache``, a dict kept across calls, holds each kind's cross-validation
-    (per-run probabilities, read-only, and EvalResult) under what it depends
-    on: the kind, ``feature_fingerprint(cfg, kind)``, the labels and the fold
-    runs' indices. A kind found there is not trained again, so
-    the features of each kind must be those its fingerprint names, and one
-    cache serves one ``train_fn``.
+    ``cv_cache``, a dict kept across calls (a fresh one by default), holds
+    each kind's cross-validation (per-run probabilities, read-only, and
+    EvalResult) under what it depends on: the kind,
+    ``feature_fingerprint(cfg, kind)``, the labels and the fold runs'
+    indices. A kind found there is not trained again, so the features of
+    each kind must be those its fingerprint names.
     """
+    cv_cache = {} if cv_cache is None else cv_cache
     labels = _labels_of(records, cfg.label_mode)
     if cfg.protocol == "loso":
         fold_runs = [learn.loso_split([r.subject_id for r in records])]
@@ -579,14 +600,11 @@ def evaluate_features(cfg: RunConfig, records, features_by_kind, train_fn=None,
         fold_runs = learn.kfold_splits(labels, cfg.kfold_k, cfg.kfold_repeats, cfg.seed)
 
     def cross_validate(kind):
-        if cv_cache is None:
-            return learn.cross_val_runs(features_by_kind[kind], labels, fold_runs, train_fn)
         key = (kind, feature_fingerprint(cfg, kind), tuple(labels),
                tuple(tuple((tuple(train), tuple(test)) for train, test in run)
                      for run in fold_runs))
         if key not in cv_cache:
-            runs, result = learn.cross_val_runs(features_by_kind[kind], labels, fold_runs,
-                                                train_fn)
+            runs, result = learn.cross_val_runs(features_by_kind[kind], labels, fold_runs)
             for array in (*runs, result.confusion):
                 array.flags.writeable = False
             cv_cache[key] = runs, result
@@ -634,7 +652,7 @@ def _csv_writer(fh):
     return csv.writer(fh, lineterminator="\n")
 
 
-def cmd_eval(cfg: RunConfig, train_fn=None) -> int:
+def cmd_eval(cfg: RunConfig) -> int:
     _, records = load_preprocessed(cfg)
     # The old results go once the tree is accepted, so a run that fails
     # afterwards leaves none; each file is written whole or not at all.
@@ -644,7 +662,7 @@ def cmd_eval(cfg: RunConfig, train_fn=None) -> int:
     features_by_kind = {kind: load_features(cfg, kind, records)
                         for kind in cfg.eval_features}
     try:
-        rows, details = evaluate_features(cfg, records, features_by_kind, train_fn=train_fn)
+        rows, details = evaluate_features(cfg, records, features_by_kind)
     except ValueError as exc:
         raise DataError(f"cannot evaluate {cfg.protocol}: {exc}") from exc
 
@@ -705,14 +723,6 @@ def _resume_sweep(csv_path: Path, grid_keys: list[str]) -> set[tuple[str, ...]]:
     return {tuple(row[:n]) for row in rows[1:]}
 
 
-def _point_config(cfg: RunConfig, point: dict[str, str]) -> RunConfig | ValueError:
-    """``cfg`` with a grid point's values, or the error that makes them no valid config."""
-    try:
-        return RunConfig.from_dict({**cfg.to_dict(), **point})
-    except ValueError as exc:
-        return exc
-
-
 def cmd_sweep(cfg: RunConfig, grid_path) -> int:
     grid_path = Path(grid_path)
     if not grid_path.exists():
@@ -729,55 +739,41 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
                             "a sweep reuses the preprocessed tree")
 
     pre_root, records = load_preprocessed(cfg)
-    point_cfgs = [_point_config(cfg, point) for point in points]
-    # Each sample is read once, with the clouds that any point's kinds use.
-    uses = [(kind, point_cfg) for point_cfg in point_cfgs if isinstance(point_cfg, RunConfig)
-            for kind in point_cfg.eval_features]
-    samples = {}
-    for r in records:
-        try:
-            samples[(r.subject_id, r.sample_id)] = read_sample_tree(
-                pre_root, r, frozenset().union(*(cloud_frames(kind, c, r) for kind, c in uses)))
-        except (ValueError, OSError) as exc:
-            raise DataError(f"sweep {r.subject_id}/{r.sample_id}: {exc}") from exc
     csv_path = Path(cfg.out_dir) / "sweep.csv"
     done = _resume_sweep(csv_path, grid_keys)
 
-    # Each distinct feature is extracted once per sweep: (kind, fingerprint) ->
-    # (n, d) matrix; each distinct cross-validation of a kind is run once (see
-    # evaluate_features).
+    # Each distinct feature is extracted once: (kind, fingerprint) -> (n, d)
+    # matrix; each distinct cross-validation of a kind is run once (see evaluate_features).
     extracted: dict[tuple[str, str], np.ndarray] = {}
     cv_cache: dict = {}
     n_failed = 0
     with csv_path.open("a", encoding="utf-8", newline="") as fh:
         writer = _csv_writer(fh)
-        for point, point_cfg in zip(points, point_cfgs):
+        for point in points:
             values = [point[k] for k in grid_keys]
             if tuple(values) in done:
                 continue
-            error = point_cfg if isinstance(point_cfg, ValueError) else None
-            if error is None:
-                try:
-                    features_by_kind = {}
-                    for kind in point_cfg.eval_features:
-                        key = (kind, feature_fingerprint(point_cfg, kind))
-                        if key not in extracted:
-                            extracted[key] = _row_matrix(len(records), (
-                                (extract_sample_feature(samples[(r.subject_id, r.sample_id)],
-                                                        r, kind, point_cfg).values,
-                                 f"{kind} feature of {r.subject_id}/{r.sample_id}")
-                                for r in records))
-                        features_by_kind[kind] = extracted[key]
-                    rows = [_row_fields(row) for row in evaluate_features(
-                        point_cfg, records, features_by_kind, cv_cache=cv_cache)[0]]
-                except (ValueError, KeyError) as exc:
-                    error = exc
-            if error is not None:
+            point_cfg = cfg  # the error row's protocol while the point's config is unparsed
+            try:
+                point_cfg = RunConfig.from_dict({**cfg.to_dict(), **point})
+                features_by_kind = {}
+                for kind in point_cfg.eval_features:
+                    key = (kind, feature_fingerprint(point_cfg, kind))
+                    if key not in extracted:
+                        extracted[key] = _row_matrix(len(records), (
+                            (feature.values, f"{kind} feature of {r.subject_id}/{r.sample_id}")
+                            for r, feature in extract_samples(pre_root, records, kind,
+                                                              point_cfg)))
+                    features_by_kind[kind] = extracted[key]
+                rows = [_row_fields(row) for row in evaluate_features(
+                    point_cfg, records, features_by_kind, cv_cache=cv_cache)[0]]
+            except SampleFileError:
+                raise  # no row: a rerun starts again at this point
+            except (ValueError, KeyError) as exc:
                 n_failed += 1
                 where = " ".join(f"{k}={point[k]}" for k in grid_keys)
-                print(f"sweep point {where} failed: {error}", file=sys.stderr)
-                protocol = (point_cfg if isinstance(point_cfg, RunConfig) else cfg).protocol
-                rows = [["-", "error", protocol, "nan", "nan"]]
+                print(f"sweep point {where} failed: {exc}", file=sys.stderr)
+                rows = [["-", "error", point_cfg.protocol, "nan", "nan"]]
             writer.writerows(values + row for row in rows)
             fh.flush()
 

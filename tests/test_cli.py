@@ -106,6 +106,14 @@ def _clouds_dir(root, record) -> Path:
     return Path(root) / record.subject_id / record.sample_id / "clouds"
 
 
+def _onset_apex(record):
+    return sorted({record.onset, record.apex})
+
+
+def _onset_to_offset(record):
+    return list(range(record.onset, record.offset + 1))
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth + preprocess + extract, shared by the read-only CLI tests."""
@@ -455,6 +463,29 @@ class TestSynthAndPreprocess:
         assert capsys.readouterr().err == \
             f"data error: missing {pre / 'manifest.json'}: run preprocess first\n"
 
+    def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
+            n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=6))
+        cmd_synth(cfg)
+        assert cmd_preprocess(cfg) == EXIT_OK
+        pre = Path(cfg.out_dir) / "preprocessed"
+        whole = (pre / "manifest.json").read_bytes()
+        real = Path.write_text
+
+        def torn(self, text, *args, **kwargs):
+            if not self.name.startswith(".manifest.json."):
+                return real(self, text, *args, **kwargs)
+            real(self, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn)
+        with pytest.raises(OSError, match="no space left"):
+            cmd_preprocess(cfg)
+        assert not [p.name for p in pre.iterdir() if "manifest" in p.name]
+        monkeypatch.undo()
+        assert cmd_preprocess(cfg) == EXIT_OK
+        assert (pre / "manifest.json").read_bytes() == whole
+
 
 class TestExtract:
     def test_2d_reads_only_frames(self, pipeline, tmp_path, monkeypatch):
@@ -667,28 +698,21 @@ class TestEval:
         details = json.loads((Path(pipeline.out_dir) / "eval_details.json").read_text())
         assert len(details["per_kind"]["2d"]["per_fold"]) == 3  # one per subject
 
-    def test_perfect_stub_scores_one(self, pipeline):
+    def test_perfect_stub_scores_one(self, pipeline, monkeypatch):
         from microexp.dataset import load_index
 
         pre = Path(pipeline.out_dir) / "preprocessed"
         records = load_index(pre / "index.csv")
         labels = [r.objective_label.value for r in records]
 
-        def train_fn_factory():
-            def fn(features, lab):
-                return _StubModel(features, lab)
-            return fn
-
         # stub that memorizes the whole dataset: accuracy must be 1.0
         from microexp.cli import load_features, evaluate_features
         feats = {k: load_features(pipeline, k, records) for k in pipeline.eval_features}
         full_stub = _StubModel(feats["2d"], labels)
-
-        def train_fn(f, l):
-            return full_stub
+        monkeypatch.setattr(learn, "train", lambda f, l: full_stub)
 
         cfg = replace(pipeline, eval_features=("2d",), fusion_sweep=False)
-        rows, _ = evaluate_features(cfg, records, {"2d": feats["2d"]}, train_fn=train_fn)
+        rows, _ = evaluate_features(cfg, records, {"2d": feats["2d"]})
         assert rows[0]["accuracy"] == 1.0
 
     def test_missing_features_named(self, pipeline):
@@ -821,6 +845,20 @@ class TestEval:
         assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
         assert capsys.readouterr().err == (f"data error: missing {out}/preprocessed/"
                                            "manifest.json: run preprocess first\n")
+
+    def test_missing_index_under_manifest_named(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        for part in ("preprocessed", "features"):
+            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
+        (out / "preprocessed" / "index.csv").unlink()
+        cfg_path = tmp_path / "run.cfg"
+        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
+        for argv in (["extract", "--kind", "2d"], ["eval"]):
+            assert main([*argv, "--config", str(cfg_path)]) == EXIT_DATA
+            assert capsys.readouterr().err == (f"data error: missing {out}/preprocessed/"
+                                               "index.csv: run preprocess again\n")
+        assert (out / "features" / "2d").exists()
+        assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize("kind, source", [("3d-hk", "3d-si"), ("2d", "3d-si"),
                                               ("3d-si", "2d")])
@@ -1056,12 +1094,13 @@ class TestSweep:
         assert (Path(cfg.out_dir) / "sweep.csv").read_text().splitlines() == want
 
     @pytest.mark.parametrize("line, kinds, used", [
-        ("curv.radius=0.02|0.025", ("2d", "3d-si"), lambda r: {r.onset, r.apex}),
-        ("curv.frames=onset-apex|all", ("3d-si",), lambda r: range(r.onset, r.offset + 1)),
-        ("lbp.overlap=0|1", ("2d",), lambda r: ()),
+        ("curv.radius=0.02|0.025", ("2d", "3d-si"), [_onset_apex, _onset_apex]),
+        ("curv.frames=onset-apex|all", ("3d-si",), [_onset_apex, _onset_to_offset]),
+        ("lbp.overlap=0|1", ("2d",), []),
     ], ids=["radius", "frames", "2d-only"])
     def test_reads_each_cloud_its_points_use_once(self, pipeline, tmp_path, monkeypatch,
                                                   line, kinds, used):
+        # Each distinct feature reads the clouds its kind uses, record by record.
         grid = tmp_path / "grid.txt"
         grid.write_text(line + "\n", encoding="utf-8")
         cfg = replace(pipeline, out_dir=str(tmp_path / "sweep_out"), eval_features=kinds,
@@ -1070,8 +1109,8 @@ class TestSweep:
         shutil.copytree(Path(pipeline.out_dir) / "preprocessed", pre)
         reads = _record_ply_reads(monkeypatch)
         assert cmd_sweep(cfg, grid) == EXIT_OK
-        assert reads == [fileio.cloud_path(_clouds_dir(pre, r), t)
-                         for r in dataset.load_index(pre / "index.csv") for t in sorted(used(r))]
+        assert reads == [fileio.cloud_path(_clouds_dir(pre, r), t) for frames in used
+                         for r in dataset.load_index(pre / "index.csv") for t in frames(r)]
 
     def test_damaged_cloud_at_used_frame_exit_data(self, pipeline, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1084,9 +1123,79 @@ class TestSweep:
         grid = tmp_path / "grid.txt"
         grid.write_text("curv.radius=0.02|0.025\n", encoding="utf-8")
         assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid)]) == EXIT_DATA
-        assert capsys.readouterr().err == (f"data error: sweep {record.subject_id}/"
+        assert capsys.readouterr().err == (f"data error: extract 3d-si {record.subject_id}/"
                                            f"{record.sample_id}: {damaged}: not a PLY file\n")
-        assert not (out / "sweep.csv").exists()
+        assert (out / "sweep.csv").read_text().splitlines() == [
+            "curv.radius,radius,features,protocol,accuracy,f1"]
+
+    def test_unreadable_sample_keeps_finished_points(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        record = dataset.load_index(out / "preprocessed" / "index.csv")[0]
+        # A frame that curv.frames=all reads and onset-apex does not.
+        frame = min(set(_onset_to_offset(record)) - set(_onset_apex(record)))
+        damaged = fileio.cloud_path(_clouds_dir(out / "preprocessed", record), frame)
+        good = damaged.read_bytes()
+        damaged.write_text("damaged", encoding="utf-8")
+        cfg_path = tmp_path / "run.cfg"
+        replace(pipeline, out_dir=str(out), eval_features=("3d-si",),
+                landmark_subset=(0, 1, 2, 3)).to_file(cfg_path)
+        grid = tmp_path / "grid.txt"
+        grid.write_text("curv.frames=onset-apex|all\n", encoding="utf-8")
+        argv = ["sweep", "--config", str(cfg_path), "--grid", str(grid)]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: extract 3d-si {record.subject_id}/"
+                                           f"{record.sample_id}: {damaged}: not a PLY file\n")
+        first = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:3] for line in first] == [
+            ["curv.frames", "radius", "features"], ["onset-apex", "0.02", "3d-si"]]
+        # Mended, the rerun resumes after the finished point.
+        damaged.write_bytes(good)
+        assert main(argv) == EXIT_OK
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[:2] == first and [line.split(",")[:3] for line in lines[2:]] == [
+            ["all", "0.02", "3d-si"]]
+
+    def test_failed_store_write_exit_data(self, pipeline, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        cfg_path = tmp_path / "run.cfg"
+        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
+        grid = tmp_path / "grid.txt"
+        grid.write_text("curv.radius=0.02|0.025\n", encoding="utf-8")
+        real = fileio.write_atomic
+
+        def disk_full(path, data):
+            if Path(path).suffix == ".npy":
+                raise OSError("no space left on device")
+            return real(path, data)
+
+        # A fault of the disk, not of the point: no error row, so a rerun retries it.
+        monkeypatch.setattr(fileio, "write_atomic", disk_full)
+        assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid)]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "data error: extract 3d-si 01/1_1: no space left on device\n"
+        assert (out / "sweep.csv").read_text().splitlines() == [
+            "curv.radius,radius,features,protocol,accuracy,f1"]
+
+    def test_failing_extraction_names_the_sample(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        cfg_path = tmp_path / "run.cfg"
+        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
+        grid = tmp_path / "grid.txt"
+        # Regions of at most a vertex or two: the first sample's first landmark fails.
+        grid.write_text("curv.region_radius=0.02|0.0001\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid)]) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert re.match(r"sweep point curv.region_radius=0.0001 failed: extract 3d-si 01/1_1: "
+                        r"landmark 0 \(frame \d+\): landmark region at \[.*\] has \d points, "
+                        r"need >= 10$", err)
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:3] for line in lines] == [
+            ["curv.region_radius", "radius", "features"], ["0.02", "-", "2d"],
+            ["0.02", "0.02", "3d-si"], ["0.02", "0.02", "2d+3d-si"],
+            ["0.0001", "-", "error"]]
 
     @pytest.mark.parametrize("cut", ["last-row", "inside-last-point", "first-point", "header"])
     def test_torn_last_line_rerun_matches_uninterrupted_run(self, pipeline, tmp_path, cut):
