@@ -264,11 +264,15 @@ def write_feature_csv(path, feature: FeatureVector) -> None:
 
 def read_feature_csv(path) -> FeatureVector:
     text = Path(path).read_text(encoding="utf-8").strip()
-    parts = text.split(",")
-    if len(parts) < 3:
+    parts = text.split(",", 2)
+    if len(parts) < 3 or not parts[2]:
         raise ValueError(f"{path}: not a feature CSV row")
-    return FeatureVector(np.array(list(map(float, parts[2:]))),
-                         tag=parts[0], fingerprint=parts[1])
+    try:
+        # Parsed in C; comments=None, so '#' is no comment but a bad cell.
+        values = np.loadtxt([parts[2]], delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: non-numeric feature value ({exc})") from None
+    return FeatureVector(values, tag=parts[0], fingerprint=parts[1])
 
 
 # --- flat config ----------------------------------------------------------

@@ -21,6 +21,10 @@ from .lbptop import FeatureVector
 # The paper's sweep of the fusion weight a.
 FUSION_WEIGHTS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
+# Columns per block of the training matrix: ``train`` standardizes one block
+# at a time, so no ``(n_train, d)`` array is made.
+_COLUMN_BLOCK = 2048
+
 
 def _check_simplex(probs: np.ndarray, where: str = "") -> None:
     """Raise ValueError, its message prefixed by ``where``, unless every vector
@@ -72,7 +76,9 @@ class LogisticModel:
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise ValueError(f"feature length {x.shape[-1]} of the (n, d) matrix does not "
                              f"match the model ({self.n_features})")
-        return _softmax(((x - self.mean) / self.scale) @ self.weights + self.bias)
+        xs = x - self.mean  # divided in place: one (n, d) temporary fewer
+        xs /= self.scale
+        return _softmax(xs @ self.weights + self.bias)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -80,40 +86,68 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def train(features, labels, l2: float = 1e-3, max_iter: int = 500) -> LogisticModel:
-    """Fit the multinomial logistic classifier to the exact optimum of the
-    mean cross-entropy plus ``0.5 * l2 * ||W||^2`` (bias unpenalized).
+def _column_blocks(d: int) -> list[slice]:
+    """Slices of at most ``_COLUMN_BLOCK`` columns covering ``range(d)``, a
+    trailing one-column block merged into the one before it.
+
+    numpy reduces a C-ordered block of two or more columns along axis 0 row
+    by row, as it does the whole matrix, so a block's mean and std carry the
+    bits of the whole matrix's; a one-column block is summed pairwise instead.
+    """
+    starts = list(range(0, d, _COLUMN_BLOCK))
+    if len(starts) > 1 and d - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [d])]
+
+
+def train(features, labels, l2: float = 1e-3, max_iter: int = 500,
+          rows=None) -> LogisticModel:
+    """Fit the multinomial logistic classifier to rows ``rows`` of ``features``
+    (default: all; ``labels`` has one entry per row of ``features``) at the
+    exact optimum of the mean cross-entropy plus ``0.5 * l2 * ||W||^2`` (bias
+    unpenalized).
 
     The penalized optimum has ``W = Xs^T A`` for the standardized training
     matrix ``Xs``, so the fit is solved in the r <= min(n, d) coordinates
     ``Phi = U sqrt(lam)`` of the Gram matrix ``Xs Xs^T = U lam U^T``, where
     ``Xs W = Phi beta`` and ``||W|| = ||beta||``. Damped Newton from zero over
-    ``(r + 1) * C`` parameters, then ``W = Xs^T U lam^(-1/2) beta``. The
-    mean-loss form makes it insensitive to duplicating every training point;
-    ``max_iter`` caps the Newton iterations.
+    ``(r + 1) * C`` parameters, then ``W = Xs^T U lam^(-1/2) beta``. ``Xs`` is
+    never formed whole: each block of columns is copied, standardized and
+    added to the Gram matrix, and standardized again for its rows of ``W``.
+    The mean-loss form makes it insensitive to duplicating every training
+    point; ``max_iter`` caps the Newton iterations.
     """
     x = _as_matrix(features)
     labels = [str(l) for l in labels]
     if len(labels) != x.shape[0]:
         raise ValueError("one label per feature row required")
+    rows = np.arange(x.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+    labels = [labels[i] for i in rows]
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise ValueError(f"training needs at least 2 classes, got {classes}")
 
     class_index = {c: i for i, c in enumerate(classes)}
     y = np.array([class_index[l] for l in labels])
-    n, d = x.shape
+    n, d = len(rows), x.shape[1]
     c = len(classes)
 
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    xs = x - mean  # divided in place: one (n, d) temporary fewer
-    xs /= scale
+    col_blocks = _column_blocks(d)
+    mean, scale = np.empty(d), np.empty(d)
+    gram = np.zeros((n, n))
+    for cols in col_blocks:
+        xb = x[rows, cols]
+        mean[cols] = xb.mean(axis=0)
+        std = xb.std(axis=0)
+        std[std == 0.0] = 1.0
+        scale[cols] = std
+        xb -= mean[cols]
+        xb /= scale[cols]
+        gram += xb @ xb.T
 
     # Row-space coordinates; eigenvalues at round-off level of the largest
     # carry no direction (duplicated rows, the centred ones vector).
-    lam, u = np.linalg.eigh(xs @ xs.T)
+    lam, u = np.linalg.eigh(gram)
     keep = lam > lam[-1] * max(n, d) * np.finfo(float).eps
     lam, u = lam[keep], u[:, keep]
     r = lam.shape[0]
@@ -165,7 +199,13 @@ def train(features, labels, l2: float = 1e-3, max_iter: int = 500) -> LogisticMo
             break  # no further decrease representable
         theta, loss = theta + t * step, trial
 
-    weights = xs.T @ ((u / np.sqrt(lam)) @ theta[:r])
+    coef = (u / np.sqrt(lam)) @ theta[:r]
+    weights = np.empty((d, c))
+    for cols in col_blocks:
+        xb = x[rows, cols]
+        xb -= mean[cols]
+        xb /= scale[cols]
+        weights[cols] = xb.T @ coef
     return LogisticModel(classes=classes, weights=weights, bias=theta[r],
                          mean=mean, scale=scale)
 
@@ -259,7 +299,8 @@ def cross_val_proba(features, labels, folds, train_fn=None):
 
     ``folds`` is a list of (train indices, test indices) covering each
     sample exactly once on the test side; each fold's model is
-    ``train_fn(features, labels)`` of its training rows (default ``train``).
+    ``train_fn(x, labels, rows=train_idx)`` for the whole ``(n, d)`` matrix
+    ``x`` and all labels (default ``train``), which fits rows ``train_idx``.
     Returns (proba, per_fold_accuracies): ``proba`` is an ``(n, C)`` array
     whose columns are the sorted label set (zero for classes a fold's model
     never saw).
@@ -273,7 +314,7 @@ def cross_val_proba(features, labels, folds, train_fn=None):
     proba = np.full((len(labels), len(classes)), np.nan)  # NaN: no fold has tested the row
     per_fold = []
     for train_idx, test_idx in folds:
-        model = train_fn(x[train_idx], [labels[i] for i in train_idx])
+        model = train_fn(x, labels, rows=train_idx)
         block = np.asarray(model.predict_proba_matrix(x[test_idx]), dtype=np.float64)
         _check_simplex(block)
         model_classes = tuple(model.classes)
@@ -286,7 +327,7 @@ def cross_val_proba(features, labels, folds, train_fn=None):
             block = widened / widened.sum(axis=1, keepdims=True)
         proba[test_idx] = block
         correct = int(np.count_nonzero(block.argmax(axis=1) == y[test_idx]))
-        per_fold.append(correct / len(test_idx) if test_idx else 0.0)
+        per_fold.append(correct / len(test_idx) if len(test_idx) else 0.0)
 
     missing = np.flatnonzero(np.isnan(proba).any(axis=1))
     if missing.size:

@@ -709,7 +709,7 @@ class TestEval:
         from microexp.cli import load_features, evaluate_features
         feats = {k: load_features(pipeline, k, records) for k in pipeline.eval_features}
         full_stub = _StubModel(feats["2d"], labels)
-        monkeypatch.setattr(learn, "train", lambda f, l: full_stub)
+        monkeypatch.setattr(learn, "train", lambda f, l, rows: full_stub)
 
         cfg = replace(pipeline, eval_features=("2d",), fusion_sweep=False)
         rows, _ = evaluate_features(cfg, records, {"2d": feats["2d"]})

@@ -224,6 +224,19 @@ class TestMalformedRows:
         with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ") + ".*" + message):
             fileio.read_landmarks(path, dims=3)
 
+    @pytest.mark.parametrize("row, message", [
+        ("t,fp,0.5,abc,0.25\n", "non-numeric feature value"),
+        ("t,fp,0.5,,0.25\n", "non-numeric feature value"),
+        ("t,fp,0.5,0.25#1\n", "non-numeric feature value"),
+        ("t,fp,0.5\n0.25\n", "non-numeric feature value"),
+        ("t,fp,\n", "not a feature CSV row"),
+    ])
+    def test_feature_rows(self, tmp_path, row, message):
+        path = tmp_path / "s1_1.csv"
+        path.write_text(row)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            fileio.read_feature_csv(path)
+
     @pytest.mark.parametrize("rows, line, message", [
         ("1 2 3\n1 2\n", 9, "vertex row needs x y z"),
         ("1 2 3\n\n", 9, "vertex row needs x y z"),

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,39 @@ TRAIN_CASES = {
     "tall_5_classes": lambda: _classes(10, 8, 5, seed=4),
     "duplicated_rows": _duplicated_rows,
 }
+
+
+class TestTrainRows:
+    # One column block (2049: the trailing column is merged into it), two
+    # blocks (4097: the second is 2049 wide) and the LBP-TOP length (10).
+    @pytest.mark.parametrize("d", [5, 2048, 2049, 4097, 19_200])
+    def test_rows_fit_is_bit_identical_to_fit_of_row_copy(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((40, d))
+        x[:, [0, d // 2]] = 2.5  # constant columns, scaled by 1
+        y = [f"k{i % 3}" for i in range(40)]
+        rows = rng.permutation(40)[:33]
+        fit = train(x, y, rows=rows)
+        ref = train(x[rows], [y[i] for i in rows])
+        for name in ("weights", "bias", "mean", "scale"):
+            assert np.array_equal(getattr(fit, name), getattr(ref, name)), name
+        std = x[rows].std(axis=0)
+        std[std == 0.0] = 1.0
+        assert np.array_equal(fit.mean, x[rows].mean(axis=0))
+        assert np.array_equal(fit.scale, std)
+
+    def test_cross_val_peak_memory_bounded(self):
+        # No (n_train, d) copy per fold: what is held beyond the matrix is
+        # one column block, the test rows and the model.
+        tracemalloc.start()
+        try:
+            x = np.random.default_rng(0).standard_normal((40, 20_000))
+            y = [f"k{i % 4}" for i in range(40)]
+            cross_val_proba(x, y, loso_split([i // 5 for i in range(40)]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * x.nbytes
 
 
 class TestTrainOptimum:
@@ -278,8 +312,8 @@ class TestCrossValProba:
         folds = [([0, 2, 3, 5, 6, 7], [1, 4]), ([1, 2, 3, 4, 5, 6, 7], [0])] + \
             [([i for i in range(8) if i != j], [j]) for j in (2, 3, 5, 6, 7)]
 
-        def train_fn(features, labels):
-            classes = sorted(set(labels))
+        def train_fn(features, labels, rows):
+            classes = sorted({labels[i] for i in rows})
             row = [0.6, 0.4] if classes == ["a", "c"] else [0.2, 0.3, 0.5]
             return _FixedModel(classes, row)
 
@@ -296,7 +330,7 @@ class TestCrossValProba:
         folds = loso_split([i % 2 for i in range(len(y))])
         with pytest.raises(ValueError, match="probabilities"):
             cross_val_proba(x, y, folds,
-                            train_fn=lambda f, l: _FixedModel(("neg", "pos"), row))
+                            train_fn=lambda f, l, rows: _FixedModel(("neg", "pos"), row))
 
     def test_uncovered_samples_rejected(self):
         x, y = _blobs(n_per=4)
@@ -310,7 +344,19 @@ class TestCrossValProba:
         folds = loso_split([i % 2 for i in range(len(y))])
         with pytest.raises(ValueError, match="label set"):
             cross_val_proba(x, y, folds,
-                            train_fn=lambda f, l: _FixedModel(("neg", "zzz"), [0.5, 0.5]))
+                            train_fn=lambda f, l, rows: _FixedModel(("neg", "zzz"), [0.5, 0.5]))
+
+    def test_array_folds_scored_like_list_folds(self):
+        x, y = _blobs(n_per=4, seed=1)
+        one_out = [([i for i in range(8) if i != j], [j]) for j in range(8)]
+        halves = [([0, 1, 4, 5], [2, 3, 6, 7]), ([2, 3, 6, 7], [0, 1, 4, 5])]
+        for folds in (one_out, halves):
+            proba, per_fold = cross_val_proba(x, y, folds)
+            assert per_fold == [1.0] * len(folds)
+            arrays = [(np.array(train_idx), np.array(test_idx)) for train_idx, test_idx in folds]
+            got_proba, got_per_fold = cross_val_proba(x, y, arrays)
+            assert np.array_equal(got_proba, proba)
+            assert got_per_fold == per_fold
 
     def test_batched_rows_match_one_row_predictions(self):
         x, y = _blobs(n_per=6, seed=3)
@@ -326,7 +372,7 @@ class TestCrossValProba:
 def _perfect_train_fn(all_features, all_labels):
     lookup = _PerfectModel(all_features, all_labels)
 
-    def fn(features, labels):
+    def fn(features, labels, rows):
         return lookup
 
     return fn
