@@ -288,14 +288,6 @@ def write_sample_tree(root, record: SampleRecord, sample: SampleData) -> None:
         fileio.write_landmarks(d / "landmarks3d.csv", sample.landmarks3d, dims=3)
 
 
-def write_dataset_tree(root, records, samples) -> None:
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    dataset.save_index(records, root / "index.csv")
-    for record, sample in zip(records, samples):
-        write_sample_tree(root, record, sample)
-
-
 def cloud_frames(kind: str, cfg: RunConfig, record: SampleRecord) -> frozenset[int]:
     """The frames whose clouds ``kind``'s feature of ``record`` uses under
     ``cfg``: none for 2d, the curvature frames for a 3-d kind."""
@@ -560,9 +552,8 @@ def load_features(cfg: RunConfig, kind: str, records) -> np.ndarray:
                                 f"{record.subject_id}/{record.sample_id}: run extract first")
             try:
                 feature = fileio.read_feature_csv(path)
-            except ValueError as exc:
-                raise DataError(f"damaged feature file {path} ({exc}): "
-                                "run extract again") from exc
+            except ValueError as exc:  # its message starts with the path
+                raise DataError(f"damaged feature file {exc}: run extract again") from exc
             if (feature.tag, feature.fingerprint) != want:
                 raise DataError(f"{path}: feature {feature.tag},{feature.fingerprint} does not "
                                 f"match the config ({','.join(want)}); run extract again")
@@ -783,8 +774,20 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
 # --- synth / reliability --------------------------------------------------------
 
 def cmd_synth(cfg: RunConfig) -> int:
-    records, samples = make_dataset(cfg.synth)
-    write_dataset_tree(cfg.dataset_root, records, samples)
+    # One subject is generated and written at a time, and the index last: a
+    # run that stops halfway leaves no index, which preprocess refuses, not
+    # an index naming samples that were never written.
+    root = Path(cfg.dataset_root)
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "index.csv").unlink(missing_ok=True)
+    records = []
+    for s in range(cfg.synth.n_subjects):
+        subject_records, samples = make_dataset(cfg.synth, subject=s)
+        for record, sample in zip(subject_records, samples):
+            write_sample_tree(root, record, sample)
+        del samples, sample  # not alive while the next subject is generated
+        records += subject_records
+    dataset.save_index(records, root / "index.csv")
     return EXIT_OK
 
 

@@ -136,10 +136,15 @@ class SampleData:
 
 
 def load_index(path) -> list[SampleRecord]:
-    """Read the annotation index CSV into SampleRecords, order preserved."""
+    """Read the annotation index CSV into SampleRecords, order preserved. A
+    malformed index, or one that is not UTF-8, raises an IndexFormatError
+    whose message starts with the path."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
-        return read_index(fh)
+        try:
+            return read_index(fh)
+        except (IndexFormatError, UnicodeDecodeError) as exc:
+            raise IndexFormatError(f"{path}: {exc}") from None
 
 
 def read_index(fh) -> list[SampleRecord]:

@@ -255,23 +255,37 @@ def write_atomic(path, data: str | bytes) -> None:
         raise
 
 
+# Values formatted at a time by write_feature_csv: the repr strings of one
+# chunk, not of the whole 19 200-value LBP-TOP row, are alive at once.
+_FEATURE_CHUNK = 1024
+
+
 def write_feature_csv(path, feature: FeatureVector) -> None:
     """One CSV row: tag,config_fingerprint,v0,v1,... (values as float64 repr),
     written atomically (``write_atomic``)."""
-    values = ",".join(map(repr, feature.values.tolist()))
-    write_atomic(path, f"{feature.tag},{feature.fingerprint},{values}\n")
+    values = feature.values
+    chunks = (",".join(map(repr, values[i:i + _FEATURE_CHUNK].tolist()))
+              for i in range(0, len(values), _FEATURE_CHUNK))
+    write_atomic(path, f"{feature.tag},{feature.fingerprint},{','.join(chunks)}\n")
 
 
 def read_feature_csv(path) -> FeatureVector:
-    text = Path(path).read_text(encoding="utf-8").strip()
-    parts = text.split(",", 2)
+    """The feature row of ``path``; a ValueError's message starts with the path."""
+    try:
+        return _parse_feature_row(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_feature_row(text: str) -> FeatureVector:
+    parts = text.strip().split(",", 2)
     if len(parts) < 3 or not parts[2]:
-        raise ValueError(f"{path}: not a feature CSV row")
+        raise ValueError("not a feature CSV row")
     try:
         # Parsed in C; comments=None, so '#' is no comment but a bad cell.
         values = np.loadtxt([parts[2]], delimiter=",", comments=None, ndmin=1)
     except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric feature value ({exc})") from None
+        raise ValueError(f"non-numeric feature value ({exc})") from None
     return FeatureVector(values, tag=parts[0], fingerprint=parts[1])
 
 

@@ -116,12 +116,22 @@ class FaceGeometry:
     bumps: tuple[tuple[float, float, float, float], ...] = ()  # (bx, by, amp, width)
     domain_margin: float = 0.2  # keep 1 - (x/a)^2 - (y/b)^2 >= margin (avoids the rim)
 
-    def height_and_derivs(self, x, y):
-        """z, z_x, z_y, z_xx, z_xy, z_yy of the face height field."""
+    def height(self, x, y):
+        """z of the face height field."""
         a, b, c = self.axes
-        g = 1.0 - (x / a) ** 2 - (y / b) ** 2
-        s = np.sqrt(np.clip(g, 1e-12, None))
+        s = np.sqrt(np.clip(1.0 - (x / a) ** 2 - (y / b) ** 2, 1e-12, None))
         z = self.z_front + c * (1.0 - s)
+        for bx, by, amp, w in self.bumps:
+            dx, dy = x - bx, y - by
+            z = z - amp * np.exp(-(dx * dx + dy * dy) / (2.0 * w * w))
+        return z
+
+    def height_and_derivs(self, x, y):
+        """z, z_x, z_y, z_xx, z_xy, z_yy of the face height field; z is
+        ``height(x, y)``."""
+        a, b, c = self.axes
+        s = np.sqrt(np.clip(1.0 - (x / a) ** 2 - (y / b) ** 2, 1e-12, None))
+        z = self.height(x, y)
         zx = c * x / (a * a * s)
         zy = c * y / (b * b * s)
         zxx = (c / (a * a)) * (1.0 / s + x * x / (a * a * s ** 3))
@@ -130,16 +140,12 @@ class FaceGeometry:
         for bx, by, amp, w in self.bumps:
             dx, dy = x - bx, y - by
             e = amp * np.exp(-(dx * dx + dy * dy) / (2.0 * w * w))
-            z = z - e
             zx = zx + e * dx / (w * w)
             zy = zy + e * dy / (w * w)
             zxx = zxx + e * (1.0 - dx * dx / (w * w)) / (w * w)
             zyy = zyy + e * (1.0 - dy * dy / (w * w)) / (w * w)
             zxy = zxy - e * dx * dy / (w ** 4)
         return z, zx, zy, zxx, zxy, zyy
-
-    def height(self, x, y):
-        return self.height_and_derivs(x, y)[0]
 
     def principal_curvatures(self, x, y) -> np.ndarray:
         """Exact (p_min, p_max) with the normal oriented toward the sensor."""
@@ -341,9 +347,21 @@ def _render_frame(height: int, width: int, blob_xy, rng: np.random.Generator,
     return np.clip(np.rint(img), 0, 255).astype(np.uint8)
 
 
-def make_dataset(spec: SynthSpec):
+def make_dataset(spec: SynthSpec, subject: int | None = None):
     """Generate (records, samples) with class signal in the 2-d stream, the
-    3-d stream, or both, per ``spec.signal``. Deterministic given the seed."""
+    3-d stream, or both, per ``spec.signal``. Deterministic given the seed.
+
+    ``subject=None`` returns every subject. ``subject=s`` returns subject
+    ``s``'s samples alone, bit-identical to their slice of the whole
+    dataset: each subject draws from its own child of the seed. A subject
+    outside ``0 .. n_subjects - 1`` is a ValueError.
+    """
+    if subject is None:
+        subjects = range(spec.n_subjects)
+    elif 0 <= subject < spec.n_subjects:
+        subjects = (subject,)
+    else:
+        raise ValueError(f"subject must lie in 0..{spec.n_subjects - 1}, got {subject}")
     root_seq = np.random.SeedSequence(spec.seed)
     subject_seqs = root_seq.spawn(spec.n_subjects)
 
@@ -354,7 +372,7 @@ def make_dataset(spec: SynthSpec):
     records: list[SampleRecord] = []
     samples: list[SampleData] = []
 
-    for s in range(spec.n_subjects):
+    for s in subjects:
         subj_rng = np.random.default_rng(subject_seqs[s])
         axes = (0.065 * (1.0 + 0.04 * subj_rng.uniform(-1, 1)),
                 0.090 * (1.0 + 0.04 * subj_rng.uniform(-1, 1)),

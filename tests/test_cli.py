@@ -3,6 +3,7 @@ import json
 import re
 import shutil
 import threading
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from microexp.cli import (CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_US
                           preprocess_sample, read_sample_tree, stage_fingerprint)
 from microexp.curvature3d import CurvatureConfig
 from microexp.lbptop import LbpTopConfig
-from microexp.synth import SynthSpec
+from microexp.synth import SynthSpec, make_dataset
 
 
 def _pipeline_cfg(base_dir: Path, **overrides) -> RunConfig:
@@ -436,6 +437,70 @@ class TestSynthAndPreprocess:
         assert manifest["samples"] == {"01/1_1": f"skipped: missing cloud file: {missing}",
                                        "01/1_2": "ok", "02/2_1": "ok", "02/2_2": "ok"}
 
+    def test_synth_tree_is_the_whole_dataset_written(self, tmp_path):
+        cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
+            n_subjects=3, samples_per_subject=2, n_points=700, signal="both", seed=6))
+        assert cmd_synth(cfg) == EXIT_OK
+        whole = tmp_path / "whole"
+        records, samples = make_dataset(cfg.synth)
+        for record, sample in zip(records, samples):
+            cli.write_sample_tree(whole, record, sample)
+        dataset.save_index(records, whole / "index.csv")
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        written = files(Path(cfg.dataset_root))
+        assert len(written) == 1 + 6 * (2 * 9 + 2)  # index; per sample 9 frames, 9 clouds
+        assert written == files(whole)
+
+    @pytest.mark.parametrize("earlier_run", [False, True])
+    def test_interrupted_synth_leaves_no_index(self, tmp_path, monkeypatch, capsys,
+                                               earlier_run):
+        cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
+            n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=6))
+        index = Path(cfg.dataset_root) / "index.csv"
+        if earlier_run:
+            assert cmd_synth(cfg) == EXIT_OK
+            assert index.exists()
+        real, calls = cli.write_sample_tree, []
+
+        def fails_second(*args):
+            calls.append(args[1].sample_id)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "write_sample_tree", fails_second)
+        with pytest.raises(OSError, match="disk full"):
+            cmd_synth(cfg)
+        assert calls == ["1_1", "1_2"]
+        assert not index.exists()
+        cfg_path = tmp_path / "run.cfg"
+        cfg.to_file(cfg_path)
+        assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(index) in err
+
+    def test_synth_memory_is_bounded_by_one_subject(self, tmp_path):
+        spec = SynthSpec(n_subjects=4, samples_per_subject=2, n_points=700, signal="both",
+                         seed=6)
+        cfg = _pipeline_cfg(tmp_path, synth=spec)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert cmd_synth(cfg) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        array_bytes = sum(
+            s.video.data.nbytes + sum(c.points.nbytes for c in s.clouds)
+            + sum(m.nbytes for m in s.landmarks2d + s.landmarks3d)
+            for s in make_dataset(spec)[1])
+        # Holding all four subjects peaked at 1.13x their arrays; one subject
+        # at a time, at 0.36x.
+        assert peak < 0.6 * array_bytes
+
     def test_interrupted_run_leaves_no_index_or_manifest(self, tmp_path, monkeypatch, capsys):
         cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
             n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=6))
@@ -790,9 +855,11 @@ class TestEval:
         fileio.save_config(cfg_path, replace(pipeline, out_dir=str(out)).to_dict())
         assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: damaged feature file {damaged}")
+        assert err.startswith(f"data error: damaged feature file {damaged}: ")
+        assert err.count(str(damaged)) == 1
         assert err.rstrip().endswith("run extract again")
         assert not (out / "results.csv").exists()
+        assert not (out / "eval_details.json").exists()
 
     @pytest.mark.parametrize("fault", ["damaged_2d_file", "fusion.a=1.5"])
     def test_failed_eval_leaves_no_results(self, pipeline, tmp_path, capsys, fault):
@@ -1266,6 +1333,40 @@ class TestMainEntry:
     def test_usage_error_exit_code(self, capsys):
         assert main(["reliability"]) == EXIT_USAGE
         assert main(["no-such-command"]) == EXIT_USAGE
+
+    BAD_INDEXES = {
+        "short row": (b"subject,sample,onset,apex,offset,aus,objective,nonobjective\n"
+                      b"01,1_1,0,4,8,6+12,Happiness,Positive\n"
+                      b"01,1_2,0,4,8,1+2,Surprise\n", "row 3: expected 8 columns, got 7"),
+        "bad header": (b"x,y\n", "bad index header ['x', 'y']"),
+        "empty": (b"", "index file is empty"),
+        "not utf-8": (b"subject,sample\xff\n", "'utf-8' codec can't decode byte 0xff in "
+                      "position 14: invalid start byte"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_INDEXES)
+    def test_malformed_data_index_named_once(self, tmp_path, capsys, case):
+        text, reason = self.BAD_INDEXES[case]
+        index = tmp_path / "data" / "index.csv"
+        index.parent.mkdir()
+        index.write_bytes(text)
+        assert main(["preprocess", "--root", str(index.parent),
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {index}: {reason}\n"
+
+    @pytest.mark.parametrize("command", [["extract", "--kind", "2d"], ["eval"]])
+    @pytest.mark.parametrize("case", BAD_INDEXES)
+    def test_malformed_preprocessed_index_named_once(self, pipeline, tmp_path, capsys,
+                                                     case, command):
+        text, reason = self.BAD_INDEXES[case]
+        out = tmp_path / "out"
+        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        index = out / "preprocessed" / "index.csv"
+        index.write_bytes(text)
+        cfg_path = tmp_path / "run.cfg"
+        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
+        assert main([*command, "--config", str(cfg_path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {index}: {reason}\n"
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         assert main(["preprocess", "--root", str(tmp_path / "nowhere"),

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,19 @@ class TestFeatureCsvAgainstOracle:
         assert (got.tag, got.fingerprint) == (want.tag, want.fingerprint)
         assert _same_bits(got.values, want.values)
 
+    # Around the 1024-value chunks of the writer, and one LBP-TOP row.
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049, 19200])
+    def test_writer_bytes_at_chunk_edges(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        fv = FeatureVector(values, tag="2d-lbptop", fingerprint="0123abcd")
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        fileio.write_feature_csv(fast, fv)
+        write_feature_csv_reference(slow, fv)
+        assert fast.read_bytes() == slow.read_bytes()
+        if n == 0:
+            assert fast.read_bytes() == b"2d-lbptop,0123abcd,\n"
+
 
 class TestMalformedRows:
     """Malformed rows fail with a ValueError naming the file and the line."""
@@ -230,6 +244,7 @@ class TestMalformedRows:
         ("t,fp,0.5,0.25#1\n", "non-numeric feature value"),
         ("t,fp,0.5\n0.25\n", "non-numeric feature value"),
         ("t,fp,\n", "not a feature CSV row"),
+        ("t,fp,0.5,nan\n", "feature values must be finite"),
     ])
     def test_feature_rows(self, tmp_path, row, message):
         path = tmp_path / "s1_1.csv"
@@ -308,6 +323,21 @@ class TestFeatures:
             fileio.write_feature_csv(path, fv)
         # Neither a torn file under the final name nor a temporary file is left.
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_writer_memory_is_bounded_by_chunks(self, tmp_path):
+        # One LBP-TOP row: formatting all 19 200 reprs at once peaked at 5.5x
+        # the row's length; one 1024-value chunk at a time, at 2.0x.
+        fv = FeatureVector(np.random.default_rng(0).standard_normal(19200), tag="2d-lbptop",
+                           fingerprint="0123abcd")
+        path = tmp_path / "f.csv"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fileio.write_feature_csv(path, fv)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * path.stat().st_size
 
 
 class TestConfig:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from microexp.dataset import objective_label, nonobjective_label, validate_duration
-from microexp.synth import (FaceGeometry, SynthSpec,
+from microexp.synth import (_CLASS_PRESETS, _DEFAULT_FACE_BUMPS, FaceGeometry, SynthSpec,
                             build_landmark_template, make_dataset, make_surface)
 
 
@@ -73,6 +76,17 @@ class TestFaceGeometry:
             assert zyy == pytest.approx(zyy_n, rel=1e-3, abs=1e-2)
             assert zxy == pytest.approx(zxy_n, rel=1e-3, abs=1e-2)
 
+    @given(xy=hnp.arrays(np.float64, st.tuples(st.integers(1, 50), st.just(2)),
+                         elements=st.floats(-0.08, 0.08)),
+           class_bumps=st.booleans())
+    def test_height_is_the_z_of_height_and_derivs(self, xy, class_bumps):
+        bumps = _DEFAULT_FACE_BUMPS + (tuple((bx, by, 0.008, 0.009)
+                                             for bx, by in _CLASS_PRESETS[0]["bump_at"])
+                                       if class_bumps else ())
+        geo = FaceGeometry(bumps=bumps)
+        z = geo.height(xy[:, 0], xy[:, 1])
+        assert z.tobytes() == geo.height_and_derivs(xy[:, 0], xy[:, 1])[0].tobytes()
+
     def test_nose_tip_is_global_minimum(self):
         geo = FaceGeometry(bumps=((0.0, 0.0, 0.012, 0.010),))
         tip = geo.nose_tip()
@@ -114,6 +128,29 @@ class TestMakeDataset:
                 assert np.array_equal(ca.points, cb.points)
             for la, lb in zip(a.landmarks3d, b.landmarks3d):
                 assert np.array_equal(la, lb)
+
+    @pytest.mark.parametrize("signal", ["2d", "3d", "both"])
+    def test_one_subject_is_its_slice_of_the_whole(self, signal):
+        spec = SynthSpec(n_subjects=3, samples_per_subject=2, n_points=400,
+                         signal=signal, seed=5)
+        records, samples = make_dataset(spec)
+        for s in range(spec.n_subjects):
+            part = slice(2 * s, 2 * s + 2)
+            sub_records, sub_samples = make_dataset(spec, subject=s)
+            assert sub_records == records[part]
+            for a, b in zip(sub_samples, samples[part], strict=True):
+                assert a.video.data.tobytes() == b.video.data.tobytes()
+                for name in ("landmarks2d", "landmarks3d"):
+                    assert [m.tobytes() for m in getattr(a, name)] == \
+                        [m.tobytes() for m in getattr(b, name)]
+                assert [c.points.tobytes() for c in a.clouds] == \
+                    [c.points.tobytes() for c in b.clouds]
+
+    @pytest.mark.parametrize("subject", [-1, 3])
+    def test_subject_outside_range_rejected(self, subject):
+        spec = SynthSpec(n_subjects=3, samples_per_subject=1, n_points=400)
+        with pytest.raises(ValueError, match="subject must lie in 0..2"):
+            make_dataset(spec, subject=subject)
 
     def test_different_seed_differs(self):
         a = make_dataset(SynthSpec(n_subjects=1, samples_per_subject=1,
