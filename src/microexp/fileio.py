@@ -255,8 +255,8 @@ def write_atomic(path, data: str | bytes) -> None:
         raise
 
 
-# Values formatted at a time by write_feature_csv: the repr strings of one
-# chunk, not of the whole 19 200-value LBP-TOP row, are alive at once.
+# write_feature_csv formats this many values at a time, so the repr strings
+# of one chunk, not of a whole 19 200-value LBP-TOP row, are alive at once.
 _FEATURE_CHUNK = 1024
 
 
