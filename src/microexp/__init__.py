@@ -7,18 +7,14 @@ shape index), probability-level fusion of ``(n, C)`` class-probability arrays,
 and LOSO / repeated stratified k-fold evaluation.
 """
 
-from .curvature3d import (CurvatureConfig, SurfaceType, hk_classify, landmark_local_histogram,
-                          load_landmark_subset, principal_curvatures, quantize_si,
-                          sequence_feature, shape_index)
-from .dataset import (DurationRule, MappingTable, NonObjectiveClass, ObjectiveClass,
-                      SampleData, SampleRecord, coder_reliability, load_index,
-                      nonobjective_label, objective_label, save_index,
-                      validate_duration)
+from .curvature3d import (CurvatureConfig, SurfaceType, hk_classify, load_landmark_subset,
+                          principal_curvatures, quantize_si, sequence_feature, shape_index)
+from .dataset import (MappingTable, NonObjectiveClass, ObjectiveClass, SampleData,
+                      SampleRecord, coder_reliability, load_index, nonobjective_label,
+                      objective_label, save_index)
 from .learn import (EvalResult, cross_val_runs, fuse, kfold_splits, loso_split, metrics,
-                    read_probabilities_csv, select_fusion_weight, train,
-                    write_probabilities_csv)
-from .lbptop import (FeatureVector, LbpTopConfig, lbp_code, lbp_top_histogram,
-                     mean_difference_weights)
+                    select_fusion_weight, train)
+from .lbptop import FeatureVector, LbpTopConfig, lbp_top_histogram, mean_difference_weights
 from .preprocess2d import (CropResult, FrameVolume, SimilarityTransform, crop_face,
                            estimate_alignment, warp_volume)
 from .preprocess3d import (IcpResult, PointCloudFrame, RigidTransform, denoise,

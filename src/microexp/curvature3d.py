@@ -14,7 +14,7 @@ import hashlib
 import inspect
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -25,7 +25,6 @@ from scipy.spatial import cKDTree
 
 from . import fileio
 from .lbptop import FeatureVector
-from .preprocess3d import PointCloudFrame
 
 # Default 32-of-49 landmark subset used for the local 3-d features, indices
 # into the 49-point markup (see synth.LANDMARK_LAYOUT): all 10 brow points,
@@ -414,28 +413,6 @@ def _frame_field(points, marks, config: CurvatureConfig, toward, store):
             path.parent.mkdir(parents=True, exist_ok=True)
             fileio.write_atomic(path, entry.getvalue())
     return (regions, union, *field)
-
-
-def landmark_local_histogram(cloud: PointCloudFrame, landmark, region_radius: float,
-                             kind: str, config: CurvatureConfig,
-                             toward=(0.0, 0.0, -1.0)) -> np.ndarray:
-    """Nine-bin curvature-feature frequencies over the spherical region
-    around one landmark, fitted as sequence_feature fits a frame
-    (_frame_field).
-
-    ``kind`` is "si" (quantized shape index) or "hk" (surface types in
-    SurfaceType order). Frequencies are counts divided by the number of
-    region vertices with a valid estimate, so the histogram sums to 1;
-    vertices whose fit fails (speckle, degenerate neighborhood) are dropped.
-    """
-    kind = kind.lower()
-    if kind not in ("si", "hk"):
-        raise ValueError(f"kind must be 'si' or 'hk', got {kind!r}")
-    config = replace(config, landmark_region_radius=region_radius)
-    lm = np.asarray(landmark, dtype=np.float64).reshape(1, 3)
-    _, _, p_min, p_max, valid = _frame_field(cloud.points, lm, config,
-                                             np.asarray(toward, dtype=np.float64), None)
-    return _region_histogram(lm[0], _vertex_bins(kind, p_min, p_max, config.zero_eps), valid)
 
 
 def curvature_frame_ids(record, frames: str = "onset-apex") -> list[int]:

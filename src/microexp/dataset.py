@@ -1,5 +1,5 @@
-"""Sample data model: annotation index, AU label taxonomies, duration rule,
-and inter-coder reliability.
+"""Sample data model: annotation index, AU label taxonomies and inter-coder
+reliability.
 
 The annotation index is a CSV file with header
 ``subject,sample,onset,apex,offset,aus,objective,nonobjective`` where the
@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import fileio
 from .preprocess2d import FrameVolume
 from .preprocess3d import PointCloudFrame
 
@@ -45,14 +46,6 @@ class NonObjectiveClass(str, Enum):
     NEGATIVE = "Negative"
     SURPRISE = "Surprise"
     OTHERS = "Others"
-
-
-@dataclass(frozen=True)
-class DurationRule:
-    """Micro-expression duration bounds, in milliseconds."""
-
-    max_total_ms: float = 500.0
-    max_onset_ms: float = 260.0
 
 
 def parse_aus(text: str) -> frozenset[int]:
@@ -185,7 +178,8 @@ def read_index(fh) -> list[SampleRecord]:
 
 
 def save_index(records, path) -> None:
-    """Write records back out in the index CSV format (UTF-8, LF endings)."""
+    """Write records back out in the index CSV format (UTF-8, LF endings),
+    atomically (``fileio.write_atomic``): an interrupted write leaves no short index."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(INDEX_HEADER)
@@ -194,19 +188,7 @@ def save_index(records, path) -> None:
             r.subject_id, r.sample_id, str(r.onset), str(r.apex), str(r.offset),
             format_aus(r.aus), r.objective_label.value, r.nonobjective_label.value,
         ])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
-
-
-def validate_duration(record: SampleRecord, frame_rate: float,
-                      rule: DurationRule = DurationRule()) -> bool:
-    """True iff the sample satisfies the micro-expression duration condition:
-    total duration under the total bound OR onset phase under the onset bound.
-    """
-    if not frame_rate > 0:
-        raise ValueError("frame rate must be positive")
-    total_s = (record.offset - record.onset) / frame_rate
-    onset_s = (record.apex - record.onset) / frame_rate
-    return total_s < rule.max_total_ms / 1000.0 or onset_s < rule.max_onset_ms / 1000.0
+    fileio.write_atomic(path, buf.getvalue())
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,15 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5) image with maxval 255."""
-    data = Path(path).read_bytes()
+    """Read a binary PGM (P5) image with maxval 255; a ValueError's message
+    starts with the path."""
+    try:
+        return _parse_pgm(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_pgm(data: bytes) -> np.ndarray:
     # Header: magic, width, height, maxval as whitespace-separated tokens,
     # with optional '#' comment lines; pixel data starts one byte after maxval.
     tokens = []
@@ -55,6 +62,9 @@ def read_pgm(path) -> np.ndarray:
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if maxval != 255:
         raise ValueError(f"only 8-bit PGM supported, got maxval {maxval}")
+    if len(data) - pos < h * w:
+        raise ValueError(f"pixel data of a {w} x {h} image needs {h * w} bytes, "
+                         f"found {max(len(data) - pos, 0)}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=pos)
     return pixels.reshape(h, w).copy()
 

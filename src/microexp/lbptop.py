@@ -52,11 +52,6 @@ class LbpTopConfig:
         object.__setattr__(self, "neighbors", tuple(int(p) for p in self.neighbors))
         object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
 
-    @property
-    def feature_length(self) -> int:
-        bx, by = self.blocks
-        return bx * by * sum(2 ** p for p in self.neighbors)
-
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -79,21 +74,6 @@ class FeatureVector:
 def _snap(value: float) -> float:
     rounded = round(value)
     return float(rounded) if abs(value - rounded) < _SNAP_EPS else value
-
-
-def lbp_code(image, x: int, y: int, p_count: int = 8, radius: int = 1) -> int:
-    """Circular LBP code of the pixel at (x, y) of a 2-d image: the one-center
-    XY-plane code that ``lbp_top_histogram`` counts."""
-    img = np.asarray(image)
-    if img.ndim != 2:
-        raise ValueError("image must be 2-d")
-    h, w = img.shape
-    if not (radius <= x <= w - 1 - radius and radius <= y <= h - 1 - radius):
-        raise ValueError(f"center ({x}, {y}) closer than radius {radius} to the border")
-    codes = _plane_codes(img.astype(np.float64)[None], np.array([0]), np.array([y]),
-                         np.array([x]), u_axis=2, v_axis=1, ru=radius, rv=radius,
-                         p_count=p_count)
-    return int(codes[0, 0, 0])
 
 
 def block_spans(extent: int, n_blocks: int, overlap: int) -> list[tuple[int, int]]:

@@ -12,7 +12,6 @@ two such arrays and ``select_fusion_weight`` scores it over a weight grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -26,15 +25,15 @@ FUSION_WEIGHTS = (0.1, 0.2, 0.3, 0.4, 0.5)
 _COLUMN_BLOCK = 2048
 
 
-def _check_simplex(probs: np.ndarray, where: str = "") -> None:
-    """Raise ValueError, its message prefixed by ``where``, unless every vector
-    along the last axis has no entry below -1e-12 or NaN and sums to 1 within 1e-9."""
+def _check_simplex(probs: np.ndarray) -> None:
+    """Raise ValueError unless every vector along the last axis has no entry
+    below -1e-12 or NaN and sums to 1 within 1e-9."""
     if not np.all(probs >= -1e-12):
-        raise ValueError(f"{where}probabilities must be non-negative and not NaN")
+        raise ValueError("probabilities must be non-negative and not NaN")
     sums = np.atleast_1d(probs.sum(axis=-1))
     bad = np.abs(sums - 1.0) > 1e-9
     if bad.any():
-        raise ValueError(f"{where}probabilities must sum to 1 within 1e-9, "
+        raise ValueError("probabilities must sum to 1 within 1e-9, "
                          f"got {float(sums[bad][0])!r}")
 
 
@@ -410,62 +409,3 @@ def select_fusion_weight(p1_runs, p2_runs, truths, weights=FUSION_WEIGHTS,
             best_a, best_result = a, result
     return best_a, best_result
 
-
-def write_probabilities_csv(path, sample_ids, proba, classes) -> None:
-    """Per-sample probability file: header ``sample_id,p_class0,...``, one row
-    per sample of the ``(n, C)`` array ``proba`` (each cell the ``repr`` of its
-    float), then a trailing ``# classes: ...`` line naming the columns."""
-    sample_ids, classes = list(sample_ids), tuple(classes)
-    proba = np.asarray(proba, dtype=np.float64)
-    if proba.shape != (len(sample_ids), len(classes)):
-        raise ValueError(f"probabilities of shape {proba.shape} do not match "
-                         f"{len(sample_ids)} sample ids and {len(classes)} classes")
-    _check_simplex(proba)
-    lines = ["sample_id," + ",".join(f"p_class{i}" for i in range(len(classes)))]
-    for sid, row in zip(sample_ids, proba):
-        lines.append(str(sid) + "," + ",".join(repr(float(p)) for p in row))
-    lines.append("# classes: " + ",".join(classes))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_probabilities_csv(path, classes) -> tuple[list[str], np.ndarray]:
-    """Read a per-sample probability file, e.g. from an external classifier.
-
-    ``classes`` names the p_class0... columns, in order; a ``# classes:`` line
-    in the file, which is optional, must name the same classes in the same
-    order. Every row must be a probability vector and every ``sample_id``
-    distinct. Returns ``(sample_ids, proba)`` in file order, ``proba`` an
-    ``(n, C)`` array.
-    """
-    classes = tuple(classes)
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("sample_id,"):
-        raise ValueError(f"{path}: expected header 'sample_id,p_class0,...'")
-    n_cols = len(lines[0].split(",")) - 1
-    if n_cols != len(classes):
-        raise ValueError(f"{path}: file has {n_cols} probability columns, "
-                         f"expected {len(classes)}")
-    first_line: dict[str, int] = {}
-    rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if line.startswith("# classes:"):
-            named = tuple(line[len("# classes:"):].strip().split(","))
-            if named != classes:
-                raise ValueError(f"{path} line {line_no}: file names classes {named}, "
-                                 f"expected {classes}")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != len(classes) + 1:
-            raise ValueError(f"{path} line {line_no}: wrong column count")
-        if parts[0] in first_line:
-            raise ValueError(f"{path} line {line_no}: sample_id {parts[0]!r} repeats "
-                             f"line {first_line[parts[0]]}")
-        first_line[parts[0]] = line_no
-        try:
-            rows.append(np.array([float(v) for v in parts[1:]]))
-        except ValueError as exc:
-            raise ValueError(f"{path} line {line_no}: {exc}") from None
-        _check_simplex(rows[-1], f"{path} line {line_no}: ")
-    return list(first_line), np.array(rows, dtype=np.float64).reshape(len(rows), len(classes))

@@ -76,11 +76,6 @@ class RigidTransform:
     def apply_cloud(self, frame: PointCloudFrame) -> PointCloudFrame:
         return PointCloudFrame(self.apply(frame.points))
 
-    def compose(self, inner: "RigidTransform") -> "RigidTransform":
-        """Transform equal to applying ``inner`` first, then self."""
-        return RigidTransform(self.rotation @ inner.rotation,
-                              self.rotation @ inner.translation + self.translation)
-
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
         return RigidTransform(rt, -rt @ self.translation)

@@ -274,7 +274,6 @@ class SynthSpec:
     n_points: int = 1400
     frame_size: tuple[int, int] = (48, 48)  # (H, W)
     n_frames: int = 9
-    frame_rate: float = 60.0
     bump_amp: float = 0.008   # meters, expression bump amplitude at apex
     bump_width: float = 0.009
     seed: int = 0

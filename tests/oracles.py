@@ -151,29 +151,6 @@ def lbp_top_reference(volume, radii, neighbors=(8, 8, 8), blocks=(5, 5), overlap
     return out
 
 
-def lbp_code_reference(samples, center):
-    """Eq.-style LBP code from already-sampled neighbor gray values."""
-    code = 0
-    for p, g in enumerate(samples):
-        if g - center >= 0:
-            code += 2 ** p
-    return code
-
-
-def lbp_pixel_reference(image, x, y, p_count, radius):
-    """LBP code of one pixel of a 2-d image, sampled as the XY loop of
-    ``lbp_top_reference`` samples it."""
-    h, w = len(image), len(image[0])
-    samples = []
-    for iu, fu, iv, fv in _neighbor_offsets(radius, radius, p_count):
-        u0, v0 = x + iu, y + iv
-        u1 = u0 + 1 if u0 + 1 < w else w - 1
-        v1 = v0 + 1 if v0 + 1 < h else h - 1
-        samples.append(_bilinear(float(image[v0][u0]), float(image[v0][u1]),
-                                 float(image[v1][u0]), float(image[v1][u1]), fu, fv))
-    return lbp_code_reference(samples, float(image[y][x]))
-
-
 # --- landmark-local curvature histograms ----------------------------------
 
 # HK bin of each (sign K, sign H), in the library's SurfaceType order:

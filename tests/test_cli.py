@@ -482,6 +482,50 @@ class TestSynthAndPreprocess:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(index) in err
 
+    @pytest.mark.parametrize("earlier_run", [False, True])
+    def test_failed_index_write_leaves_no_index(self, tmp_path, monkeypatch, capsys,
+                                                earlier_run):
+        cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
+            n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=6))
+        cfg_path = tmp_path / "run.cfg"
+        cfg.to_file(cfg_path)
+        root = Path(cfg.dataset_root)
+        if earlier_run:
+            assert main(["synth", "--config", str(cfg_path)]) == EXIT_OK
+            assert (root / "index.csv").exists()
+        real = fileio.os.replace
+
+        def fails_on_index(src, dst):
+            if Path(dst).name == "index.csv":
+                raise OSError("no space left on device")
+            return real(src, dst)
+
+        monkeypatch.setattr(fileio.os, "replace", fails_on_index)
+        with pytest.raises(OSError, match="no space left"):
+            main(["synth", "--config", str(cfg_path)])
+        monkeypatch.undo()
+        assert not [p.name for p in root.iterdir() if "index.csv" in p.name]
+        assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(root / "index.csv") in err
+
+    def test_truncated_frame_named_in_manifest(self, tmp_path):
+        cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
+            n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=6))
+        cfg_path = tmp_path / "run.cfg"
+        cfg.to_file(cfg_path)
+        assert main(["synth", "--config", str(cfg_path)]) == EXIT_OK
+        frame = Path(cfg.dataset_root) / "01" / "1_1" / "frames" / "frame_0002.pgm"
+        raw = frame.read_bytes()
+        frame.write_bytes(raw[:len(raw) // 2])
+        assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_PARTIAL
+        manifest = json.loads(
+            (Path(cfg.out_dir) / "preprocessed" / "manifest.json").read_text())
+        status = manifest["samples"]["01/1_1"]
+        assert status.startswith(f"skipped: {frame}: pixel data of a ")
+        assert status.count(str(frame)) == 1
+        assert sum(s == "ok" for s in manifest["samples"].values()) == 3
+
     def test_synth_memory_is_bounded_by_one_subject(self, tmp_path):
         spec = SynthSpec(n_subjects=4, samples_per_subject=2, n_points=700, signal="both",
                          seed=6)

@@ -8,8 +8,7 @@ from scipy.spatial import cKDTree
 
 from microexp import curvature3d
 from microexp.curvature3d import (CurvatureConfig, DEFAULT_LANDMARK_SUBSET, SurfaceType,
-                                  _FIT_BLOCK, _vertex_bins, hk_classify,
-                                  landmark_local_histogram, load_landmark_subset,
+                                  _FIT_BLOCK, _vertex_bins, hk_classify, load_landmark_subset,
                                   principal_curvatures, quantize_si, sequence_feature,
                                   shape_index)
 from microexp.dataset import (NonObjectiveClass, ObjectiveClass, SampleData,
@@ -133,13 +132,38 @@ class TestQuantize:
                 quantize_si(np.array([0.5, bad]))
 
 
+def _landmark_sample(points, landmark):
+    """Two-frame sample (the fewest a video holds) whose clouds are both the
+    cloud ``points``, every landmark at ``landmark``."""
+    lm = np.tile(np.asarray(landmark, dtype=np.float64), (49, 1))
+    video = FrameVolume(np.zeros((2, 16, 16), dtype=np.uint8))
+    return SampleData(video=video, clouds=(PointCloudFrame(points),) * 2,
+                      landmarks2d=None, landmarks3d=(lm,) * 2)
+
+
+def _landmark_hist(points, landmark, kind, cfg):
+    """The nine-bin histogram of one landmark's region of one frame, as
+    sequence_feature computes it: frame 0 alone, landmark 0 alone, weight 1."""
+    sample = _landmark_sample(points, landmark)
+    return sequence_feature(sample, _record(0, 0, 0), [1.0], kind, cfg, frames="all",
+                            subset=(0,)).values
+
+
+def _cap_center(sphere_cap):
+    """The sphere-cap point nearest the cap's centroid."""
+    points = sphere_cap.cloud.points
+    return points[np.argmin(np.linalg.norm(points - points.mean(axis=0), axis=1))]
+
+
+def _single_landmark_sample(sphere_cap):
+    """_landmark_sample of the sphere cap, the landmarks at the cap center."""
+    return _landmark_sample(sphere_cap.cloud.points, _cap_center(sphere_cap))
+
+
 class TestLandmarkHistogram:
     def test_sphere_region_concentrated(self, sphere_cap):
         cfg = CurvatureConfig(neighborhood_radius=0.01, landmark_region_radius=0.015)
-        center = sphere_cap.cloud.points.mean(axis=0)
-        i = np.argmin(np.linalg.norm(sphere_cap.cloud.points - center, axis=1))
-        hist = landmark_local_histogram(sphere_cap.cloud, sphere_cap.cloud.points[i],
-                                        0.015, "si", cfg)
+        hist = _landmark_hist(sphere_cap.cloud.points, _cap_center(sphere_cap), "si", cfg)
         assert hist.max() >= 0.9
         assert hist.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -148,31 +172,20 @@ class TestLandmarkHistogram:
         cfg = CurvatureConfig(neighborhood_radius=0.012, zero_eps=1.0,
                               landmark_region_radius=0.015)
         lm = np.array([0.0, 0.0, 0.4])
-        hist = landmark_local_histogram(plane.cloud, lm, 0.015, "hk", cfg)
+        hist = _landmark_hist(plane.cloud.points, lm, "hk", cfg)
         assert hist[SurfaceType.FLAT.value] >= 0.9
         assert hist.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_too_few_region_points(self, sphere_cap):
-        cfg = CurvatureConfig()
+        cfg = CurvatureConfig(landmark_region_radius=0.01)
         far = np.array([1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="region"):
-            landmark_local_histogram(sphere_cap.cloud, far, 0.01, "si", cfg)
+            _landmark_hist(sphere_cap.cloud.points, far, "si", cfg)
 
     def test_bad_kind(self, sphere_cap):
-        with pytest.raises(ValueError):
-            landmark_local_histogram(sphere_cap.cloud, sphere_cap.cloud.points[0],
-                                     0.02, "xy", CurvatureConfig())
-
-
-def _single_landmark_sample(sphere_cap):
-    """Two-frame sample whose clouds are the sphere cap; landmark 0 sits at
-    the cap center, the other 48 landmarks are copies (unused)."""
-    center = sphere_cap.cloud.points.mean(axis=0)
-    i = np.argmin(np.linalg.norm(sphere_cap.cloud.points - center, axis=1))
-    lm = np.tile(sphere_cap.cloud.points[i], (49, 1))
-    video = FrameVolume(np.zeros((2, 16, 16), dtype=np.uint8))
-    return SampleData(video=video, clouds=(sphere_cap.cloud, sphere_cap.cloud),
-                      landmarks2d=None, landmarks3d=(lm, lm.copy()))
+        with pytest.raises(ValueError, match="kind"):
+            _landmark_hist(sphere_cap.cloud.points, sphere_cap.cloud.points[0], "xy",
+                           CurvatureConfig())
 
 
 class TestSequenceFeature:
@@ -181,9 +194,10 @@ class TestSequenceFeature:
         cfg = CurvatureConfig(neighborhood_radius=0.01, landmark_region_radius=0.015)
         record = _record(onset=0, apex=0, offset=0)
         fv = sequence_feature(sample, record, [1.0], "si", cfg, frames="all", subset=(0,))
-        raw = landmark_local_histogram(sample.clouds[0], sample.landmarks3d[0][0],
-                                       cfg.landmark_region_radius, "si", cfg)
-        assert np.allclose(fv.values, raw)
+        ref, _ = landmark_histogram_reference(
+            sample.clouds[0].points, sample.landmarks3d[0][0], cfg.landmark_region_radius,
+            cfg.neighborhood_radius, "si", cfg.zero_eps)
+        assert np.array_equal(fv.values, ref)
         assert fv.tag == "3d-si"
 
     def test_default_length_576(self, tiny_dataset):
@@ -304,8 +318,7 @@ class TestBatchedAgainstOracle:
                 cloud, lm = sample.clouds[t], sample.landmarks3d[t][lm_idx]
                 for kind in ("si", "hk"):
                     ref = _oracle_hist(cloud.points, lm, cfg, kind)
-                    got = landmark_local_histogram(cloud, lm, cfg.landmark_region_radius,
-                                                   kind, cfg)
+                    got = _landmark_hist(cloud.points, lm, kind, cfg)
                     assert np.array_equal(got, ref), (seed, lm_idx, t, kind)
                     expected[kind].append(weights[j] * ref)
         for kind in ("si", "hk", "sihk"):
@@ -331,7 +344,7 @@ class TestBatchedAgainstOracle:
         for i in rng.choice(len(cloud.points), 3, replace=False):
             lm = cloud.points[i]
             for kind in kinds:
-                got = landmark_local_histogram(cloud, lm, cfg.landmark_region_radius, kind, cfg)
+                got = _landmark_hist(cloud.points, lm, kind, cfg)
                 assert np.array_equal(got, _oracle_hist(cloud.points, lm, cfg, kind))
 
     def test_speckle_and_collinear_vertices_dropped_alike(self):
@@ -356,13 +369,12 @@ class TestBatchedAgainstOracle:
         dropped = [i for i, ok in zip(region, valid) if not ok]
         assert dropped == list(range(len(plane), len(points)))
 
-        cloud = PointCloudFrame(points)
         for kind in ("si", "hk"):
             ref, ref_dropped = landmark_histogram_reference(
                 points, lm, cfg.landmark_region_radius, cfg.neighborhood_radius,
                 kind, cfg.zero_eps)
             assert ref_dropped == dropped
-            got = landmark_local_histogram(cloud, lm, cfg.landmark_region_radius, kind, cfg)
+            got = _landmark_hist(points, lm, kind, cfg)
             assert np.array_equal(got, np.array(ref))
 
 
@@ -418,8 +430,7 @@ class TestCertifiedSolve:
                 kind, cfg.zero_eps)
             assert dropped == []
             svd_rows.clear()
-            got = landmark_local_histogram(PointCloudFrame(points), lm,
-                                           cfg.landmark_region_radius, kind, cfg)
+            got = _landmark_hist(points, lm, kind, cfg)
             assert np.array_equal(got, np.array(ref))
             assert sum(svd_rows) == len(region)
 

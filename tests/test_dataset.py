@@ -3,11 +3,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from microexp.dataset import (DEFAULT_NONOBJECTIVE_TABLE, DEFAULT_OBJECTIVE_TABLE,
-                              DurationRule, IndexFormatError, MappingTable,
-                              NonObjectiveClass, ObjectiveClass, SampleRecord,
-                              coder_reliability, format_aus, load_index,
-                              nonobjective_label, objective_label, parse_aus,
-                              save_index, validate_duration)
+                              IndexFormatError, MappingTable, NonObjectiveClass,
+                              ObjectiveClass, SampleRecord, coder_reliability, format_aus,
+                              load_index, nonobjective_label, objective_label, parse_aus,
+                              save_index)
 
 HEADER = "subject,sample,onset,apex,offset,aus,objective,nonobjective"
 
@@ -82,30 +81,6 @@ class TestRecordInvariants:
         with pytest.raises(ValueError):
             SampleRecord("01", "s", 3, 2, 5, frozenset(), ObjectiveClass.OTHERS,
                          NonObjectiveClass.OTHERS)
-
-
-class TestDuration:
-    def _rec(self, onset, apex, offset):
-        return SampleRecord("01", "s", onset, apex, offset, frozenset(),
-                            ObjectiveClass.OTHERS, NonObjectiveClass.OTHERS)
-
-    def test_short_total(self):
-        assert validate_duration(self._rec(0, 10, 29), 60.0) is True  # 483 ms
-
-    def test_too_long_both_phases(self):
-        assert validate_duration(self._rec(0, 20, 40), 60.0) is False  # 667 / 333 ms
-
-    def test_onset_branch(self):
-        assert validate_duration(self._rec(0, 10, 40), 60.0) is True  # onset 167 ms
-
-    def test_bad_rate(self):
-        with pytest.raises(ValueError):
-            validate_duration(self._rec(0, 1, 2), 0.0)
-
-    def test_rule_constants(self):
-        rule = DurationRule()
-        assert rule.max_total_ms == 500.0
-        assert rule.max_onset_ms == 260.0
 
 
 class TestLabeling:

@@ -56,7 +56,20 @@ class TestPgm:
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n4 4\n255\n" + bytes(16))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: not a binary PGM file: magic b'P2'")):
+            fileio.read_pgm(path)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"P5\n4 4\n255\n" + bytes(8), "pixel data of a 4 x 4 image needs 16 bytes, found 8"),
+        (b"", "not a binary PGM file: magic b''"),
+        (b"P5\n48 x", "invalid literal for int() with base 10: b'x'"),
+        (b"P5\n4 4\n65535\n" + bytes(32), "only 8-bit PGM supported, got maxval 65535"),
+    ], ids=["truncated pixels", "empty", "non-integer header", "maxval 65535"])
+    def test_errors_start_with_the_path(self, tmp_path, raw, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             fileio.read_pgm(path)
 
     def test_volume_round_trip(self, tmp_path, rng):

@@ -4,59 +4,73 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from microexp.lbptop import (FeatureVector, LbpTopConfig, block_spans, lbp_code,
-                             lbp_top_histogram, mean_difference_weights)
+from microexp.lbptop import (FeatureVector, LbpTopConfig, block_spans, lbp_top_histogram,
+                             mean_difference_weights)
 from microexp.preprocess2d import FrameVolume
 
-from .oracles import lbp_code_reference, lbp_pixel_reference, lbp_top_reference
+from .oracles import lbp_top_reference
 
 
 class TestLbpCode:
-    def test_constant_image_all_bits_set(self):
-        img = np.full((9, 9), 77, dtype=np.uint8)
-        assert lbp_code(img, 4, 4, p_count=8, radius=1) == 255
+    """The codes lbp_top_histogram counts, read from its histograms."""
 
     def test_center_above_all_neighbors(self):
-        img = np.zeros((9, 9), dtype=np.uint8)
-        img[4, 4] = 200
-        assert lbp_code(img, 4, 4, p_count=8, radius=1) == 0
-
-    def test_documented_sample_ordering(self):
-        # neighbors p = 0..7 starting at angle 0, counter-clockwise
-        samples = [6, 5, 2, 1, 7, 8, 9, 3]
-        assert lbp_code_reference(samples, 5) == 115
+        vol = np.zeros((3, 16, 16), dtype=np.uint8)
+        vol[1, 5, 5] = 200
+        cfg = LbpTopConfig(radii=(1, 1, 1), neighbors=(8, 8, 8), blocks=(1, 1))
+        xy = lbp_top_histogram(FrameVolume(vol), cfg).values[:256] * 14 * 14
+        assert {code: round(n) for code, n in enumerate(xy) if n} == {0: 1, 255: 195}
 
     def test_four_neighbors_integer_positions(self):
-        # P=4 samples land exactly on (x+1,y), (x,y+1), (x-1,y), (x,y-1)
-        img = np.full((5, 5), 10, dtype=np.uint8)
-        img[2, 3] = 20   # p=0, +x
-        img[3, 2] = 5    # p=1, +y
-        img[2, 1] = 10   # p=2, -x (equal -> bit set)
-        img[1, 2] = 3    # p=3, -y
-        assert lbp_code(img, 2, 2, p_count=4, radius=1) == 0b0101
+        # P = 4 samples land on (x+1, y), (x, y+1), (x-1, y), (x, y-1), bits 0
+        # to 3. On a background of 10, the center (y, x) = (5, 5) sees +x 20
+        # (set), +y 5, -x 10 (equal, set) and -y 3: code 0b0101. The raised
+        # pixel (5, 6) sees only lower neighbors (code 0), six centers next to
+        # the changed pixels each lose the bit toward a lower one, and the
+        # rest keep all four bits.
+        vol = np.full((3, 16, 16), 10, dtype=np.uint8)
+        vol[1, 5, 6], vol[1, 6, 5], vol[1, 4, 5] = 20, 5, 3
+        cfg = LbpTopConfig(radii=(1, 1, 1), neighbors=(4, 4, 4), blocks=(1, 1))
+        xy = lbp_top_histogram(FrameVolume(vol), cfg).values[:16] * 14 * 14
+        assert {code: round(n) for code, n in enumerate(xy) if n} == {
+            0b0101: 1, 0b0000: 1, 0b1110: 2, 0b1011: 2, 0b0111: 1, 0b1101: 1, 0b1111: 188}
 
-    def test_border_center_rejected(self):
-        img = np.zeros((8, 8), dtype=np.uint8)
-        with pytest.raises(ValueError):
-            lbp_code(img, 0, 4, p_count=8, radius=1)
+    @given(hnp.arrays(np.uint8, st.tuples(st.integers(3, 5), st.integers(16, 20),
+                                          st.integers(16, 20)),
+                      elements=st.integers(0, 200)),
+           st.integers(1, 55), st.integers(1, 2))
+    @settings(max_examples=10, deadline=None)
+    def test_invariant_to_constant_offset(self, vol, offset, radius):
+        # P = 4 samples sit on pixels, so every comparison is between two
+        # gray values and the codes are exactly invariant; for fractional
+        # samples see the next test.
+        cfg = LbpTopConfig(radii=(radius, radius, 1), neighbors=(4, 4, 4), blocks=(2, 2))
+        assert np.array_equal(lbp_top_histogram(FrameVolume(vol), cfg).values,
+                              lbp_top_histogram(FrameVolume(vol + np.uint8(offset)), cfg).values)
 
-    @given(hnp.arrays(np.int16, (7, 7), elements=st.integers(0, 200)),
-           st.integers(1, 55))
-    @settings(max_examples=25, deadline=None)
-    def test_invariant_to_constant_offset(self, img, offset):
-        assert lbp_code(img, 3, 3) == lbp_code(img + offset, 3, 3)
+    @pytest.mark.xfail(strict=True, reason="the canonical bilinear sum rounds differently "
+                       "at different gray levels, so a diagonal sample that ties its center "
+                       "in exact arithmetic can flip its bit under a constant offset")
+    def test_fractional_tie_invariant_to_constant_offset(self):
+        # Center 1 with +x neighbor 2, +y neighbor 0 and diagonal 1: the P = 8
+        # sample at 45 degrees equals the center in exact arithmetic.
+        vol = np.ones((3, 16, 16), dtype=np.uint8)
+        vol[1, 5, 6], vol[1, 6, 5] = 2, 0
+        cfg = LbpTopConfig(radii=(1, 1, 1), neighbors=(8, 8, 8), blocks=(1, 1))
+        assert np.array_equal(lbp_top_histogram(FrameVolume(vol), cfg).values,
+                              lbp_top_histogram(FrameVolume(vol + np.uint8(15)), cfg).values)
 
     @pytest.mark.parametrize("p_count", [4, 6, 8, 12, 16])
-    def test_every_pixel_matches_per_pixel_oracle(self, p_count):
+    def test_tie_heavy_volume_matches_oracle(self, p_count):
         # Few gray levels make many neighbors tie with their center, where a
         # one-ulp difference in the bilinear weights flips a bit.
-        rng = np.random.default_rng(p_count)
-        for img in rng.integers(0, 4, size=(3, 12, 12)):
-            for radius in (1, 2, 3):
-                for y in range(radius, 12 - radius):
-                    for x in range(radius, 12 - radius):
-                        assert lbp_code(img, x, y, p_count, radius) == \
-                            lbp_pixel_reference(img, x, y, p_count, radius), (x, y, radius)
+        vol = np.random.default_rng(p_count).integers(0, 4, (7, 16, 16), dtype=np.uint8)
+        for radius in (1, 2, 3):
+            radii, neighbors = (radius,) * 3, (p_count,) * 3
+            cfg = LbpTopConfig(radii=radii, neighbors=neighbors, blocks=(1, 1))
+            fast = lbp_top_histogram(FrameVolume(vol), cfg).values
+            slow = np.array(lbp_top_reference(vol, radii, neighbors, (1, 1), 0))
+            assert np.array_equal(fast, slow), radius
 
 
 class TestBlockSpans:
@@ -90,7 +104,7 @@ class TestLbpTopHistogram:
         vol = FrameVolume(np.random.default_rng(0).integers(0, 256, (8, 32, 32),
                                                             dtype=np.uint8))
         fv = lbp_top_histogram(vol, cfg)
-        assert len(fv) == 5 * 5 * 3 * 256 == cfg.feature_length == 19200
+        assert len(fv) == 5 * 5 * 3 * 256 == 19200
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(7)

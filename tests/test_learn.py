@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 
 import numpy as np
@@ -8,9 +7,8 @@ from hypothesis import strategies as st
 
 from microexp import learn
 from microexp.learn import (FUSION_WEIGHTS, cross_val_proba, cross_val_runs, fuse,
-                            kfold_splits, loso_split, metrics, read_probabilities_csv,
-                            select_fusion_weight, stratified_kfold_indices, train,
-                            write_probabilities_csv)
+                            kfold_splits, loso_split, metrics, select_fusion_weight,
+                            stratified_kfold_indices, train)
 
 from .oracles import fusion_reference, metrics_reference, primal_gradient, train_reference
 
@@ -540,88 +538,3 @@ class TestFusionSweep:
         with pytest.raises(ValueError, match="column"):
             select_fusion_weight([p], [p], ["a"])  # default classes: the one truth label
 
-
-class TestExternalProbabilities:
-    def test_round_trip_exact(self, tmp_path, rng):
-        labels = ("neg", "pos")
-        ids = [f"s{i}" for i in range(5)]
-        v = rng.uniform(0.01, 1.0, (len(ids), 2))
-        proba = v / v.sum(axis=1, keepdims=True)
-        path = tmp_path / "proba.csv"
-        write_probabilities_csv(path, ids, proba, labels)
-        back_ids, back = read_probabilities_csv(path, labels)
-        assert back_ids == ids
-        assert np.array_equal(back, proba)
-
-    def test_header_format(self, tmp_path):
-        labels = ("a", "b", "c")
-        path = tmp_path / "proba.csv"
-        write_probabilities_csv(path, ["x"], np.ones((1, 3)) / 3, labels)
-        assert path.read_text().splitlines()[0] == "sample_id,p_class0,p_class1,p_class2"
-
-    def test_bytes_pinned(self, tmp_path):
-        path = tmp_path / "proba.csv"
-        write_probabilities_csv(path, ["s1", "s2"], [[0.1, 0.9], [2 / 3, 1 / 3]], ("a", "b"))
-        assert path.read_text() == ("sample_id,p_class0,p_class1\n"
-                                    "s1,0.1,0.9\n"
-                                    "s2,0.6666666666666666,0.3333333333333333\n"
-                                    "# classes: a,b\n")
-
-    def test_external_probabilities_feed_fusion(self, tmp_path):
-        # the out-of-band route: probabilities from files, fused and scored
-        labels = ("a", "b")
-        truths = ["a", "b", "a"]
-        ids = ["s0", "s1", "s2"]
-        p_2d = np.array([[0.4, 0.6], [0.5, 0.5], [0.45, 0.55]])
-        p_3d = np.array([[0.95, 0.05], [0.1, 0.9], [0.9, 0.1]])
-        f1, f2 = tmp_path / "p2d.csv", tmp_path / "p3d.csv"
-        write_probabilities_csv(f1, ids, p_2d, labels)
-        write_probabilities_csv(f2, ids, p_3d, labels)
-        ids1, r1 = read_probabilities_csv(f1, labels)
-        ids2, r2 = read_probabilities_csv(f2, labels)
-        assert ids1 == ids2 == ids
-        best_a, result = select_fusion_weight([r1], [r2], truths, classes=labels)
-        assert result.accuracy == 1.0
-
-    def test_column_count_checked(self, tmp_path):
-        path = tmp_path / "proba.csv"
-        write_probabilities_csv(path, ["x"], [[0.5, 0.5]], ("a", "b"))
-        with pytest.raises(ValueError, match="columns"):
-            read_probabilities_csv(path, ("a", "b", "c"))
-
-    @pytest.mark.parametrize("row", ["0.3,0.6", "-0.1,1.1", "nan,nan"],
-                             ids=["sum", "negative", "nan"])
-    def test_non_simplex_row_rejected(self, tmp_path, row):
-        path = tmp_path / "proba.csv"
-        path.write_text(f"sample_id,p_class0,p_class1\ns0,0.5,0.5\ns1,{row}\n")
-        with pytest.raises(ValueError, match=r"proba\.csv line 3: probabilities must"):
-            read_probabilities_csv(path, ("a", "b"))
-
-    def test_non_numeric_cell_named(self, tmp_path):
-        path = tmp_path / "proba.csv"
-        path.write_text("sample_id,p_class0,p_class1\ns0,0.5,x\n")
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path} line 2: could not convert string to float: 'x'")):
-            read_probabilities_csv(path, ("a", "b"))
-
-    def test_repeated_sample_id_rejected(self, tmp_path):
-        path = tmp_path / "proba.csv"
-        path.write_text("sample_id,p_class0,p_class1\ns0,0.5,0.5\ns1,0.2,0.8\n"
-                        "s0,0.9,0.1\n")
-        with pytest.raises(ValueError, match=r"proba\.csv line 4: sample_id 's0' repeats line 2"):
-            read_probabilities_csv(path, ("a", "b"))
-
-    @pytest.mark.parametrize("named", ["b,a", "a,c"], ids=["reordered", "other"])
-    def test_classes_line_must_match(self, tmp_path, named):
-        path = tmp_path / "proba.csv"
-        write_probabilities_csv(path, ["s0"], [[0.3, 0.7]], ("a", "b"))
-        path.write_text(path.read_text().replace("# classes: a,b", f"# classes: {named}"))
-        with pytest.raises(ValueError, match=r"proba\.csv line 3: file names classes"):
-            read_probabilities_csv(path, ("a", "b"))
-
-    def test_classes_line_optional(self, tmp_path):
-        path = tmp_path / "proba.csv"
-        path.write_text("sample_id,p_class0,p_class1\ns1,0.2,0.8\ns0,0.5,0.5\n")
-        ids, proba = read_probabilities_csv(path, ("a", "b"))
-        assert ids == ["s1", "s0"]
-        assert np.array_equal(proba, [[0.2, 0.8], [0.5, 0.5]])

