@@ -14,6 +14,14 @@ from .oracles import lbp_top_reference
 class TestLbpCode:
     """The codes lbp_top_histogram counts, read from its histograms."""
 
+    def test_constant_image_all_bits_set(self):
+        # Every neighbor equals its center, so each of the 14 x 14 centers of
+        # the middle frame gets code 255 in the XY plane.
+        vol = np.full((3, 16, 16), 77, dtype=np.uint8)
+        cfg = LbpTopConfig(radii=(1, 1, 1), neighbors=(8, 8, 8), blocks=(1, 1))
+        xy = lbp_top_histogram(FrameVolume(vol), cfg).values[:256] * 14 * 14
+        assert {code: round(n) for code, n in enumerate(xy) if n} == {255: 196}
+
     def test_center_above_all_neighbors(self):
         vol = np.zeros((3, 16, 16), dtype=np.uint8)
         vol[1, 5, 5] = 200
