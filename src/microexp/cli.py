@@ -8,7 +8,8 @@ Dataset tree layout::
     <root>/<subject>/<sample>/landmarks2d.csv
     <root>/<subject>/<sample>/landmarks3d.csv
 
-Exit codes: 0 ok, 1 usage error, 2 data error, 3 partial failure.
+Exit codes: 0 ok, 1 usage error, 2 data error (any OSError is one), 3 partial
+failure.
 """
 
 from __future__ import annotations
@@ -305,11 +306,18 @@ def read_sample_tree(root, record: SampleRecord, clouds=None) -> SampleData:
     every video frame, and an empty set reads the video frames alone (no
     clouds or landmarks). A frame's cloud is ``fileio.cloud_path`` of its
     index; other files in the clouds directory are never read.
+
+    A video that ends before the record's offset frame is a DataError naming
+    the frames directory, and so is a landmark file that covers another
+    number of frames than the video, naming that file.
     """
     d = sample_dir(root, record)
     if not d.is_dir():
         raise DataError(f"sample directory missing: {d}")
     video = fileio.read_volume(d / "frames")
+    if video.n_frames <= record.offset:
+        raise DataError(f"{d / 'frames'}: {video.n_frames} frames, but the index puts the "
+                        f"offset at frame {record.offset}")
     if clouds is not None and not clouds:
         return SampleData(video=video, clouds=None, landmarks2d=None, landmarks3d=None)
     lm2_path = d / "landmarks2d.csv"
@@ -326,12 +334,13 @@ def read_sample_tree(root, record: SampleRecord, clouds=None) -> SampleData:
         if not path.exists():
             raise DataError(f"missing cloud file: {path}")
         read[t] = fileio.read_ply(path)
-    return SampleData(
-        video=video,
-        clouds=tuple(read),
-        landmarks2d=tuple(fileio.read_landmarks(lm2_path, dims=2)),
-        landmarks3d=tuple(fileio.read_landmarks(lm3_path, dims=3)),
-    )
+    marks = {}
+    for name, path, dims in (("landmarks2d", lm2_path, 2), ("landmarks3d", lm3_path, 3)):
+        marks[name] = tuple(fileio.read_landmarks(path, dims=dims))
+        if len(marks[name]) != video.n_frames:
+            raise DataError(f"{path}: landmarks of {len(marks[name])} frames, but the video "
+                            f"has {video.n_frames}")
+    return SampleData(video=video, clouds=tuple(read), **marks)
 
 
 # --- preprocess -------------------------------------------------------------
@@ -548,8 +557,7 @@ def load_features(cfg: RunConfig, kind: str, records) -> np.ndarray:
             path = (Path(cfg.out_dir) / "features" / kind / record.subject_id
                     / f"{record.sample_id}.csv")
             if not path.exists():
-                raise DataError(f"missing {kind} feature file for "
-                                f"{record.subject_id}/{record.sample_id}: run extract first")
+                raise DataError(f"missing {kind} feature file {path}: run extract first")
             try:
                 feature = fileio.read_feature_csv(path)
             except ValueError as exc:  # its message starts with the path
@@ -889,7 +897,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, IndexFormatError, FileNotFoundError) as exc:
+    except (DataError, IndexFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -37,8 +37,6 @@ DEFAULT_LANDMARK_SUBSET = (
 )
 
 SI_BIN_CENTERS = tuple(i / 8 for i in range(9))
-SI_BIN_NAMES = ("Cup", "Trough", "Rut Saddle", "Rut", "Saddle",
-                "Saddle Ridge", "Ridge", "Dome", "Cap")
 
 
 def check_landmark_indices(indices, where: str) -> None:

@@ -78,10 +78,15 @@ def write_volume(directory, volume: FrameVolume) -> None:
 
 
 def read_volume(directory) -> FrameVolume:
+    """The frames ``frame_0000.pgm`` ... ``frame_<n-1>.pgm`` of ``directory``;
+    a gap in the numbering is a ValueError naming the first missing file."""
     directory = Path(directory)
     paths = sorted(directory.glob("frame_*.pgm"))
     if not paths:
         raise FileNotFoundError(f"no frame_*.pgm files in {directory}")
+    for t, path in enumerate(paths):
+        if path.name != f"frame_{t:04d}.pgm":
+            raise ValueError(f"missing frame file: {directory / f'frame_{t:04d}.pgm'}")
     return FrameVolume(np.stack([read_pgm(p) for p in paths]))
 
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-FACE_CROP_RADIUS = 0.1  # meters, spherical crop around the nose tip
-
 # Nose-tip robustness constants: depth slab behind the extremum, and the
 # density test that rejects isolated speckle points.
 NOSE_SLAB = 0.002

@@ -1,5 +1,7 @@
 import csv
+import errno
 import json
+import os
 import re
 import shutil
 import threading
@@ -101,6 +103,26 @@ def _record_ply_reads(monkeypatch) -> list:
 
     monkeypatch.setattr(fileio, "read_ply", recorded)
     return paths
+
+
+def _disk_full(path, path2=None) -> OSError:
+    """The OSError of a write that finds no space, naming ``path`` (and ``path2``)."""
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path), None,
+                   None if path2 is None else str(path2))
+
+
+_2D_ONLY = {"eval.features": "2d", "fusion.sweep": "false"}
+
+
+def _copy_run(pipeline, tmp_path, parts=("preprocessed",), keys=None) -> tuple[Path, Path]:
+    """``tmp_path/out`` holding a copy of ``parts`` of the pipeline's run.out,
+    and ``tmp_path/run.cfg``, the pipeline's config for it with ``keys`` set."""
+    out = tmp_path / "out"
+    for part in parts:
+        shutil.copytree(Path(pipeline.out_dir) / part, out / part)
+    cfg_path = tmp_path / "run.cfg"
+    fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(out)).to_dict(), **(keys or {})})
+    return out, cfg_path
 
 
 def _clouds_dir(root, record) -> Path:
@@ -460,24 +482,26 @@ class TestSynthAndPreprocess:
         cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
             n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=6))
         index = Path(cfg.dataset_root) / "index.csv"
+        cfg_path = tmp_path / "run.cfg"
+        cfg.to_file(cfg_path)
         if earlier_run:
             assert cmd_synth(cfg) == EXIT_OK
             assert index.exists()
         real, calls = cli.write_sample_tree, []
 
-        def fails_second(*args):
-            calls.append(args[1].sample_id)
+        def fails_second(root, record, sample):
+            calls.append(record.sample_id)
             if len(calls) == 2:
-                raise OSError("disk full")
-            return real(*args)
+                raise _disk_full(cli.sample_dir(root, record))
+            return real(root, record, sample)
 
         monkeypatch.setattr(cli, "write_sample_tree", fails_second)
-        with pytest.raises(OSError, match="disk full"):
-            cmd_synth(cfg)
+        assert main(["synth", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count(f"{index.parent}/01/1_2") == 1
         assert calls == ["1_1", "1_2"]
         assert not index.exists()
-        cfg_path = tmp_path / "run.cfg"
-        cfg.to_file(cfg_path)
+        monkeypatch.undo()
         assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(index) in err
@@ -497,34 +521,18 @@ class TestSynthAndPreprocess:
 
         def fails_on_index(src, dst):
             if Path(dst).name == "index.csv":
-                raise OSError("no space left on device")
+                raise _disk_full(src, dst)
             return real(src, dst)
 
         monkeypatch.setattr(fileio.os, "replace", fails_on_index)
-        with pytest.raises(OSError, match="no space left"):
-            main(["synth", "--config", str(cfg_path)])
+        assert main(["synth", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count(str(root / "index.csv")) == 1
         monkeypatch.undo()
         assert not [p.name for p in root.iterdir() if "index.csv" in p.name]
         assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(root / "index.csv") in err
-
-    def test_truncated_frame_named_in_manifest(self, tmp_path):
-        cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
-            n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=6))
-        cfg_path = tmp_path / "run.cfg"
-        cfg.to_file(cfg_path)
-        assert main(["synth", "--config", str(cfg_path)]) == EXIT_OK
-        frame = Path(cfg.dataset_root) / "01" / "1_1" / "frames" / "frame_0002.pgm"
-        raw = frame.read_bytes()
-        frame.write_bytes(raw[:len(raw) // 2])
-        assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_PARTIAL
-        manifest = json.loads(
-            (Path(cfg.out_dir) / "preprocessed" / "manifest.json").read_text())
-        status = manifest["samples"]["01/1_1"]
-        assert status.startswith(f"skipped: {frame}: pixel data of a ")
-        assert status.count(str(frame)) == 1
-        assert sum(s == "ok" for s in manifest["samples"].values()) == 3
 
     def test_synth_memory_is_bounded_by_one_subject(self, tmp_path):
         spec = SynthSpec(n_subjects=4, samples_per_subject=2, n_points=700, signal="both",
@@ -638,37 +646,6 @@ class TestExtract:
             got = tmp_path / "features" / "3d-si" / r.subject_id / f"{r.sample_id}.csv"
             assert got.read_bytes() == want.read_bytes()
 
-    # When the last record fails, the files of the others were already written.
-    @pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
-    def test_missing_cloud_at_needed_frame_named(self, pipeline, tmp_path, capsys, which):
-        out = tmp_path / "out"
-        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
-        record = dataset.load_index(out / "preprocessed" / "index.csv")[which]
-        missing = fileio.cloud_path(_clouds_dir(out / "preprocessed", record), record.apex)
-        missing.unlink()
-        cfg_path = tmp_path / "run.cfg"
-        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
-        assert main(["extract", "--kind", "3d-si", "--config", str(cfg_path)]) == EXIT_DATA
-        assert capsys.readouterr().err == (f"data error: extract 3d-si {record.subject_id}/"
-                                           f"{record.sample_id}: missing cloud file: {missing}\n")
-        assert not (out / "features" / "3d-si").exists()
-
-    def test_damaged_cloud_at_unused_frame_ignored(self, pipeline, tmp_path):
-        out = tmp_path / "out"
-        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
-        record = dataset.load_index(out / "preprocessed" / "index.csv")[0]
-        unused = min(set(range(record.offset + 1)) - {record.onset, record.apex})
-        fileio.cloud_path(_clouds_dir(out / "preprocessed", record), unused).write_text("damaged")
-        with pytest.raises(ValueError, match="not a PLY file"):
-            read_sample_tree(out / "preprocessed", record)
-        assert cmd_extract(replace(pipeline, out_dir=str(out)), "3d-si") == EXIT_OK
-        want = Path(pipeline.out_dir) / "features" / "3d-si"
-        paths = sorted(want.rglob("*.csv"))
-        assert len(paths) == 12
-        for path in paths:
-            assert (out / "features" / "3d-si" / path.relative_to(want)).read_bytes() == \
-                path.read_bytes()
-
     def test_normals_follow_tip_at(self, pipeline, tmp_path):
         # A sample mirrored in z under clean.tip_at=max is the original under
         # min: its normals point toward the sensor, now along +z.
@@ -687,26 +664,6 @@ class TestExtract:
             # Under min the mirrored sample's normals point away from the sensor.
             assert not np.array_equal(
                 extract_sample_feature(mirrored, record, kind, cfg).values, want)
-
-    def test_config_preprocessed_otherwise_refused(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "out"
-        for part in ("preprocessed", "features/2d"):
-            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
-        manifest = json.loads((out / "preprocessed" / "manifest.json").read_text())
-        assert manifest["config"]["clean.k"] == "8"
-        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
-        cfg_path = tmp_path / "run.cfg"
-        fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(out)).to_dict(),
-                                      "clean.k": "3"})
-        grid = tmp_path / "grid.txt"
-        grid.write_text("lbp.overlap=0|1\n", encoding="utf-8")
-        for argv in (["extract", "--kind", "2d"], ["sweep", "--grid", str(grid)]):
-            assert main([*argv, "--config", str(cfg_path)]) == EXIT_DATA
-            assert capsys.readouterr().err == (
-                f"data error: {out}/preprocessed was preprocessed under other preprocess keys "
-                "than the config (clean.k=8, not 3); run preprocess again with this config\n")
-        # Nothing written, nothing deleted.
-        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_2d_feature_length(self, pipeline):
         path = next((Path(pipeline.out_dir) / "features" / "2d").glob("*/*.csv"))
@@ -734,33 +691,20 @@ class TestExtract:
         assert a != b
 
     def test_failed_sample_named_and_old_features_removed(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "out"
-        for part in ("preprocessed", "features/3d-si"):  # after a good 3d-si extract
-            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
-        cfg_path = tmp_path / "run.cfg"
-        # Regions of at most a vertex or two: the first sample's first landmark fails.
-        fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(out)).to_dict(),
-                                      "curv.region_radius": "0.0001",
-                                      "eval.features": "3d-si"})
+        # After a good 3d-si extract; regions of at most a vertex or two, so the
+        # first sample's first landmark fails.
+        out, cfg_path = _copy_run(pipeline, tmp_path, ("preprocessed", "features/3d-si"),
+                                  {"curv.region_radius": "0.0001", "eval.features": "3d-si"})
         assert main(["extract", "--kind", "3d-si", "--config", str(cfg_path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert re.match(r"data error: extract 3d-si 01/1_1: landmark 0 \(frame \d+\): "
                         r"landmark region at \[.*\] has \d points, need >= 10$", err)
         assert not (out / "features" / "3d-si").exists()
         assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
-        assert "missing 3d-si feature file for 01/1_1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"data error: missing 3d-si feature file {out}/features/3d-si/01/1_1.csv: "
+            "run extract first\n")
         assert not (out / "results.csv").exists()
-
-    def test_missing_manifest_exit_data(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "out"
-        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
-        (out / "preprocessed" / "manifest.json").unlink()
-        cfg_path = tmp_path / "run.cfg"
-        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
-        assert main(["extract", "--kind", "2d", "--config", str(cfg_path)]) == EXIT_DATA
-        assert capsys.readouterr().err == (f"data error: missing {out}/preprocessed/"
-                                           "manifest.json: run preprocess first\n")
-        assert not (out / "features").exists()
 
     def test_unknown_kind_rejected(self, pipeline):
         from microexp.cli import UsageError
@@ -824,26 +768,6 @@ class TestEval:
         rows, _ = evaluate_features(cfg, records, {"2d": feats["2d"]})
         assert rows[0]["accuracy"] == 1.0
 
-    def test_missing_features_named(self, pipeline):
-        from microexp.cli import DataError
-        cfg = replace(pipeline, eval_features=("3d-hk",))
-        with pytest.raises(DataError, match="3d-hk"):
-            cmd_eval(cfg)
-
-    def test_features_from_another_config_refused(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "out"
-        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
-        cfg_path = tmp_path / "run.cfg"
-        config = {**replace(pipeline, out_dir=str(out)).to_dict(), "eval.features": "3d-si"}
-        fileio.save_config(cfg_path, {**config, "curv.radius": "0.02"})
-        assert main(["extract", "--kind", "3d-si", "--config", str(cfg_path)]) == EXIT_OK
-        fileio.save_config(cfg_path, {**config, "curv.radius": "0.03"})
-        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert re.match(r"data error: .*3d-si.*01.1_1\.csv: feature 3d-si,\w+ does not match "
-                        r"the config \(3d-si,\w+\)", err)
-        assert not (out / "results.csv").exists()
-
     # Each key changes what preprocess or a 3-d extract writes, so features
     # extracted under the pipeline's config no longer describe it. A
     # preprocess key is refused at the tree, before any feature is read.
@@ -854,12 +778,7 @@ class TestEval:
         ("clean.k", "3", "(clean.k=8, not 3); run preprocess again with this config"),
     ], ids=["weights.radius_px", "curv.frames", "landmarks.subset", "clean.k"])
     def test_stale_features_refused(self, pipeline, tmp_path, capsys, key, value, message):
-        out = tmp_path / "out"
-        for part in ("preprocessed", "features"):
-            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
-        cfg_path = tmp_path / "run.cfg"
-        fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(out)).to_dict(),
-                                      key: value})
+        out, cfg_path = _copy_run(pipeline, tmp_path, ("preprocessed", "features"), {key: value})
         assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
         assert message in capsys.readouterr().err
         assert not (out / "results.csv").exists()
@@ -874,45 +793,16 @@ class TestEval:
                                            for kind in ("2d", "3d-si")}
 
     def test_fusion_weight_outside_unit_interval_exits_data(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "out"
-        for part in ("preprocessed", "features"):
-            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
-        cfg_path = tmp_path / "run.cfg"
-        fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(out)).to_dict(),
-                                      "eval.features": "2d,3d-si", "fusion.sweep": "false",
-                                      "fusion.a": "1.5"})
+        out, cfg_path = _copy_run(pipeline, tmp_path, ("preprocessed", "features"), {
+            "eval.features": "2d,3d-si", "fusion.sweep": "false", "fusion.a": "1.5"})
         assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
         assert "fusion weight must lie in [0, 1], got 1.5" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
-    @pytest.mark.parametrize("damage", ["overwrite", "append_nan"])
-    def test_damaged_feature_file_exits_data(self, pipeline, tmp_path, capsys, damage):
-        out = tmp_path / "out"
-        for part in ("preprocessed", "features"):
-            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
-        damaged = sorted((out / "features" / "2d").rglob("*.csv"))[0]
-        if damage == "overwrite":
-            damaged.write_text("2d-lbptop,abc\n")
-        else:
-            damaged.write_text(damaged.read_text().rstrip("\n") + ",nan\n")
-        cfg_path = tmp_path / "run.cfg"
-        fileio.save_config(cfg_path, replace(pipeline, out_dir=str(out)).to_dict())
-        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith(f"data error: damaged feature file {damaged}: ")
-        assert err.count(str(damaged)) == 1
-        assert err.rstrip().endswith("run extract again")
-        assert not (out / "results.csv").exists()
-        assert not (out / "eval_details.json").exists()
-
     @pytest.mark.parametrize("fault", ["damaged_2d_file", "fusion.a=1.5"])
     def test_failed_eval_leaves_no_results(self, pipeline, tmp_path, capsys, fault):
-        out = tmp_path / "out"
-        for part in ("preprocessed", "features"):
-            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
-        config = replace(pipeline, out_dir=str(out)).to_dict()
-        cfg_path = tmp_path / "run.cfg"
-        fileio.save_config(cfg_path, config)
+        out, cfg_path = _copy_run(pipeline, tmp_path, ("preprocessed", "features"))
+        config = fileio.load_config(cfg_path)
         assert main(["eval", "--config", str(cfg_path)]) == EXIT_OK
         assert (out / "results.csv").exists() and (out / "eval_details.json").exists()
         if fault == "damaged_2d_file":
@@ -923,53 +813,6 @@ class TestEval:
         assert capsys.readouterr().err.startswith("data error:")
         assert not (out / "results.csv").exists()
         assert not (out / "eval_details.json").exists()
-
-    def test_interrupted_results_write_leaves_no_partial_file(self, pipeline, tmp_path,
-                                                              monkeypatch):
-        out = tmp_path / "out"
-        for part in ("preprocessed", "features"):
-            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
-        cfg = replace(pipeline, out_dir=str(out), fusion_sweep=False)
-        assert cmd_eval(cfg) == EXIT_OK
-        before = sorted(p.name for p in out.iterdir())
-        real = Path.write_text
-
-        def torn(self, text, *args, **kwargs):
-            real(self, text[:len(text) // 2], *args, **kwargs)
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(Path, "write_text", torn)
-        with pytest.raises(OSError, match="no space left"):
-            cmd_eval(cfg)
-        # The old results went first; no torn or temporary file is left.
-        assert sorted(p.name for p in out.iterdir()) == \
-            [name for name in before if name not in ("results.csv", "eval_details.json")]
-
-    def test_interrupted_preprocess_tree_names_manifest(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "out"
-        for part in ("preprocessed", "features"):
-            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
-        for name in ("index.csv", "manifest.json"):
-            (out / "preprocessed" / name).unlink()
-        cfg_path = tmp_path / "run.cfg"
-        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
-        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
-        assert capsys.readouterr().err == (f"data error: missing {out}/preprocessed/"
-                                           "manifest.json: run preprocess first\n")
-
-    def test_missing_index_under_manifest_named(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "out"
-        for part in ("preprocessed", "features"):
-            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
-        (out / "preprocessed" / "index.csv").unlink()
-        cfg_path = tmp_path / "run.cfg"
-        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
-        for argv in (["extract", "--kind", "2d"], ["eval"]):
-            assert main([*argv, "--config", str(cfg_path)]) == EXIT_DATA
-            assert capsys.readouterr().err == (f"data error: missing {out}/preprocessed/"
-                                               "index.csv: run preprocess again\n")
-        assert (out / "features" / "2d").exists()
-        assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize("kind, source", [("3d-hk", "3d-si"), ("2d", "3d-si"),
                                               ("3d-si", "2d")])
@@ -993,20 +836,6 @@ class TestEval:
             ).values for r in records])
             assert matrix.dtype == np.float64
             assert np.array_equal(matrix, want)
-
-    def test_feature_length_mismatch_named(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "out"
-        for part in ("preprocessed", "features"):
-            shutil.copytree(Path(pipeline.out_dir) / part, out / part)
-        first, *_, longer = sorted((out / "features" / "2d").rglob("*.csv"))
-        longer.write_text(longer.read_text().rstrip("\n") + ",0.5\n")
-        cfg_path = tmp_path / "run.cfg"
-        fileio.save_config(cfg_path, replace(pipeline, out_dir=str(out)).to_dict())
-        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
-        n = len(fileio.read_feature_csv(first))
-        assert capsys.readouterr().err == (f"data error: {longer}: {n + 1} feature values, "
-                                           f"but {first} has {n}\n")
-        assert not (out / "results.csv").exists()
 
     def test_cross_validation_cache_reused_and_read_only(self, pipeline, monkeypatch):
         from microexp.cli import load_features
@@ -1223,34 +1052,15 @@ class TestSweep:
         assert reads == [fileio.cloud_path(_clouds_dir(pre, r), t) for frames in used
                          for r in dataset.load_index(pre / "index.csv") for t in frames(r)]
 
-    def test_damaged_cloud_at_used_frame_exit_data(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "out"
-        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
-        record = dataset.load_index(out / "preprocessed" / "index.csv")[0]
-        damaged = fileio.cloud_path(_clouds_dir(out / "preprocessed", record), record.onset)
-        damaged.write_text("damaged", encoding="utf-8")
-        cfg_path = tmp_path / "run.cfg"
-        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
-        grid = tmp_path / "grid.txt"
-        grid.write_text("curv.radius=0.02|0.025\n", encoding="utf-8")
-        assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid)]) == EXIT_DATA
-        assert capsys.readouterr().err == (f"data error: extract 3d-si {record.subject_id}/"
-                                           f"{record.sample_id}: {damaged}: not a PLY file\n")
-        assert (out / "sweep.csv").read_text().splitlines() == [
-            "curv.radius,radius,features,protocol,accuracy,f1"]
-
     def test_unreadable_sample_keeps_finished_points(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "out"
-        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        out, cfg_path = _copy_run(pipeline, tmp_path, keys={"eval.features": "3d-si",
+                                                            "landmarks.subset": "0,1,2,3"})
         record = dataset.load_index(out / "preprocessed" / "index.csv")[0]
         # A frame that curv.frames=all reads and onset-apex does not.
         frame = min(set(_onset_to_offset(record)) - set(_onset_apex(record)))
         damaged = fileio.cloud_path(_clouds_dir(out / "preprocessed", record), frame)
         good = damaged.read_bytes()
         damaged.write_text("damaged", encoding="utf-8")
-        cfg_path = tmp_path / "run.cfg"
-        replace(pipeline, out_dir=str(out), eval_features=("3d-si",),
-                landmark_subset=(0, 1, 2, 3)).to_file(cfg_path)
         grid = tmp_path / "grid.txt"
         grid.write_text("curv.frames=onset-apex|all\n", encoding="utf-8")
         argv = ["sweep", "--config", str(cfg_path), "--grid", str(grid)]
@@ -1267,33 +1077,8 @@ class TestSweep:
         assert lines[:2] == first and [line.split(",")[:3] for line in lines[2:]] == [
             ["all", "0.02", "3d-si"]]
 
-    def test_failed_store_write_exit_data(self, pipeline, tmp_path, monkeypatch, capsys):
-        out = tmp_path / "out"
-        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
-        cfg_path = tmp_path / "run.cfg"
-        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
-        grid = tmp_path / "grid.txt"
-        grid.write_text("curv.radius=0.02|0.025\n", encoding="utf-8")
-        real = fileio.write_atomic
-
-        def disk_full(path, data):
-            if Path(path).suffix == ".npy":
-                raise OSError("no space left on device")
-            return real(path, data)
-
-        # A fault of the disk, not of the point: no error row, so a rerun retries it.
-        monkeypatch.setattr(fileio, "write_atomic", disk_full)
-        assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid)]) == EXIT_DATA
-        assert capsys.readouterr().err == \
-            "data error: extract 3d-si 01/1_1: no space left on device\n"
-        assert (out / "sweep.csv").read_text().splitlines() == [
-            "curv.radius,radius,features,protocol,accuracy,f1"]
-
     def test_failing_extraction_names_the_sample(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "out"
-        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
-        cfg_path = tmp_path / "run.cfg"
-        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
+        out, cfg_path = _copy_run(pipeline, tmp_path)
         grid = tmp_path / "grid.txt"
         # Regions of at most a vertex or two: the first sample's first landmark fails.
         grid.write_text("curv.region_radius=0.02|0.0001\n", encoding="utf-8")
@@ -1403,18 +1188,11 @@ class TestMainEntry:
     def test_malformed_preprocessed_index_named_once(self, pipeline, tmp_path, capsys,
                                                      case, command):
         text, reason = self.BAD_INDEXES[case]
-        out = tmp_path / "out"
-        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        out, cfg_path = _copy_run(pipeline, tmp_path)
         index = out / "preprocessed" / "index.csv"
         index.write_bytes(text)
-        cfg_path = tmp_path / "run.cfg"
-        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
         assert main([*command, "--config", str(cfg_path)]) == EXIT_DATA
         assert capsys.readouterr().err == f"data error: {index}: {reason}\n"
-
-    def test_data_error_exit_code(self, tmp_path, capsys):
-        assert main(["preprocess", "--root", str(tmp_path / "nowhere"),
-                     "--out", str(tmp_path / "out")]) == EXIT_DATA
 
     @pytest.mark.parametrize("overrides, reason", [
         ({"protocol": "loso"}, "LOSO needs at least 2 distinct subjects"),
@@ -1466,9 +1244,7 @@ class TestMainEntry:
         assert not (tmp_path / "out").exists()
 
     def test_bad_tip_at_rejected_before_any_sample(self, pipeline, tmp_path, capsys):
-        cfg_path = tmp_path / "run.cfg"
-        fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(tmp_path / "out")).to_dict(),
-                                      "clean.tip_at": "mni"})
+        _, cfg_path = _copy_run(pipeline, tmp_path, (), {"clean.tip_at": "mni"})
         assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_DATA
         assert "tip_at must be min|max" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -1480,9 +1256,7 @@ class TestMainEntry:
     ], ids=["clean.k", "clean.sigma", "clean.crop_radius"])
     def test_bad_clean_value_rejected_before_any_sample(self, pipeline, tmp_path, capsys,
                                                         key, value, reason):
-        cfg_path = tmp_path / "run.cfg"
-        fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(tmp_path / "out")).to_dict(),
-                                      key: value})
+        _, cfg_path = _copy_run(pipeline, tmp_path, (), {key: value})
         assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:")
@@ -1501,9 +1275,7 @@ class TestMainEntry:
             "eval.features-empty", "eval.features-repeated"])
     def test_bad_run_value_rejected_before_any_work(self, pipeline, tmp_path, capsys,
                                                     key, value, command, reason):
-        cfg_path = tmp_path / "run.cfg"
-        fileio.save_config(cfg_path, {**replace(pipeline, out_dir=str(tmp_path / "out")).to_dict(),
-                                      key: value})
+        _, cfg_path = _copy_run(pipeline, tmp_path, (), {key: value})
         assert main([*command, "--config", str(cfg_path)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: config: {reason}")
         assert not (tmp_path / "out").exists()
@@ -1528,10 +1300,7 @@ class TestMainEntry:
         ("run.workers=1|2", "run"),
     ], ids=["clean.k", "synth.points", "run.workers"])
     def test_sweep_refuses_keys_it_cannot_vary(self, pipeline, tmp_path, capsys, line, stage):
-        out = tmp_path / "out"
-        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
-        cfg_path = tmp_path / "run.cfg"
-        replace(pipeline, out_dir=str(out)).to_file(cfg_path)
+        out, cfg_path = _copy_run(pipeline, tmp_path)
         grid = tmp_path / "grid.txt"
         grid.write_text(f"lbp.overlap=0|1\n{line}\n", encoding="utf-8")
         assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid)]) == EXIT_DATA
@@ -1543,12 +1312,8 @@ class TestMainEntry:
     @pytest.mark.parametrize("missing", ["preprocessed", "preprocessed/manifest.json"])
     def test_sweep_without_preprocessed_tree_writes_nothing(self, pipeline, tmp_path,
                                                             capsys, missing):
-        out = tmp_path / "out"
-        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        out, cfg_path = _copy_run(pipeline, tmp_path, keys=_2D_ONLY)
         shutil.rmtree(out / missing) if missing == "preprocessed" else (out / missing).unlink()
-        cfg_path = tmp_path / "run.cfg"
-        replace(pipeline, out_dir=str(out), eval_features=("2d",),
-                fusion_sweep=False).to_file(cfg_path)
         grid = tmp_path / "grid.txt"
         grid.write_text("lbp.overlap=0|1\n", encoding="utf-8")
         assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid)]) == EXIT_DATA
@@ -1557,11 +1322,7 @@ class TestMainEntry:
 
     def test_sweep_into_other_grids_csv_exit_data(self, pipeline, tmp_path, capsys,
                                                   monkeypatch):
-        cfg_path = tmp_path / "run.cfg"
-        out = tmp_path / "out"
-        replace(pipeline, out_dir=str(out), eval_features=("2d",),
-                fusion_sweep=False).to_file(cfg_path)
-        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", out / "preprocessed")
+        out, cfg_path = _copy_run(pipeline, tmp_path, keys=_2D_ONLY)
         first, second = tmp_path / "first.txt", tmp_path / "second.txt"
         first.write_text("lbp.overlap=0|1\n", encoding="utf-8")
         second.write_text("lbp.overlap=0\nlbp.blocks=2,2|3,3\n", encoding="utf-8")
