@@ -7,8 +7,8 @@ shape index), probability-level fusion of ``(n, C)`` class-probability arrays,
 and LOSO / repeated stratified k-fold evaluation.
 """
 
-from .curvature3d import (CurvatureConfig, SurfaceType, hk_classify, load_landmark_subset,
-                          principal_curvatures, quantize_si, sequence_feature, shape_index)
+from .curvature3d import (CurvatureConfig, SurfaceType, hk_classify, principal_curvatures,
+                          quantize_si, sequence_feature, shape_index)
 from .dataset import (MappingTable, NonObjectiveClass, ObjectiveClass, SampleData,
                       SampleRecord, coder_reliability, load_index, nonobjective_label,
                       objective_label, save_index)

@@ -29,8 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import curvature3d, dataset, fileio, learn, preprocess2d, preprocess3d
-from .curvature3d import (CurvatureConfig, DEFAULT_LANDMARK_SUBSET, check_landmark_indices,
-                          load_landmark_subset)
+from .curvature3d import CurvatureConfig, DEFAULT_LANDMARK_SUBSET
 from .dataset import IndexFormatError, SampleData, SampleRecord
 from .lbptop import LbpTopConfig, lbp_top_histogram, mean_difference_weights
 from .synth import SynthSpec, make_dataset
@@ -86,6 +85,11 @@ def _parse_subset(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip()) or DEFAULT_LANDMARK_SUBSET
 
 
+def _parse_weight(text: str) -> float | None:
+    """A fusion weight; empty means none (the sweep, or no fusion)."""
+    return float(text) if text.strip() else None
+
+
 def _join(values) -> str:
     return ",".join(map(str, values))
 
@@ -102,7 +106,6 @@ class ConfigKey(NamedTuple):
     stage: str  # the one of STAGES whose outputs the key changes; "run" if none
     parse: Callable[[str], object] = str
     format: Callable[[object], str] = str
-    omit: Callable[["RunConfig"], bool] = lambda cfg: False  # leave out of to_dict
 
 
 # Pipeline stages, in order. A key of the "run" stage changes no output file.
@@ -130,20 +133,12 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "eval.features": ConfigKey("eval_features", "eval", _parse_names, _join),
     "run.seed": ConfigKey("seed", "eval", int),  # also the synth seed
     "run.out": ConfigKey("out_dir", "run"),
-    "run.workers": ConfigKey("workers", "run", int),  # accepted and range-checked; no effect
+    "run.workers": ConfigKey("workers", "run", int),  # range-checked; no effect
     "clean.k": ConfigKey("denoise_k", "preprocess", int),
     "clean.sigma": ConfigKey("denoise_sigma", "preprocess", float, repr),
     "clean.crop_radius": ConfigKey("crop_radius", "preprocess", float, repr),
     "clean.tip_at": ConfigKey("tip_at", "preprocess"),
-    "landmarks.inner_eye_left": ConfigKey("inner_eye_left", "preprocess", int),
-    "landmarks.inner_eye_right": ConfigKey("inner_eye_right", "preprocess", int),
-    "landmarks.nasal_spine": ConfigKey("nasal_spine", "preprocess", int),
-    # A subset file, when named, is loaded by from_dict and written in place
-    # of the inline subset.
-    "landmarks.subset": ConfigKey("landmark_subset", "extract-3d", _parse_subset, _join,
-                                  omit=lambda cfg: bool(cfg.landmark_subset_file)),
-    "landmarks.subset_file": ConfigKey("landmark_subset_file", "extract-3d",
-                                       omit=lambda cfg: not cfg.landmark_subset_file),
+    "landmarks.subset": ConfigKey("landmark_subset", "extract-3d", _parse_subset, _join),
     "synth.subjects": ConfigKey("synth.n_subjects", "synth", int),
     "synth.samples": ConfigKey("synth.samples_per_subject", "synth", int),
     "synth.classes": ConfigKey("synth.n_classes", "synth", int),
@@ -152,7 +147,8 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "synth.noise_3d": ConfigKey("synth.noise_3d", "synth", float, repr),
     "synth.points": ConfigKey("synth.n_points", "synth", int),
     "synth.frames": ConfigKey("synth.n_frames", "synth", int),
-    "fusion.a": ConfigKey("fusion_a", "eval", float, repr, omit=lambda cfg: cfg.fusion_a is None),
+    "fusion.a": ConfigKey("fusion_a", "eval", _parse_weight,
+                          lambda a: "" if a is None else repr(a)),
 }
 
 
@@ -180,11 +176,7 @@ class RunConfig:
     denoise_sigma: float = 2.0
     crop_radius: float = 0.1
     tip_at: str = "min"                     # min | max
-    inner_eye_left: int = 22
-    inner_eye_right: int = 25
-    nasal_spine: int = 16
     landmark_subset: tuple[int, ...] = DEFAULT_LANDMARK_SUBSET
-    landmark_subset_file: str | None = None
     synth: SynthSpec = field(default_factory=SynthSpec)
 
     def __post_init__(self):
@@ -203,11 +195,9 @@ class RunConfig:
         for name in ("denoise_sigma", "crop_radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for key, indices in (("landmarks.inner_eye_left", [self.inner_eye_left]),
-                             ("landmarks.inner_eye_right", [self.inner_eye_right]),
-                             ("landmarks.nasal_spine", [self.nasal_spine]),
-                             ("landmarks.subset", self.landmark_subset)):
-            check_landmark_indices(indices, key)
+        for idx in self.landmark_subset:  # the 49-point markup
+            if not 0 <= idx <= 48:
+                raise ValueError(f"landmarks.subset: landmark index {idx} outside 0..48")
         if not self.eval_features:
             raise ValueError("eval_features names no feature kind")
         for i, kind in enumerate(self.eval_features):
@@ -220,7 +210,7 @@ class RunConfig:
 
     def to_dict(self) -> dict[str, str]:
         return {key: spec.format(_field_value(self, spec.field))
-                for key, spec in CONFIG_KEYS.items() if not spec.omit(self)}
+                for key, spec in CONFIG_KEYS.items()}
 
     @classmethod
     def from_dict(cls, d: dict[str, str]) -> "RunConfig":
@@ -239,8 +229,6 @@ class RunConfig:
             except ValueError as exc:
                 raise ValueError(f"{key}={text!r}: {exc}") from None
         top = fields.pop("")
-        if top.get("landmark_subset_file"):
-            top["landmark_subset"] = load_landmark_subset(top["landmark_subset_file"])
         base = cls()
         return replace(base, **top, **{part: replace(getattr(base, part), **kw)
                                        for part, kw in fields.items()})
@@ -255,11 +243,9 @@ class RunConfig:
 
 def stage_fingerprint(cfg: RunConfig, stage: str, base: str = "") -> str:
     """12 hex characters of sha1 over ``base`` and the formatted value of
-    every key of ``stage``. ``landmarks.subset_file`` enters only through the
-    subset it loads, so a file and the same inline subset agree."""
+    every key of ``stage``."""
     values = [f"{key}={spec.format(_field_value(cfg, spec.field))}"
-              for key, spec in CONFIG_KEYS.items()
-              if spec.stage == stage and key != "landmarks.subset_file"]
+              for key, spec in CONFIG_KEYS.items() if spec.stage == stage]
     return hashlib.sha1(";".join([base, *values]).encode()).hexdigest()[:12]
 
 
@@ -309,7 +295,8 @@ def read_sample_tree(root, record: SampleRecord, clouds=None) -> SampleData:
 
     A video that ends before the record's offset frame is a DataError naming
     the frames directory, and so is a landmark file that covers another
-    number of frames than the video, naming that file.
+    number of frames than the video, or holds a frame without 49 landmarks,
+    naming that file (and the frame).
     """
     d = sample_dir(root, record)
     if not d.is_dir():
@@ -340,6 +327,9 @@ def read_sample_tree(root, record: SampleRecord, clouds=None) -> SampleData:
         if len(marks[name]) != video.n_frames:
             raise DataError(f"{path}: landmarks of {len(marks[name])} frames, but the video "
                             f"has {video.n_frames}")
+        for t, frame in enumerate(marks[name]):
+            if len(frame) != 49:
+                raise DataError(f"{path}: frame {t} has {len(frame)} landmarks, not 49")
     return SampleData(video=video, clouds=tuple(read), **marks)
 
 
@@ -354,13 +344,14 @@ def preprocess_sample(sample: SampleData, cfg: RunConfig) -> tuple[SampleData, d
     canonical_right = (preprocess2d.CANONICAL_RIGHT_EYE[0] * w,
                        preprocess2d.CANONICAL_RIGHT_EYE[1] * h)
     transform = preprocess2d.estimate_alignment(
-        lm0[cfg.inner_eye_left], lm0[cfg.inner_eye_right],
+        lm0[preprocess2d.INNER_EYE_LEFT], lm0[preprocess2d.INNER_EYE_RIGHT],
         canonical_left, canonical_right)
 
     warped = preprocess2d.warp_volume(sample.video, transform)
     warped_marks = [transform.apply(m) for m in sample.landmarks2d]
-    eyes0 = (warped_marks[0][cfg.inner_eye_left], warped_marks[0][cfg.inner_eye_right])
-    spine0 = warped_marks[0][cfg.nasal_spine]
+    eyes0 = (warped_marks[0][preprocess2d.INNER_EYE_LEFT],
+             warped_marks[0][preprocess2d.INNER_EYE_RIGHT])
+    spine0 = warped_marks[0][preprocess2d.NASAL_SPINE]
     crop = preprocess2d.crop_face(warped, eyes0, spine0)
     top, left, _, _ = crop.rect
     shifted_marks = [m - np.array([left, top]) for m in warped_marks]
@@ -422,8 +413,12 @@ def cmd_preprocess(cfg: RunConfig) -> int:
         "samples": statuses,
         "details": details,
     }
-    fileio.write_atomic(out_root / "manifest.json",
-                        json.dumps(manifest, indent=2, sort_keys=True))
+    try:
+        fileio.write_atomic(out_root / "manifest.json",
+                            json.dumps(manifest, indent=2, sort_keys=True))
+    except BaseException:
+        (out_root / "index.csv").unlink(missing_ok=True)  # no index without its manifest
+        raise
     n_failed = sum(1 for s in statuses.values() if s != "ok")
     if records and n_failed / len(records) > 0.1:
         return EXIT_PARTIAL
@@ -845,8 +840,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, dest="run.seed", help="override run.seed")
-        p.add_argument("--workers", type=int, dest="run.workers",
-                       help="override run.workers (accepted, no effect)")
         p.add_argument("--out", dest="run.out", help="override run.out output directory")
         p.add_argument("--root", dest="data.root", help="override data.root dataset root")
 

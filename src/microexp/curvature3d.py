@@ -39,32 +39,6 @@ DEFAULT_LANDMARK_SUBSET = (
 SI_BIN_CENTERS = tuple(i / 8 for i in range(9))
 
 
-def check_landmark_indices(indices, where: str) -> None:
-    """Raise ValueError, naming ``where``, unless every index addresses the
-    49-point markup (0..48)."""
-    for idx in indices:
-        if not 0 <= idx <= 48:
-            raise ValueError(f"{where}: landmark index {idx} outside 0..48")
-
-
-def load_landmark_subset(path) -> tuple[int, ...]:
-    """Read a landmark-subset file: one 0-based index per line, '#' comments."""
-    indices = []
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            idx = int(line)
-        except ValueError:
-            raise ValueError(f"{path} line {line_no}: expected an integer index") from None
-        check_landmark_indices([idx], f"{path} line {line_no}")
-        indices.append(idx)
-    if not indices:
-        raise ValueError(f"{path}: empty landmark subset")
-    return tuple(indices)
-
-
 class SurfaceType(Enum):
     """Nine-way local surface classification from the signs of K and H.
 

@@ -240,14 +240,9 @@ class MappingTable:
                 rules.append(AuRule(label=label, combination=parse_aus(combo), at_least=at_least))
         return cls(rules=tuple(rules), fallback=fallback)
 
-    @classmethod
-    def from_file(cls, path, fallback: str = "Others") -> "MappingTable":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"), fallback=fallback)
-
 
 # Default objective table, read literally row by row (including the rows
-# that look typeset-shifted in the source material); swap in a corrected
-# rule file if a different taxonomy is wanted.
+# that look typeset-shifted in the source material).
 DEFAULT_OBJECTIVE_MAPPING = """\
 Happiness: 6 | 12 | 6+12 | 6+7+12 | 7+12
 Surprise: 1+2 | 5 | 25 | 1+2+25 | 25+26 | 5+24
@@ -269,14 +264,14 @@ DEFAULT_OBJECTIVE_TABLE = MappingTable.from_text(DEFAULT_OBJECTIVE_MAPPING)
 DEFAULT_NONOBJECTIVE_TABLE = MappingTable.from_text(DEFAULT_NONOBJECTIVE_MAPPING)
 
 
-def objective_label(aus, table: MappingTable = DEFAULT_OBJECTIVE_TABLE) -> ObjectiveClass:
+def objective_label(aus) -> ObjectiveClass:
     """Objective emotion class for an AU set (first matching rule, else Others)."""
-    return ObjectiveClass(table.classify(aus))
+    return ObjectiveClass(DEFAULT_OBJECTIVE_TABLE.classify(aus))
 
 
-def nonobjective_label(aus, table: MappingTable = DEFAULT_NONOBJECTIVE_TABLE) -> NonObjectiveClass:
+def nonobjective_label(aus) -> NonObjectiveClass:
     """Non-objective emotion class for an AU set."""
-    return NonObjectiveClass(table.classify(aus))
+    return NonObjectiveClass(DEFAULT_NONOBJECTIVE_TABLE.classify(aus))
 
 
 def coder_reliability(coder1, coder2) -> float:

@@ -19,6 +19,11 @@ class DegenerateGeometryError(ValueError):
     """Raised when landmark geometry does not determine a transform or crop."""
 
 
+# Indices of the inner eye corners and the nasal spine in the 49-point markup.
+INNER_EYE_LEFT = 22
+INNER_EYE_RIGHT = 25
+NASAL_SPINE = 16
+
 # Canonical eye-corner positions as fractions of the aligned frame size.
 CANONICAL_LEFT_EYE = (0.3, 0.35)
 CANONICAL_RIGHT_EYE = (0.7, 0.35)

@@ -29,6 +29,14 @@ class at a time.
 
 ``fusion_reference`` is the paper's fusion rule one sample and one class at
 a time, in Python floats, with the first maximum as the fused label.
+
+The point-cloud preprocessing references take every neighbour from the full
+pairwise distance matrix instead of a KD-tree: ``denoise_reference`` sorts
+each point's row for its k nearest, ``nose_tip_reference`` counts each row's
+entries within the density radius, and ``icp_reference`` runs ICP as an
+explicit loop whose correspondences are each row's argmin and whose rigid
+fit is its own Kabsch SVD of the target-by-source covariance. They share
+only the documented rules and constants with ``preprocess3d``.
 """
 
 import math
@@ -40,7 +48,8 @@ from scipy.spatial import cKDTree
 
 from microexp.lbptop import FeatureVector
 from microexp.learn import EvalResult, LogisticModel
-from microexp.preprocess3d import PointCloudFrame
+from microexp.preprocess3d import (NOSE_DENSITY_RADIUS, NOSE_MIN_NEIGHBORS, NOSE_SLAB,
+                                   PointCloudFrame)
 
 
 def _snap(value):
@@ -440,3 +449,71 @@ def fusion_reference(p1, p2, a, classes) -> list:
                 best, best_value = j, value
         labels.append(classes[best])
     return labels
+
+
+def _distances(a, b):
+    """The (len(a), len(b)) Euclidean distances between the rows of a and b."""
+    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+
+
+def denoise_reference(points, k, sigma_mult):
+    """The points whose mean distance to their k nearest others is at most
+    the mean of that statistic plus sigma_mult standard deviations."""
+    knn = np.sort(_distances(points, points), axis=1)[:, 1:k + 1]  # column 0: the point
+    mean_dist = knn.mean(axis=1)
+    threshold = mean_dist.mean() + sigma_mult * mean_dist.std()
+    return points[mean_dist <= threshold]
+
+
+def nose_tip_reference(points, tip_at):
+    """Among the points with NOSE_MIN_NEIGHBORS others within
+    NOSE_DENSITY_RADIUS, those within NOSE_SLAB of the extremal depth; of
+    them, the first nearest their centroid."""
+    counts = (_distances(points, points) <= NOSE_DENSITY_RADIUS).sum(axis=1)
+    dense = points[counts >= NOSE_MIN_NEIGHBORS + 1]  # each point counts itself
+    z = dense[:, 2]
+    slab = dense[z <= z.min() + NOSE_SLAB] if tip_at == "min" else dense[z >= z.max() - NOSE_SLAB]
+    centroid = slab.mean(axis=0)
+    best, best_dist = None, math.inf
+    for point in slab:
+        dist = math.sqrt(sum((float(p) - float(c)) ** 2 for p, c in zip(point, centroid)))
+        if dist < best_dist:
+            best, best_dist = point, dist
+    return best
+
+
+def _kabsch(source, target):
+    """Rotation r and translation t minimizing sum ||r @ s + t - g||^2 over
+    the paired rows s of source and g of target."""
+    cs, ct = source.mean(axis=0), target.mean(axis=0)
+    u, _, vt = np.linalg.svd((target - ct).T @ (source - cs))
+    r = u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
+    return r, ct - r @ cs
+
+
+def icp_reference(moving, fixed, max_iter=50, tol=1e-6):
+    """Point-to-point ICP of moving onto fixed: ``(rotation, translation,
+    residual, converged, n_iter)``. Each iteration fits the transform of the
+    moving points onto their current nearest fixed points; a fit that raises
+    the mean nearest distance is rejected and ends the loop, as does an
+    improvement below tol."""
+    def nearest(points):
+        dist = _distances(points, fixed)
+        idx = dist.argmin(axis=1)
+        return dist[np.arange(len(points)), idx].mean(), idx
+
+    rotation, translation = np.eye(3), np.zeros(3)
+    residual, idx = nearest(moving)
+    converged, n_iter = False, 0
+    for n_iter in range(1, max_iter + 1):
+        r, t = _kabsch(moving, fixed[idx])
+        new_residual, new_idx = nearest(moving @ r.T + t)
+        if new_residual > residual:
+            converged = True
+            break
+        improvement = residual - new_residual
+        rotation, translation, residual, idx = r, t, new_residual, new_idx
+        if improvement < tol:
+            converged = True
+            break
+    return rotation, translation, float(residual), converged, n_iter

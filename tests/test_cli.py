@@ -39,7 +39,7 @@ def _pipeline_cfg(base_dir: Path, **overrides) -> RunConfig:
     return RunConfig(**defaults)
 
 
-# A value other than the default for every key but the landmark subset ones.
+# A value other than the default for every key but landmarks.subset.
 NON_DEFAULT_VALUES = {
     "data.root": "d1",
     "data.label_mode": "nonobjective",
@@ -65,9 +65,6 @@ NON_DEFAULT_VALUES = {
     "clean.sigma": "1.5",
     "clean.crop_radius": "0.08",
     "clean.tip_at": "max",
-    "landmarks.inner_eye_left": "21",
-    "landmarks.inner_eye_right": "26",
-    "landmarks.nasal_spine": "15",
     "synth.subjects": "3",
     "synth.samples": "2",
     "synth.classes": "3",
@@ -191,21 +188,15 @@ class TestRunConfig:
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
         assert replace(cfg, seed=9).synth.seed == 9
 
-    def test_subset_file_key_loads_indices(self, tmp_path):
-        subset_path = tmp_path / "subset.txt"
-        subset_path.write_text("0\n1\n2\n3\n", encoding="utf-8")
-        cfg = RunConfig.from_dict({"landmarks.subset_file": str(subset_path)})
-        assert cfg.landmark_subset == (0, 1, 2, 3)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
-
     def test_dict_round_trip_default(self):
         cfg = RunConfig()
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
         assert RunConfig.from_dict({"landmarks.subset": ""}) == cfg  # empty: default subset
+        assert RunConfig.from_dict({"fusion.a": ""}) == cfg  # empty: no fixed fusion weight
 
     def test_default_config_text_pinned(self):
-        # recorded from the key-by-key to_dict this table replaced; it is the
-        # "config" block of every preprocess manifest.json
+        # the "config" block of every preprocess manifest.json: every key,
+        # an unset fusion.a written empty
         assert RunConfig().to_dict() == {
             "data.root": "data",
             "data.label_mode": "objective",
@@ -230,9 +221,6 @@ class TestRunConfig:
             "clean.sigma": "2.0",
             "clean.crop_radius": "0.1",
             "clean.tip_at": "min",
-            "landmarks.inner_eye_left": "22",
-            "landmarks.inner_eye_right": "25",
-            "landmarks.nasal_spine": "16",
             "landmarks.subset": "0,1,2,3,4,5,6,7,8,9,19,22,25,28,10,12,13,14,16,18,"
                                 "31,33,35,37,39,41,43,44,45,46,47,48",
             "synth.subjects": "5",
@@ -243,17 +231,11 @@ class TestRunConfig:
             "synth.noise_3d": "0.0002",
             "synth.points": "1400",
             "synth.frames": "9",
+            "fusion.a": "",
         }
 
-    @pytest.mark.parametrize("subset_from_file", [False, True])
-    def test_every_key_round_trips(self, tmp_path, subset_from_file):
-        subset_path = tmp_path / "subset.txt"
-        subset_path.write_text("3\n1\n4\n", encoding="utf-8")
-        d = dict(NON_DEFAULT_VALUES)
-        if subset_from_file:
-            d["landmarks.subset_file"] = str(subset_path)
-        else:
-            d["landmarks.subset"] = "3,1,4"
+    def test_every_key_round_trips(self):
+        d = {**NON_DEFAULT_VALUES, "landmarks.subset": "3,1,4"}
         cfg = RunConfig(
             dataset_root="d1", label_mode="nonobjective",
             lbp=LbpTopConfig(radii=(2, 2, 3), neighbors=(4, 8, 16), blocks=(3, 4), overlap=2),
@@ -262,24 +244,18 @@ class TestRunConfig:
             curvature_frames="all", weight_radius_px=3, fusion_a=0.3, fusion_sweep=False,
             protocol="kfold", kfold_k=5, kfold_repeats=2, eval_features=("2d", "3d-hk"),
             seed=11, out_dir="o1", workers=2, denoise_k=6, denoise_sigma=1.5,
-            crop_radius=0.08, tip_at="max", inner_eye_left=21, inner_eye_right=26,
-            nasal_spine=15, landmark_subset=(3, 1, 4),
-            landmark_subset_file=str(subset_path) if subset_from_file else None,
+            crop_radius=0.08, tip_at="max", landmark_subset=(3, 1, 4),
             synth=SynthSpec(n_subjects=3, samples_per_subject=2, n_classes=3, signal="both",
                             noise_2d=1.5, noise_3d=0.0005, n_points=900, n_frames=7, seed=11))
         default = RunConfig().to_dict()
-        assert set(d) | {"landmarks.subset", "landmarks.subset_file"} == set(CONFIG_KEYS)
-        assert all(d[key] != default[key] for key in d if key in default)
+        assert set(d) == set(CONFIG_KEYS)
+        assert all(d[key] != default[key] for key in d)
         assert RunConfig.from_dict(d) == cfg
         assert fileio.format_config(cfg.to_dict()) == fileio.format_config(d)
 
-    @pytest.mark.parametrize("key", [*NON_DEFAULT_VALUES, "landmarks.subset",
-                                     "landmarks.subset_file"])
-    def test_fingerprints_follow_stages(self, tmp_path, key):
-        subset_path = tmp_path / "subset.txt"
-        subset_path.write_text("3\n1\n4\n", encoding="utf-8")
-        value = {**NON_DEFAULT_VALUES, "landmarks.subset": "3,1,4",
-                 "landmarks.subset_file": str(subset_path)}[key]
+    @pytest.mark.parametrize("key", [*NON_DEFAULT_VALUES, "landmarks.subset"])
+    def test_fingerprints_follow_stages(self, key):
+        value = {**NON_DEFAULT_VALUES, "landmarks.subset": "3,1,4"}[key]
         base, changed = RunConfig(), RunConfig.from_dict({key: value})
         stage = CONFIG_KEYS[key].stage
         assert stage in cli.STAGES
@@ -289,15 +265,11 @@ class TestRunConfig:
             assert (feature_fingerprint(changed, kind, "0123456789ab") !=
                     feature_fingerprint(base, kind, "0123456789ab")) == (stage == extract_stage)
 
-    def test_subset_file_and_inline_subset_share_fingerprint(self, tmp_path):
-        subset_path = tmp_path / "subset.txt"
-        subset_path.write_text("3\n1\n4\n", encoding="utf-8")
-        from_file = RunConfig.from_dict({"landmarks.subset_file": str(subset_path)})
-        inline = RunConfig.from_dict({"landmarks.subset": "3,1,4"})
-        assert re.fullmatch(r"[0-9a-f]{12}", feature_fingerprint(inline, "3d-si"))
-        assert feature_fingerprint(from_file, "3d-si") == feature_fingerprint(inline, "3d-si")
-        # The manifest fingerprint enters every kind's.
-        assert feature_fingerprint(inline, "2d", "a") != feature_fingerprint(inline, "2d", "b")
+    def test_feature_fingerprint_hashes_manifest_fingerprint(self):
+        cfg = RunConfig.from_dict({"landmarks.subset": "3,1,4"})
+        assert re.fullmatch(r"[0-9a-f]{12}", feature_fingerprint(cfg, "3d-si"))
+        for kind in ("2d", "3d-si"):
+            assert feature_fingerprint(cfg, kind, "a") != feature_fingerprint(cfg, kind, "b")
 
     def test_unknown_keys_all_named(self):
         with pytest.raises(ValueError, match="unknown config keys: eval.protcol, synth.n_points"):
@@ -1209,15 +1181,20 @@ class TestMainEntry:
 
     def test_unknown_config_keys_exit_data(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
-        # data.frame_rate is no key (it changed no output); a config naming it is refused.
+        # Removed keys are refused: data.frame_rate changed no output, the
+        # three markup indices are preprocess2d constants, and
+        # landmarks.subset_file was a second spelling of landmarks.subset.
+        removed = ("data.frame_rate", "landmarks.inner_eye_left", "landmarks.inner_eye_right",
+                   "landmarks.nasal_spine", "landmarks.subset_file")
         cfg_path.write_text("synth.n_subjects=3\nsynth.samples_per_subject=2\n"
-                            "synth.n_points=800\ndata.frame_rate=60.0\n", encoding="utf-8")
+                            "synth.n_points=800\n" + "".join(f"{key}=1\n" for key in removed),
+                            encoding="utf-8")
         assert main(["synth", "--config", str(cfg_path),
                      "--root", str(tmp_path / "data")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         for key in ("synth.n_subjects", "synth.samples_per_subject", "synth.n_points",
-                    "data.frame_rate"):
+                    *removed):
             assert key in err
         assert not (tmp_path / "data").exists()
 
@@ -1227,11 +1204,6 @@ class TestMainEntry:
         # Landmark indices address the 49-point markup: 0..48, no negatives.
         ("landmarks.subset=0,60", "landmarks.subset: landmark index 60 outside 0..48"),
         ("landmarks.subset=0,-1", "landmarks.subset: landmark index -1 outside 0..48"),
-        ("landmarks.inner_eye_left=60",
-         "landmarks.inner_eye_left: landmark index 60 outside 0..48"),
-        ("landmarks.inner_eye_right=49",
-         "landmarks.inner_eye_right: landmark index 49 outside 0..48"),
-        ("landmarks.nasal_spine=-3", "landmarks.nasal_spine: landmark index -3 outside 0..48"),
     ])
     def test_bad_config_value_exit_data(self, tmp_path, capsys, line, reason):
         cfg_path = tmp_path / "run.cfg"
@@ -1349,9 +1321,11 @@ class TestMainEntry:
         assert _load_cfg(parser.parse_args(["eval", "--config", str(cfg_path)])) == \
             RunConfig.from_file(cfg_path)
         args = parser.parse_args(["eval", "--config", str(cfg_path), "--seed", "7",
-                                  "--workers", "2", "--out", "o", "--root", "r"])
-        assert _load_cfg(args) == RunConfig(seed=7, workers=2, out_dir="o", dataset_root="r",
+                                  "--out", "o", "--root", "r"])
+        assert _load_cfg(args) == RunConfig(seed=7, workers=3, out_dir="o", dataset_root="r",
                                             synth=SynthSpec(seed=7))
+        # run.workers has no flag: it changes nothing.
+        assert main(["preprocess", "--config", str(cfg_path), "--workers", "2"]) == EXIT_USAGE
 
     def test_synth_writes_tree(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -8,9 +8,8 @@ from scipy.spatial import cKDTree
 
 from microexp import curvature3d
 from microexp.curvature3d import (CurvatureConfig, DEFAULT_LANDMARK_SUBSET, SurfaceType,
-                                  _FIT_BLOCK, _vertex_bins, hk_classify, load_landmark_subset,
-                                  principal_curvatures, quantize_si, sequence_feature,
-                                  shape_index)
+                                  _FIT_BLOCK, _vertex_bins, hk_classify, principal_curvatures,
+                                  quantize_si, sequence_feature, shape_index)
 from microexp.dataset import (NonObjectiveClass, ObjectiveClass, SampleData,
                               SampleRecord)
 from microexp.preprocess2d import FrameVolume
@@ -250,36 +249,6 @@ class TestSequenceFeature:
         with pytest.raises(ValueError, match="weight"):
             sequence_feature(sample, _record(), [1.0, 2.0], "si",
                              CurvatureConfig(), subset=(0,))
-
-
-class TestLandmarkSubsetFile:
-    def test_one_index_per_line(self, tmp_path):
-        path = tmp_path / "subset.txt"
-        path.write_text("# brows\n0\n1\n 2 \n\n48\n", encoding="utf-8")
-        assert load_landmark_subset(path) == (0, 1, 2, 48)
-
-    def test_default_subset_round_trips(self, tmp_path):
-        path = tmp_path / "subset.txt"
-        path.write_text("\n".join(str(i) for i in DEFAULT_LANDMARK_SUBSET) + "\n")
-        assert load_landmark_subset(path) == DEFAULT_LANDMARK_SUBSET
-
-    def test_out_of_range_rejected(self, tmp_path):
-        path = tmp_path / "subset.txt"
-        path.write_text("49\n")
-        with pytest.raises(ValueError, match="outside"):
-            load_landmark_subset(path)
-
-    def test_non_integer_rejected(self, tmp_path):
-        path = tmp_path / "subset.txt"
-        path.write_text("brow\n")
-        with pytest.raises(ValueError, match="integer"):
-            load_landmark_subset(path)
-
-    def test_empty_rejected(self, tmp_path):
-        path = tmp_path / "subset.txt"
-        path.write_text("# nothing\n")
-        with pytest.raises(ValueError, match="empty"):
-            load_landmark_subset(path)
 
 
 class TestRotationInvariance:

@@ -34,7 +34,8 @@ EXTRACTS = tuple(f"extract-{kind}" for kind in KINDS)
 ARGV = {"synth": ["synth"], "preprocess": ["preprocess"], "eval": ["eval"], "sweep": ["sweep"],
         **{f"extract-{kind}": ["extract", "--kind", kind] for kind in KINDS}}
 # What each command writes whole or not at all.
-OUTPUTS = {"synth": ["data/index.csv"], "preprocess": ["out/preprocessed/manifest.json"],
+OUTPUTS = {"synth": ["data/index.csv"],
+           "preprocess": ["out/preprocessed/index.csv", "out/preprocessed/manifest.json"],
            "eval": ["out/results.csv", "out/eval_details.json"],
            **{f"extract-{kind}": [f"out/features/{kind}"] for kind in KINDS}}
 ROWS = 7  # sweep.csv rows per grid point: four kinds, three fused pairs
@@ -177,6 +178,10 @@ FAULTS = {
     "landmarks-cut": sample_file("02/2_2", "landmarks3d.csv",  # at a row: 4 frames and a part
                                  edit(lambda data: b"".join(data.splitlines(True)[:221])),
                                  "{path}: landmarks of 5 frames, but the video has 9", CLOUDS),
+    "landmarks-cut-frame": sample_file("02/2_2", "landmarks3d.csv",  # 8 frames and 20 rows
+                                       edit(lambda data: b"".join(
+                                           data.splitlines(True)[:1 + 8 * 49 + 20])),
+                                       "{path}: frame 8 has 20 landmarks, not 49", CLOUDS),
     "index-malformed": Fault(("preprocess", *TREE_READERS),
                              at("{tree}/index.csv", line(2, b"01,1_2,0,4,8,1+2,Surprise")),
                              "{path}: row 3: expected 8 columns, got 7", refused=True),

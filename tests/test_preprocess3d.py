@@ -10,6 +10,8 @@ from microexp.preprocess3d import (PointCloudFrame, RigidTransform,
                                    register_sequence, spherical_crop)
 from microexp.synth import make_surface
 
+from .oracles import denoise_reference, icp_reference, nose_tip_reference
+
 
 def _rotation(axis, angle):
     axis = np.asarray(axis, dtype=float)
@@ -185,6 +187,50 @@ class TestIcp:
         small = PointCloudFrame(np.random.default_rng(0).standard_normal((20, 3)))
         with pytest.raises(ValueError):
             icp_align(small, small)
+
+
+def _speckled_face(seed, n_points=600):
+    """A seeded face-proxy cloud under 0.5 mm noise, with 12 far speckle points."""
+    rng = np.random.default_rng(seed)
+    points = make_surface("face_proxy", n_points=n_points, seed=seed).cloud.points
+    speckle = points[rng.choice(len(points), 12, replace=False)] + rng.normal(0, 0.02, (12, 3))
+    return np.vstack([points + rng.normal(0, 0.0005, points.shape), speckle])
+
+
+class TestReferences:
+    """The KD-tree paths against the brute-force references in tests/oracles.py."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("k, sigma", [(8, 2.0), (3, 1.0)])
+    def test_denoise_keeps_the_reference_points(self, seed, k, sigma):
+        points = _speckled_face(seed)
+        kept = denoise(PointCloudFrame(points), k=k, sigma_mult=sigma).points
+        assert len(kept) < len(points)
+        assert np.array_equal(kept, denoise_reference(points, k, sigma))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("tip_at", ["min", "max"])
+    def test_nose_tip_is_the_reference_point(self, seed, tip_at):
+        points = _speckled_face(seed)
+        tip = find_nose_tip(PointCloudFrame(points), tip_at=tip_at)
+        assert np.array_equal(tip, nose_tip_reference(points, tip_at))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("max_iter, tol", [(50, 1e-6), (200, 1e-12), (3, 1e-12)])
+    def test_icp_matches_reference(self, seed, max_iter, tol):
+        rng = np.random.default_rng(seed)
+        fixed = make_surface("face_proxy", n_points=500, seed=seed).cloud.points
+        motion = RigidTransform(_rotation(rng.normal(size=3), math.radians(6)),
+                                rng.normal(0, 0.004, 3))
+        moving = motion.inverse().apply(fixed[:400]) + rng.normal(0, 0.0003, (400, 3))
+        result = icp_align(PointCloudFrame(moving), PointCloudFrame(fixed),
+                           max_iter=max_iter, tol=tol)
+        rotation, translation, residual, converged, n_iter = icp_reference(
+            moving, fixed, max_iter, tol)
+        assert (result.n_iter, result.converged) == (n_iter, converged)
+        assert np.max(np.abs(result.transform.rotation - rotation)) < 1e-9
+        assert np.max(np.abs(result.transform.translation - translation)) < 1e-9
+        assert abs(result.residual - residual) < 1e-9
 
 
 class TestRegisterSequence:
