@@ -1204,6 +1204,12 @@ class TestMainEntry:
         # Landmark indices address the 49-point markup: 0..48, no negatives.
         ("landmarks.subset=0,60", "landmarks.subset: landmark index 60 outside 0..48"),
         ("landmarks.subset=0,-1", "landmarks.subset: landmark index -1 outside 0..48"),
+        # The markup indices are preprocess2d constants now: a config that
+        # still sets one is refused for the key, whatever its value.
+        *(pytest.param(f"{key}={value}", f"unknown config keys: {key}", id=f"{key}={value}-{key}")
+          for key, value in (("landmarks.inner_eye_left", 60),
+                             ("landmarks.inner_eye_right", 49),
+                             ("landmarks.nasal_spine", -3))),
     ])
     def test_bad_config_value_exit_data(self, tmp_path, capsys, line, reason):
         cfg_path = tmp_path / "run.cfg"
