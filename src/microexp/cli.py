@@ -457,7 +457,8 @@ def extract_sample_feature(sample: SampleData, record: SampleRecord,
 def load_preprocessed(cfg: RunConfig) -> tuple[Path, list[SampleRecord]]:
     """The preprocessed tree's root and its records. A tree whose manifest
     fingerprint is not the one ``cfg``'s ``preprocess`` keys give is a data
-    error: features extracted from it would match no config."""
+    error: features extracted from it would match no config. The message
+    names the preprocess keys that differ and the keys that are gone."""
     pre_root = Path(cfg.out_dir) / "preprocessed"
     path = pre_root / "manifest.json"
     if not path.exists():
@@ -475,6 +476,8 @@ def load_preprocessed(cfg: RunConfig) -> tuple[Path, list[SampleRecord]]:
         changed = [f"{key}={theirs[key]}, not {ours[key]}"
                    for key, spec in CONFIG_KEYS.items()
                    if spec.stage == "preprocess" and key in theirs and theirs[key] != ours[key]]
+        changed += [f"{key}={value} (no longer a key)" for key, value in theirs.items()
+                    if key not in CONFIG_KEYS]
         raise DataError(f"{pre_root} was preprocessed under other preprocess keys than the "
                         f"config ({'; '.join(changed) or f'fingerprint {fingerprint}, not {want}'})"
                         "; run preprocess again with this config")
@@ -685,36 +688,30 @@ def parse_grid(text: str) -> list[dict[str, str]]:
     return points if axes else []
 
 
-def _resume_sweep(csv_path: Path, grid_keys: list[str]) -> set[tuple[str, ...]]:
-    """The grid values of the points whose rows ``csv_path`` already holds;
-    the file is created with its header when absent.
-
-    A file that does not end in a newline was cut mid-write. It is cut back
-    to its last newline, and the rows of the last point left go as well, so
-    that point runs again: the rows of one point may have been cut anywhere.
-    """
+def _resume_sweep(csv_path: Path, grid_keys: list[str]) -> tuple[str, set[tuple[str, ...]]]:
+    """The text of ``csv_path``, its lines as they are, and the grid values of
+    the points whose rows it holds; the file is written with its header alone
+    when absent. ``cmd_sweep`` writes the file whole after each point, so one
+    that does not end in a newline (an empty one too) was cut by an older
+    version: a data error, and the file is left as it is."""
     header = grid_keys + RESULTS_HEADER
-    n = len(grid_keys)
-    text = csv_path.read_text(encoding="utf-8") if csv_path.exists() else ""
-    lines = text.splitlines(keepends=True)
-    torn = not text.endswith("\n")
-    if torn:
-        lines = lines[:-1]
+    if not csv_path.exists():
+        table = io.StringIO()
+        _csv_writer(table).writerow(header)
+        fileio.write_atomic(csv_path, table.getvalue())
+    try:
+        text = csv_path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{csv_path}: {exc}") from None
+    if not text.endswith("\n"):
+        raise DataError(f"{csv_path} does not end in a newline: an older sweep was cut "
+                        "while writing it; delete it or use another run.out")
+    lines = text.splitlines()
     rows = list(csv.reader(lines))
-    if torn and len(rows) > 1:
-        last = rows[-1][:n]
-        while len(rows) > 1 and rows[-1][:n] == last:
-            rows.pop()
-            lines.pop()
-    if rows and rows[0] != header:
-        raise DataError(f"{csv_path} has header {lines[0].rstrip()!r}, but this grid writes "
+    if rows[0] != header:
+        raise DataError(f"{csv_path} has header {lines[0]!r}, but this grid writes "
                         f"{','.join(header)!r}; use another run.out")
-    if not rows:
-        with csv_path.open("w", encoding="utf-8", newline="") as fh:
-            _csv_writer(fh).writerow(header)
-    elif torn:
-        csv_path.write_text("".join(lines), encoding="utf-8")
-    return {tuple(row[:n]) for row in rows[1:]}
+    return text, {tuple(row[:len(grid_keys)]) for row in rows[1:]}
 
 
 def cmd_sweep(cfg: RunConfig, grid_path) -> int:
@@ -734,42 +731,44 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
 
     pre_root, records = load_preprocessed(cfg)
     csv_path = Path(cfg.out_dir) / "sweep.csv"
-    done = _resume_sweep(csv_path, grid_keys)
+    text, done = _resume_sweep(csv_path, grid_keys)
 
     # Each distinct feature is extracted once: (kind, fingerprint) -> (n, d)
     # matrix; each distinct cross-validation of a kind is run once (see evaluate_features).
     extracted: dict[tuple[str, str], np.ndarray] = {}
     cv_cache: dict = {}
     n_failed = 0
-    with csv_path.open("a", encoding="utf-8", newline="") as fh:
-        writer = _csv_writer(fh)
-        for point in points:
-            values = [point[k] for k in grid_keys]
-            if tuple(values) in done:
-                continue
-            point_cfg = cfg  # the error row's protocol while the point's config is unparsed
-            try:
-                point_cfg = RunConfig.from_dict({**cfg.to_dict(), **point})
-                features_by_kind = {}
-                for kind in point_cfg.eval_features:
-                    key = (kind, feature_fingerprint(point_cfg, kind))
-                    if key not in extracted:
-                        extracted[key] = _row_matrix(len(records), (
-                            (feature.values, f"{kind} feature of {r.subject_id}/{r.sample_id}")
-                            for r, feature in extract_samples(pre_root, records, kind,
-                                                              point_cfg)))
-                    features_by_kind[kind] = extracted[key]
-                rows = [_row_fields(row) for row in evaluate_features(
-                    point_cfg, records, features_by_kind, cv_cache=cv_cache)[0]]
-            except SampleFileError:
-                raise  # no row: a rerun starts again at this point
-            except (ValueError, KeyError) as exc:
-                n_failed += 1
-                where = " ".join(f"{k}={point[k]}" for k in grid_keys)
-                print(f"sweep point {where} failed: {exc}", file=sys.stderr)
-                rows = [["-", "error", point_cfg.protocol, "nan", "nan"]]
-            writer.writerows(values + row for row in rows)
-            fh.flush()
+    # Written whole after each point: a killed sweep leaves finished points' rows.
+    table = io.StringIO()
+    table.write(text)
+    writer = _csv_writer(table)
+    for point in points:
+        values = [point[k] for k in grid_keys]
+        if tuple(values) in done:
+            continue
+        point_cfg = cfg  # the error row's protocol while the point's config is unparsed
+        try:
+            point_cfg = RunConfig.from_dict({**cfg.to_dict(), **point})
+            features_by_kind = {}
+            for kind in point_cfg.eval_features:
+                key = (kind, feature_fingerprint(point_cfg, kind))
+                if key not in extracted:
+                    extracted[key] = _row_matrix(len(records), (
+                        (feature.values, f"{kind} feature of {r.subject_id}/{r.sample_id}")
+                        for r, feature in extract_samples(pre_root, records, kind,
+                                                          point_cfg)))
+                features_by_kind[kind] = extracted[key]
+            rows = [_row_fields(row) for row in evaluate_features(
+                point_cfg, records, features_by_kind, cv_cache=cv_cache)[0]]
+        except SampleFileError:
+            raise  # no row: a rerun starts again at this point
+        except (ValueError, KeyError) as exc:
+            n_failed += 1
+            where = " ".join(f"{k}={point[k]}" for k in grid_keys)
+            print(f"sweep point {where} failed: {exc}", file=sys.stderr)
+            rows = [["-", "error", point_cfg.protocol, "nan", "nan"]]
+        writer.writerows(values + row for row in rows)
+        fileio.write_atomic(csv_path, table.getvalue())
 
     return EXIT_PARTIAL if n_failed else EXIT_OK
 

@@ -8,7 +8,8 @@ tree's outputs. It checks that the message (stderr, or the manifest's
 ``skipped:`` reason) names the faulty path exactly once. And it checks what
 is left: refused inputs leave run.out (data.root for synth) byte for byte;
 a failure after the start leaves none of the command's outputs, old or new;
-sweep keeps the rows of the points it finished.
+sweep keeps the rows of the points it finished, and once a failed rename
+works again, its rerun leaves the bytes of an uninterrupted sweep.
 
 Samples 01/1_1 to 02/2_2 have nine frames: onset 0, apex 4, offset 8.
 ``{tree}`` is data/ under preprocess and out/preprocessed/ otherwise.
@@ -116,6 +117,24 @@ def into_file(path: Path) -> None:
     path.write_text("a file, not a directory\n", encoding="utf-8")
 
 
+def older_manifest(data: bytes) -> bytes:
+    """The manifest of a version that had the key landmarks.inner_eye_left:
+    the key in its config, and another fingerprint."""
+    manifest = json.loads(data)
+    manifest["config"]["landmarks.inner_eye_left"] = "22"
+    manifest["fingerprint"] = "0ce77d42aca2"
+    return json.dumps(manifest, indent=2, sort_keys=True).encode()
+
+
+def final_rename(dst: Path, command: str) -> bool:
+    """The rename that writes the command's last output; in a sweep, the
+    rewrite of sweep.csv that adds the second point's rows."""
+    if command == "sweep":
+        return dst.name == "sweep.csv" and dst.exists() and len(dst.read_bytes().splitlines()) > 1
+    return dst.name == {"synth": "index.csv", "preprocess": "manifest.json",
+                        "eval": "results.csv"}.get(command, "2_2.csv")
+
+
 def cold_store(root: Path, command: str) -> None:
     """Extracts fit on an empty curvature store; sweep fits curv.radius=0.025 anew."""
     if command != "sweep":
@@ -150,6 +169,8 @@ def feature_file(kind: str, damage, reason: str) -> Fault:
 
 ENOSPC = r"\[Errno 28\] No space left on device: '[^']*' -> '{path}'"
 MISMATCH = r"{{path}}: feature {},\w+ does not match the config \({},\w+\); run extract again"
+OTHER_KEYS = (r"{{path}} was preprocessed under other preprocess keys than the config \({}\); "
+              r"run preprocess again with this config")
 CUT = edit(lambda data: data[:len(data) // 2])
 FAULTS = {
     "cloud-missing": sample_file("01/1_1", "clouds/cloud_0004.ply", Path.unlink,
@@ -190,14 +211,19 @@ FAULTS = {
     "preprocess-interrupted": Fault(TREE_READERS, at("{tree}/manifest.json", lambda path: [
         path.unlink(), path.with_name("index.csv").unlink()]),
         "missing {path}: run preprocess first", refused=True),
+    "preprocessed-missing": Fault(TREE_READERS, at("{tree}", shutil.rmtree,
+                                                   named="{tree}/manifest.json"),
+                                  "missing {path}: run preprocess first", refused=True),
     "index-missing": Fault(TREE_READERS, at("{tree}/index.csv", Path.unlink),
                            "missing {path}: run preprocess again", refused=True),
     # The tree was preprocessed under clean.k=8.
     "other-keys": Fault(TREE_READERS, at("{root}/run.cfg", edit(lambda cfg: cfg + b"clean.k=3\n"),
                                          named="{tree}"),
-                        r"{path} was preprocessed under other preprocess keys than the config "
-                        r"\(clean\.k=8, not 3\); run preprocess again with this config",
-                        refused=True),
+                        OTHER_KEYS.format(r"clean\.k=8, not 3"), refused=True),
+    "removed-key": Fault(TREE_READERS, at("{tree}/manifest.json", edit(older_manifest),
+                                          named="{tree}"),
+                         OTHER_KEYS.format(r"landmarks\.inner_eye_left=22 \(no longer a key\)"),
+                         refused=True),
     "feature-missing": feature_file("3d-si", Path.unlink,
                                     "missing 3d-si feature file {path}: run extract first"),
     "feature-not-a-row": feature_file("2d", edit(lambda data: b"2d-lbptop,abc\n"),
@@ -216,13 +242,20 @@ FAULTS = {
             path.parents[2] / "3d-si/02/2_2.csv", path),
         MISMATCH.format("3d-si", "3d-hk")),
     "output-unwritable": Fault(tuple(ARGV), at("{target}", into_file), None, refused=True),
-    "rename-fails": Fault(("synth", "preprocess", *EXTRACTS, "eval"), None, ENOSPC,
-                          renames=lambda dst, command: dst.name == {
-                              "synth": "index.csv", "preprocess": "manifest.json",
-                              "eval": "results.csv"}.get(command, "2_2.csv")),
+    "rename-fails": Fault(("synth", "preprocess", *EXTRACTS, "eval", "sweep"), None, ENOSPC,
+                          renames=final_rename, finished=1),
     "store-rename-fails": Fault((*EXTRACTS[1:], "sweep"), cold_store,
                                 r"extract 3d-\S+ 01/1_1: " + ENOSPC,
                                 renames=lambda dst, command: dst.suffix == ".npy", finished=1),
+    # sweep.csv is written whole after each point: only an older version tore it.
+    "sweep-csv-torn": Fault(("sweep",), at("{out}/sweep.csv", lambda path: path.write_text(
+        "curv.radius,radius,features,protocol,accuracy,f1\n0.02,-,2d,lo", encoding="utf-8")),
+        "{path} does not end in a newline: an older sweep was cut while writing it; "
+        "delete it or use another run.out", refused=True),
+    "sweep-csv-not-utf8": Fault(("sweep",), at("{out}/sweep.csv", lambda path: path.write_bytes(
+        b"curv.radius,radius,features,protocol,accuracy,f1\n\xff\n")),
+        "{path}: 'utf-8' codec can't decode byte 0xff in position 49: invalid start byte",
+        refused=True),
 }
 CELLS = [(name, command) for name, fault in FAULTS.items() for command in fault.commands]
 
@@ -282,5 +315,16 @@ def test_fault_matrix(tree, tmp_path, monkeypatch, capsys, name, command):
             assert files(target) == before
         elif command == "sweep":
             assert sweep_points(root) == ["0.02"] * ROWS * fault.finished
+            if fault.renames:  # a rerun finishes the sweep as if it had never stopped
+                csv_path = root / "out" / "sweep.csv"
+                finished = csv_path.read_bytes()
+                monkeypatch.undo()
+                assert run(root, "sweep") == 0
+                assert sweep_points(root) == ["0.02"] * ROWS + ["0.025"] * ROWS
+                resumed = csv_path.read_bytes()
+                assert resumed.startswith(finished)
+                csv_path.unlink()
+                assert run(root, "sweep") == 0
+                assert csv_path.read_bytes() == resumed
         else:
             assert outputs(root, command) == {}
