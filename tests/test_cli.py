@@ -478,6 +478,34 @@ class TestSynthAndPreprocess:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(index) in err
 
+    @pytest.mark.parametrize("earlier_run", [False, True])
+    def test_failed_index_write_leaves_no_index(self, tmp_path, monkeypatch, capsys,
+                                                earlier_run):
+        cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
+            n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=6))
+        cfg_path = tmp_path / "run.cfg"
+        cfg.to_file(cfg_path)
+        root = Path(cfg.dataset_root)
+        if earlier_run:
+            assert main(["synth", "--config", str(cfg_path)]) == EXIT_OK
+            assert (root / "index.csv").exists()
+        real = fileio.os.replace
+
+        def fails_on_index(src, dst):
+            if Path(dst).name == "index.csv":
+                raise _disk_full(src, dst)
+            return real(src, dst)
+
+        monkeypatch.setattr(fileio.os, "replace", fails_on_index)
+        assert main(["synth", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count(str(root / "index.csv")) == 1
+        monkeypatch.undo()
+        assert not [p.name for p in root.iterdir() if "index.csv" in p.name]
+        assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(root / "index.csv") in err
+
     def test_synth_memory_is_bounded_by_one_subject(self, tmp_path):
         spec = SynthSpec(n_subjects=4, samples_per_subject=2, n_points=700, signal="both",
                          seed=6)
@@ -996,6 +1024,31 @@ class TestSweep:
         assert reads == [fileio.cloud_path(_clouds_dir(pre, r), t) for frames in used
                          for r in dataset.load_index(pre / "index.csv") for t in frames(r)]
 
+    def test_unreadable_sample_keeps_finished_points(self, pipeline, tmp_path, capsys):
+        out, cfg_path = _copy_run(pipeline, tmp_path, keys={"eval.features": "3d-si",
+                                                            "landmarks.subset": "0,1,2,3"})
+        record = dataset.load_index(out / "preprocessed" / "index.csv")[0]
+        # A frame that curv.frames=all reads and onset-apex does not.
+        frame = min(set(_onset_to_offset(record)) - set(_onset_apex(record)))
+        damaged = fileio.cloud_path(_clouds_dir(out / "preprocessed", record), frame)
+        good = damaged.read_bytes()
+        damaged.write_text("damaged", encoding="utf-8")
+        grid = tmp_path / "grid.txt"
+        grid.write_text("curv.frames=onset-apex|all\n", encoding="utf-8")
+        argv = ["sweep", "--config", str(cfg_path), "--grid", str(grid)]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: extract 3d-si {record.subject_id}/"
+                                           f"{record.sample_id}: {damaged}: not a PLY file\n")
+        first = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:3] for line in first] == [
+            ["curv.frames", "radius", "features"], ["onset-apex", "0.02", "3d-si"]]
+        # Mended, the rerun resumes after the finished point.
+        damaged.write_bytes(good)
+        assert main(argv) == EXIT_OK
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[:2] == first and [line.split(",")[:3] for line in lines[2:]] == [
+            ["all", "0.02", "3d-si"]]
+
     def test_failing_extraction_names_the_sample(self, pipeline, tmp_path, capsys):
         out, cfg_path = _copy_run(pipeline, tmp_path)
         grid = tmp_path / "grid.txt"
@@ -1212,6 +1265,17 @@ class TestMainEntry:
         key = line.split("=")[0]
         assert capsys.readouterr().err == (f"data error: grid file {grid}: {key} is a {stage} "
                                            "key; a sweep reuses the preprocessed tree\n")
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("missing", ["preprocessed", "preprocessed/manifest.json"])
+    def test_sweep_without_preprocessed_tree_writes_nothing(self, pipeline, tmp_path,
+                                                            capsys, missing):
+        out, cfg_path = _copy_run(pipeline, tmp_path, keys=_2D_ONLY)
+        shutil.rmtree(out / missing) if missing == "preprocessed" else (out / missing).unlink()
+        grid = tmp_path / "grid.txt"
+        grid.write_text("lbp.overlap=0|1\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error:")
         assert not (out / "sweep.csv").exists()
 
     def test_sweep_into_other_grids_csv_exit_data(self, pipeline, tmp_path, capsys,
