@@ -186,6 +186,9 @@ class RunConfig:
             raise ValueError(f"protocol must be loso|kfold, got {self.protocol!r}")
         if self.curvature_frames not in ("onset-apex", "all"):
             raise ValueError("curvature_frames must be onset-apex|all")
+        if self.fusion_sweep and self.fusion_a is not None:
+            raise ValueError(f"fusion.a={self.fusion_a!r} is read only under fusion.sweep=false; "
+                             "the sweep chooses the weight itself")
         if self.tip_at not in ("min", "max"):
             raise ValueError(f"tip_at must be min|max, got {self.tip_at!r}")
         for name, least in (("weight_radius_px", 1), ("kfold_k", 2), ("kfold_repeats", 1),
@@ -490,7 +493,16 @@ def load_preprocessed(cfg: RunConfig) -> tuple[Path, list[SampleRecord]]:
 def extract_samples(pre_root, records, kind: str, cfg: RunConfig):
     """``(record, feature)`` of each record in turn, its sample read with the
     files ``kind`` uses. A failure names ``extract <kind> <subject>/<sample>``:
-    a SampleFileError for an OSError or an unreadable sample, else a DataError."""
+    a SampleFileError for an OSError or an unreadable sample, else a DataError.
+    A 3-d kind under curv.frames=all needs one onset-to-offset span, or its
+    features would differ in length: a DataError before any sample is read."""
+    if kind != "2d" and cfg.curvature_frames == "all":
+        spans = {r.offset - r.onset: f"{r.subject_id}/{r.sample_id} (frames "
+                                     f"{r.onset}..{r.offset})" for r in records}
+        if len(spans) > 1:
+            raise DataError(f"extract {kind}: {Path(pre_root) / 'index.csv'}: curv.frames=all "
+                            "needs one onset-to-offset span in every sample, not "
+                            f"{' and '.join(list(spans.values())[:2])}; use curv.frames=onset-apex")
     for record in records:
         where = f"extract {kind} {record.subject_id}/{record.sample_id}"
         try:
@@ -621,11 +633,8 @@ def evaluate_features(cfg: RunConfig, records, features_by_kind, cv_cache: dict 
         add_row("-" if kind == "2d" else radius_str, kind, result)
         details["per_kind"][kind] = {"per_fold": result.per_fold, "accuracy": result.accuracy}
 
-    fusion_grid = None
-    if cfg.fusion_sweep:
-        fusion_grid = learn.FUSION_WEIGHTS
-    elif cfg.fusion_a is not None:
-        fusion_grid = (cfg.fusion_a,)
+    fusion_grid = ((cfg.fusion_a,) if cfg.fusion_a is not None
+                   else learn.FUSION_WEIGHTS if cfg.fusion_sweep else None)
 
     if fusion_grid and "2d" in cfg.eval_features:
         for kind in cfg.eval_features:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import inspect
 import io
 import math
 from dataclasses import dataclass
@@ -308,31 +307,14 @@ def _svd_lstsq(basis, z, counts):
     return coeffs, keep.all(axis=1)
 
 
-def _region_histogram(landmark, bins: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Nine-bin frequencies of one landmark region from its vertices' bins,
-    over the vertices with a valid estimate."""
-    where = np.asarray(landmark).tolist()
-    if bins.shape[0] < 10:
-        raise ValueError(f"landmark region at {where} has {bins.shape[0]} points, need >= 10")
-    n_ok = int(np.count_nonzero(valid))
-    if n_ok < 10:
-        raise ValueError(f"landmark region at {where}: only {n_ok} vertices had a valid estimate")
-    return np.bincount(bins[valid], minlength=9) / n_ok
-
-
-# The functions a stored field is fitted by, in call order from _frame_field.
-_FIT_FUNCTIONS = ("_frame_field", "principal_curvatures", "_fit_block", "_certified_lstsq",
-                  "_svd_lstsq", "_each_matrix", "_weingarten")
-
-
 @functools.cache
 def _store_salt() -> bytes:
-    """Everything a stored field depends on besides its inputs: the source of
-    the fit (_FIT_FUNCTIONS), the constants it reads, and the numpy and scipy
-    versions. Other edits to this module keep the store's entries."""
-    sources = [inspect.getsource(globals()[name]).encode() for name in _FIT_FUNCTIONS]
-    return b"\0".join([*sources, f"{_FIT_BLOCK!r};{_CERTIFIED_CONDITION!r}".encode(),
-                       np.__version__.encode(), scipy.__version__.encode()])
+    """Everything a stored field depends on besides its inputs: this module's
+    source and the numpy and scipy versions. No helper of the fit can be left
+    out, at a price: any edit to the module, even one that changes no fit,
+    renames every entry, so the next 3-d extract fits each frame again."""
+    return b"\0".join([Path(__file__).read_bytes(), np.__version__.encode(),
+                       scipy.__version__.encode()])
 
 
 def _field_key(points, marks, config: CurvatureConfig, toward) -> str:
@@ -362,9 +344,9 @@ def _load_field(path: Path, n: int):
 
 
 def _frame_field(points, marks, config: CurvatureConfig, toward, store):
-    """(regions, union, p_min, p_max, valid): the vertex indices of each
-    landmark region of one frame, their sorted union, and the curvature field
-    over the union.
+    """(sizes, members, p_min, p_max, valid) of one frame: the vertex count
+    of each landmark region, each region's vertices (region after region) as
+    positions in the sorted union of the regions, and the field over it.
 
     With a ``store`` directory the field is read from the entry keyed by
     _field_key, and fitted and written there (fileio.write_atomic) when the
@@ -372,7 +354,9 @@ def _frame_field(points, marks, config: CurvatureConfig, toward, store):
     """
     tree = cKDTree(points)
     regions = tree.query_ball_point(marks, r=config.landmark_region_radius)
-    union = np.unique(np.fromiter(chain.from_iterable(regions), dtype=np.intp))
+    sizes = np.fromiter(map(len, regions), dtype=np.intp, count=len(regions))
+    union, members = np.unique(np.fromiter(chain.from_iterable(regions), dtype=np.intp),
+                               return_inverse=True)
     field = None
     if store is not None:
         path = Path(store) / f"{_field_key(points, marks, config, toward)}.npy"
@@ -384,7 +368,7 @@ def _frame_field(points, marks, config: CurvatureConfig, toward, store):
             np.save(entry, np.stack(field).astype(np.float64), allow_pickle=False)
             path.parent.mkdir(parents=True, exist_ok=True)
             fileio.write_atomic(path, entry.getvalue())
-    return (regions, union, *field)
+    return (sizes, members, *field)
 
 
 def curvature_frame_ids(record, frames: str = "onset-apex") -> list[int]:
@@ -412,9 +396,11 @@ def sequence_feature(sample, record, weights, kind: str, config: CurvatureConfig
     those frames' clouds are used, so the others may be None.
 
     Each selected frame is fitted once, over the union of its landmark
-    regions; every region and both kinds read their bins from that one fit.
+    regions, and each kind bins every region of the frame in one pass.
     ``store``, a directory, keeps each frame's fit across calls (see
-    _frame_field), so other kinds and zero_eps values reuse it.
+    _frame_field), so other kinds and zero_eps values reuse it. The first
+    region, in subset then frame order, of fewer than 10 vertices or valid
+    estimates is a ValueError.
     """
     kind = kind.lower()
     if kind not in ("si", "hk", "sihk"):
@@ -436,25 +422,29 @@ def sequence_feature(sample, record, weights, kind: str, config: CurvatureConfig
             raise ValueError(f"the cloud of frame {t} was not read")
 
     toward_v = np.asarray(toward, dtype=np.float64)
-    fits = {}
+    n_marks = len(subset)
+    fits = {}  # frame -> (region sizes, valid estimates per region, kind -> bin counts)
     for t in dict.fromkeys(frame_ids):
-        regions, union, p_min, p_max, valid = _frame_field(
+        sizes, members, p_min, p_max, valid = _frame_field(
             sample.clouds[t].points, sample.landmarks3d[t][list(subset)], config, toward_v,
             store)
-        bins = {k: _vertex_bins(k, p_min, p_max, config.zero_eps) for k in kinds}
-        fits[t] = (regions, union, valid, bins)
+        region = np.repeat(np.arange(n_marks), sizes)[valid[members]]
+        members = members[valid[members]]
+        fits[t] = (sizes, np.bincount(region, minlength=n_marks), {k: np.bincount(
+            region * 9 + _vertex_bins(k, p_min, p_max, config.zero_eps)[members],
+            minlength=9 * n_marks).reshape(n_marks, 9) for k in kinds})
 
-    parts = {k: [] for k in kinds}
-    for j, lm_idx in enumerate(subset):
-        for t in frame_ids:
-            regions, union, valid, bins = fits[t]
-            pos = np.searchsorted(union, np.asarray(regions[j], dtype=np.intp))
-            for k in kinds:
-                try:
-                    hist = _region_histogram(sample.landmarks3d[t][lm_idx],
-                                             bins[k][pos], valid[pos])
-                except ValueError as exc:
-                    raise ValueError(f"landmark {lm_idx} (frame {t}): {exc}") from None
-                parts[k].append(weights[j] * hist)
+    sizes, n_ok, counts = zip(*(fits[t] for t in frame_ids))
+    sizes, n_ok = np.stack(sizes, axis=1), np.stack(n_ok, axis=1)  # (landmark, frame)
+    bad = (sizes < 10) | (n_ok < 10)
+    if bad.any():
+        j, f = np.unravel_index(np.argmax(bad), bad.shape)
+        problem = (f" has {sizes[j, f]} points, need >= 10" if sizes[j, f] < 10
+                   else f": only {n_ok[j, f]} vertices had a valid estimate")
+        raise ValueError(f"landmark {subset[j]} (frame {frame_ids[f]}): landmark region at "
+                         f"{sample.landmarks3d[frame_ids[f]][subset[j]].tolist()}{problem}")
 
-    return FeatureVector(np.concatenate([p for k in kinds for p in parts[k]]), tag=f"3d-{kind}")
+    # Per kind, landmark blocks of (frame, bin) frequencies scaled by the landmark's weight.
+    parts = [weights[:, None, None] * (np.stack([c[k] for c in counts], axis=1)
+                                       / n_ok[:, :, None]) for k in kinds]
+    return FeatureVector(np.concatenate([p.ravel() for p in parts]), tag=f"3d-{kind}")

@@ -256,7 +256,9 @@ class TestRunConfig:
     @pytest.mark.parametrize("key", [*NON_DEFAULT_VALUES, "landmarks.subset"])
     def test_fingerprints_follow_stages(self, key):
         value = {**NON_DEFAULT_VALUES, "landmarks.subset": "3,1,4"}[key]
-        base, changed = RunConfig(), RunConfig.from_dict({key: value})
+        base = RunConfig()
+        changed = RunConfig.from_dict({key: value, **({"fusion.sweep": "false"}
+                                                      if key == "fusion.a" else {})})
         stage = CONFIG_KEYS[key].stage
         assert stage in cli.STAGES
         assert (stage_fingerprint(changed, "preprocess") !=
@@ -477,34 +479,6 @@ class TestSynthAndPreprocess:
         assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(index) in err
-
-    @pytest.mark.parametrize("earlier_run", [False, True])
-    def test_failed_index_write_leaves_no_index(self, tmp_path, monkeypatch, capsys,
-                                                earlier_run):
-        cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
-            n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=6))
-        cfg_path = tmp_path / "run.cfg"
-        cfg.to_file(cfg_path)
-        root = Path(cfg.dataset_root)
-        if earlier_run:
-            assert main(["synth", "--config", str(cfg_path)]) == EXIT_OK
-            assert (root / "index.csv").exists()
-        real = fileio.os.replace
-
-        def fails_on_index(src, dst):
-            if Path(dst).name == "index.csv":
-                raise _disk_full(src, dst)
-            return real(src, dst)
-
-        monkeypatch.setattr(fileio.os, "replace", fails_on_index)
-        assert main(["synth", "--config", str(cfg_path)]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and err.count(str(root / "index.csv")) == 1
-        monkeypatch.undo()
-        assert not [p.name for p in root.iterdir() if "index.csv" in p.name]
-        assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and str(root / "index.csv") in err
 
     def test_synth_memory_is_bounded_by_one_subject(self, tmp_path):
         spec = SynthSpec(n_subjects=4, samples_per_subject=2, n_points=700, signal="both",
@@ -764,13 +738,6 @@ class TestEval:
         assert details["fingerprints"] == {kind: feature_fingerprint(pipeline, kind)
                                            for kind in ("2d", "3d-si")}
 
-    def test_fusion_weight_outside_unit_interval_exits_data(self, pipeline, tmp_path, capsys):
-        out, cfg_path = _copy_run(pipeline, tmp_path, ("preprocessed", "features"), {
-            "eval.features": "2d,3d-si", "fusion.sweep": "false", "fusion.a": "1.5"})
-        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
-        assert "fusion weight must lie in [0, 1], got 1.5" in capsys.readouterr().err
-        assert not (out / "results.csv").exists()
-
     @pytest.mark.parametrize("fault", ["damaged_2d_file", "fusion.a=1.5"])
     def test_failed_eval_leaves_no_results(self, pipeline, tmp_path, capsys, fault):
         out, cfg_path = _copy_run(pipeline, tmp_path, ("preprocessed", "features"))
@@ -778,11 +745,16 @@ class TestEval:
         assert main(["eval", "--config", str(cfg_path)]) == EXIT_OK
         assert (out / "results.csv").exists() and (out / "eval_details.json").exists()
         if fault == "damaged_2d_file":
-            sorted((out / "features" / "2d").rglob("*.csv"))[0].write_text("2d-lbptop,abc\n")
+            damaged = sorted((out / "features" / "2d").rglob("*.csv"))[0]
+            damaged.write_text("2d-lbptop,abc\n")
+            reason = f"damaged feature file {damaged}: not a feature CSV row"
         else:
-            fileio.save_config(cfg_path, {**config, "fusion.sweep": "false", "fusion.a": "1.5"})
+            fileio.save_config(cfg_path, {**config, "eval.features": "2d,3d-si",
+                                          "fusion.sweep": "false", "fusion.a": "1.5"})
+            reason = "fusion weight must lie in [0, 1], got 1.5"
         assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
-        assert capsys.readouterr().err.startswith("data error:")
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and reason in err
         assert not (out / "results.csv").exists()
         assert not (out / "eval_details.json").exists()
 
@@ -1024,30 +996,25 @@ class TestSweep:
         assert reads == [fileio.cloud_path(_clouds_dir(pre, r), t) for frames in used
                          for r in dataset.load_index(pre / "index.csv") for t in frames(r)]
 
-    def test_unreadable_sample_keeps_finished_points(self, pipeline, tmp_path, capsys):
-        out, cfg_path = _copy_run(pipeline, tmp_path, keys={"eval.features": "3d-si",
-                                                            "landmarks.subset": "0,1,2,3"})
-        record = dataset.load_index(out / "preprocessed" / "index.csv")[0]
-        # A frame that curv.frames=all reads and onset-apex does not.
-        frame = min(set(_onset_to_offset(record)) - set(_onset_apex(record)))
-        damaged = fileio.cloud_path(_clouds_dir(out / "preprocessed", record), frame)
-        good = damaged.read_bytes()
-        damaged.write_text("damaged", encoding="utf-8")
+    def test_frames_all_with_unequal_spans_is_an_error_row(self, pipeline, tmp_path, capsys):
+        out, cfg_path = _copy_run(pipeline, tmp_path)
+        index = out / "preprocessed" / "index.csv"
+        records = dataset.load_index(index)
+        first, last = replace(records[0], offset=records[0].offset - 1), records[-1]
+        dataset.save_index([first, *records[1:]], index)
         grid = tmp_path / "grid.txt"
         grid.write_text("curv.frames=onset-apex|all\n", encoding="utf-8")
-        argv = ["sweep", "--config", str(cfg_path), "--grid", str(grid)]
-        assert main(argv) == EXIT_DATA
-        assert capsys.readouterr().err == (f"data error: extract 3d-si {record.subject_id}/"
-                                           f"{record.sample_id}: {damaged}: not a PLY file\n")
-        first = (out / "sweep.csv").read_text().splitlines()
-        assert [line.split(",")[:3] for line in first] == [
-            ["curv.frames", "radius", "features"], ["onset-apex", "0.02", "3d-si"]]
-        # Mended, the rerun resumes after the finished point.
-        damaged.write_bytes(good)
-        assert main(argv) == EXIT_OK
+        assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid)]) == EXIT_PARTIAL
+        assert capsys.readouterr().err == (
+            f"sweep point curv.frames=all failed: extract 3d-si: {index}: curv.frames=all needs "
+            f"one onset-to-offset span in every sample, not 01/1_1 (frames {first.onset}.."
+            f"{first.offset}) and {last.subject_id}/{last.sample_id} (frames {last.onset}.."
+            f"{last.offset}); use curv.frames=onset-apex\n")
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[:2] == first and [line.split(",")[:3] for line in lines[2:]] == [
-            ["all", "0.02", "3d-si"]]
+        assert [line.split(",")[:3] for line in lines] == [
+            ["curv.frames", "radius", "features"], ["onset-apex", "-", "2d"],
+            ["onset-apex", "0.02", "3d-si"], ["onset-apex", "0.02", "2d+3d-si"],
+            ["all", "-", "error"]]
 
     def test_failing_extraction_names_the_sample(self, pipeline, tmp_path, capsys):
         out, cfg_path = _copy_run(pipeline, tmp_path)
@@ -1229,8 +1196,9 @@ class TestMainEntry:
         ("eval.repeats", "0", ["eval"], "kfold_repeats must be at least 1"),
         ("eval.features", "", ["eval"], "eval_features names no feature kind"),
         ("eval.features", "2d,2d", ["eval"], "eval_features names '2d' twice"),
+        ("fusion.a", "0.3", ["eval"], "fusion.a=0.3 is read only under fusion.sweep=false"),
     ], ids=["weights.radius_px", "run.workers", "eval.k", "eval.repeats",
-            "eval.features-empty", "eval.features-repeated"])
+            "eval.features-empty", "eval.features-repeated", "fusion.a"])
     def test_bad_run_value_rejected_before_any_work(self, pipeline, tmp_path, capsys,
                                                     key, value, command, reason):
         _, cfg_path = _copy_run(pipeline, tmp_path, (), {key: value})
@@ -1265,17 +1233,6 @@ class TestMainEntry:
         key = line.split("=")[0]
         assert capsys.readouterr().err == (f"data error: grid file {grid}: {key} is a {stage} "
                                            "key; a sweep reuses the preprocessed tree\n")
-        assert not (out / "sweep.csv").exists()
-
-    @pytest.mark.parametrize("missing", ["preprocessed", "preprocessed/manifest.json"])
-    def test_sweep_without_preprocessed_tree_writes_nothing(self, pipeline, tmp_path,
-                                                            capsys, missing):
-        out, cfg_path = _copy_run(pipeline, tmp_path, keys=_2D_ONLY)
-        shutil.rmtree(out / missing) if missing == "preprocessed" else (out / missing).unlink()
-        grid = tmp_path / "grid.txt"
-        grid.write_text("lbp.overlap=0|1\n", encoding="utf-8")
-        assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid)]) == EXIT_DATA
-        assert capsys.readouterr().err.startswith("data error:")
         assert not (out / "sweep.csv").exists()
 
     def test_sweep_into_other_grids_csv_exit_data(self, pipeline, tmp_path, capsys,

@@ -1,7 +1,9 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
@@ -569,18 +571,57 @@ class TestFieldStore:
         yield
         curvature3d._store_salt.cache_clear()
 
-    def test_salt_covers_the_fit_only(self, monkeypatch, fresh_salt):
+    def test_salt_is_the_module_source(self, monkeypatch, fresh_salt, tmp_path):
         base = curvature3d._store_salt()
-
-        def other(*args, **kwargs):
-            raise AssertionError("never called")
-
-        monkeypatch.setattr(curvature3d, "sequence_feature", other)
+        source = Path(curvature3d.__file__).read_bytes()
+        copy = tmp_path / "curvature3d.py"
+        copy.write_bytes(source)
+        monkeypatch.setattr(curvature3d, "__file__", str(copy))
         curvature3d._store_salt.cache_clear()
         assert curvature3d._store_salt() == base
-        monkeypatch.setattr(curvature3d, "_fit_block", other)
+        copy.write_bytes(source + b"# an edit that changes no fit\n")
         curvature3d._store_salt.cache_clear()
         assert curvature3d._store_salt() != base
+        copy.write_bytes(source)
+        monkeypatch.setattr(np, "__version__", "0.0")
+        curvature3d._store_salt.cache_clear()
+        other_numpy = curvature3d._store_salt()
+        monkeypatch.setattr(scipy, "__version__", "0.0")
+        curvature3d._store_salt.cache_clear()
+        assert len({base, other_numpy, curvature3d._store_salt()}) == 3
+
+
+class TestRegionErrors:
+    """The first failing region in subset order, then frame order, is named,
+    with its size checked before its valid estimates."""
+
+    def _error(self, store_sample, far, cfg=CurvatureConfig()):
+        """The sihk feature's message with each (subset position, frame) of
+        ``far`` moved 1 m off the face, and a function naming a region."""
+        record, sample, subset, weights, _ = store_sample
+        marks = [m.copy() for m in sample.landmarks3d]
+        for j, t in far:
+            marks[t][subset[j], 0] += 1.0
+        with pytest.raises(ValueError) as info:
+            sequence_feature(replace(sample, landmarks3d=tuple(marks)), record, weights,
+                             "sihk", cfg, subset=subset)
+        return str(info.value), lambda j, t: (f"landmark {subset[j]} (frame {t}): landmark "
+                                              f"region at {marks[t][subset[j]].tolist()}")
+
+    def test_subset_order_before_frame_order(self, store_sample):
+        onset, apex = store_sample[0].onset, store_sample[0].apex
+        message, region = self._error(store_sample, [(2, onset), (1, apex)])
+        assert message == region(1, apex) + " has 0 points, need >= 10"
+        message, region = self._error(store_sample, [(1, apex), (1, onset)])
+        assert message == region(1, onset) + " has 0 points, need >= 10"
+
+    def test_size_before_valid_estimates(self, store_sample):
+        onset, apex = store_sample[0].onset, store_sample[0].apex
+        no_fit = CurvatureConfig(neighborhood_radius=1e-4)  # no vertex has 10 neighbours
+        message, region = self._error(store_sample, [(0, apex)], no_fit)
+        assert message == region(0, onset) + ": only 0 vertices had a valid estimate"
+        message, region = self._error(store_sample, [(0, onset)], no_fit)
+        assert message == region(0, onset) + " has 0 points, need >= 10"
 
 
 class TestVectorisedBinning:

@@ -8,8 +8,8 @@ tree's outputs. It checks that the message (stderr, or the manifest's
 ``skipped:`` reason) names the faulty path exactly once. And it checks what
 is left: refused inputs leave run.out (data.root for synth) byte for byte;
 a failure after the start leaves none of the command's outputs, old or new;
-sweep keeps the rows of the points it finished, and once a failed rename
-works again, its rerun leaves the bytes of an uninterrupted sweep.
+sweep keeps the rows of the points it finished, and once the fault is
+mended, its rerun leaves the bytes of an uninterrupted sweep.
 
 Samples 01/1_1 to 02/2_2 have nine frames: onset 0, apex 4, offset 8.
 ``{tree}`` is data/ under preprocess and out/preprocessed/ otherwise.
@@ -58,6 +58,16 @@ def tree(tmp_path_factory) -> Path:
     built = files(root)
     yield root
     assert files(root) == built  # no cell wrote through a hard link
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tree, tmp_path_factory) -> bytes:
+    """sweep.csv of a sweep of a copy of the tree that no fault stops."""
+    root = tmp_path_factory.mktemp("uninterrupted") / "run"
+    shutil.copytree(tree, root, copy_function=os.link)
+    assert run(root, "sweep") == 0
+    assert sweep_points(root) == ["0.02"] * ROWS + ["0.025"] * ROWS
+    return (root / "out" / "sweep.csv").read_bytes()
 
 
 def files(path: Path) -> dict:
@@ -124,6 +134,14 @@ def older_manifest(data: bytes) -> bytes:
     manifest["config"]["landmarks.inner_eye_left"] = "22"
     manifest["fingerprint"] = "0ce77d42aca2"
     return json.dumps(manifest, indent=2, sort_keys=True).encode()
+
+
+def frames_all_spans_differ(cfg_path: Path) -> None:
+    """curv.frames=all in the run's config, and 01/1_1's offset cut from 8 to
+    6 in the preprocessed index: its feature would have 7 frames, the others 9."""
+    edit(lambda cfg: cfg + b"curv.frames=all\n")(cfg_path)
+    edit(lambda data: data.replace(b"\n01,1_1,0,4,8,", b"\n01,1_1,0,4,6,"))(
+        cfg_path.parent / "out" / "preprocessed" / "index.csv")
 
 
 def final_rename(dst: Path, command: str) -> bool:
@@ -224,6 +242,12 @@ FAULTS = {
                                           named="{tree}"),
                          OTHER_KEYS.format(r"landmarks\.inner_eye_left=22 \(no longer a key\)"),
                          refused=True),
+    "frames-all-spans-differ": Fault(EXTRACTS[1:], at("{root}/run.cfg", frames_all_spans_differ,
+                                                      named="{tree}/index.csv"),
+                                     r"extract 3d-\S+: {path}: curv\.frames=all needs one "
+                                     r"onset-to-offset span in every sample, not 01/1_1 "
+                                     r"\(frames 0\.\.6\) and 02/2_2 \(frames 0\.\.8\); "
+                                     r"use curv\.frames=onset-apex"),
     "feature-missing": feature_file("3d-si", Path.unlink,
                                     "missing 3d-si feature file {path}: run extract first"),
     "feature-not-a-row": feature_file("2d", edit(lambda data: b"2d-lbptop,abc\n"),
@@ -261,7 +285,7 @@ CELLS = [(name, command) for name, fault in FAULTS.items() for command in fault.
 
 
 @pytest.mark.parametrize("name, command", CELLS, ids=[f"{n}-{c}" for n, c in CELLS])
-def test_fault_matrix(tree, tmp_path, monkeypatch, capsys, name, command):
+def test_fault_matrix(tree, uninterrupted, tmp_path, monkeypatch, capsys, name, command):
     fault, root, failed = FAULTS[name], tmp_path / "run", []
     # Files are hard links to the tree's; synth and preprocess rewrite theirs in place.
     shutil.copytree(tree, root, copy_function=os.link)
@@ -315,16 +339,17 @@ def test_fault_matrix(tree, tmp_path, monkeypatch, capsys, name, command):
             assert files(target) == before
         elif command == "sweep":
             assert sweep_points(root) == ["0.02"] * ROWS * fault.finished
-            if fault.renames:  # a rerun finishes the sweep as if it had never stopped
-                csv_path = root / "out" / "sweep.csv"
-                finished = csv_path.read_bytes()
-                monkeypatch.undo()
-                assert run(root, "sweep") == 0
-                assert sweep_points(root) == ["0.02"] * ROWS + ["0.025"] * ROWS
-                resumed = csv_path.read_bytes()
-                assert resumed.startswith(finished)
-                csv_path.unlink()
-                assert run(root, "sweep") == 0
-                assert csv_path.read_bytes() == resumed
+            # Mended, a rerun finishes the sweep as if it had never stopped.
+            finished = (root / "out" / "sweep.csv").read_bytes()
+            monkeypatch.undo()
+            if fault.sample:
+                shutil.rmtree(pre / fault.sample)
+                shutil.copytree(tree / "out" / "preprocessed" / fault.sample, pre / fault.sample)
+            assert run(root, "sweep") == 0
+            resumed = (root / "out" / "sweep.csv").read_bytes()
+            assert resumed.startswith(finished) and resumed == uninterrupted
         else:
             assert outputs(root, command) == {}
+            if command == "synth":  # preprocess refuses the tree the failed synth left
+                assert run(root, "preprocess") == 2
+                assert str(root / "data" / "index.csv") in capsys.readouterr().err
