@@ -480,6 +480,34 @@ class TestSynthAndPreprocess:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(index) in err
 
+    @pytest.mark.parametrize("earlier_run", [False, True])
+    def test_failed_index_write_leaves_no_index(self, tmp_path, monkeypatch, capsys,
+                                                earlier_run):
+        cfg = _pipeline_cfg(tmp_path, synth=SynthSpec(
+            n_subjects=2, samples_per_subject=2, n_points=700, signal="both", seed=6))
+        cfg_path = tmp_path / "run.cfg"
+        cfg.to_file(cfg_path)
+        root = Path(cfg.dataset_root)
+        if earlier_run:
+            assert main(["synth", "--config", str(cfg_path)]) == EXIT_OK
+            assert (root / "index.csv").exists()
+        real = fileio.os.replace
+
+        def fails_on_index(src, dst):
+            if Path(dst).name == "index.csv":
+                raise _disk_full(src, dst)
+            return real(src, dst)
+
+        monkeypatch.setattr(fileio.os, "replace", fails_on_index)
+        assert main(["synth", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count(str(root / "index.csv")) == 1
+        monkeypatch.undo()
+        assert not [p.name for p in root.iterdir() if "index.csv" in p.name]
+        assert main(["preprocess", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(root / "index.csv") in err
+
     def test_synth_memory_is_bounded_by_one_subject(self, tmp_path):
         spec = SynthSpec(n_subjects=4, samples_per_subject=2, n_points=700, signal="both",
                          seed=6)
@@ -737,6 +765,13 @@ class TestEval:
         details = json.loads((Path(pipeline.out_dir) / "eval_details.json").read_text())
         assert details["fingerprints"] == {kind: feature_fingerprint(pipeline, kind)
                                            for kind in ("2d", "3d-si")}
+
+    def test_fusion_weight_outside_unit_interval_exits_data(self, pipeline, tmp_path, capsys):
+        out, cfg_path = _copy_run(pipeline, tmp_path, ("preprocessed", "features"), {
+            "eval.features": "2d,3d-si", "fusion.sweep": "false", "fusion.a": "1.5"})
+        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
+        assert "fusion weight must lie in [0, 1], got 1.5" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize("fault", ["damaged_2d_file", "fusion.a=1.5"])
     def test_failed_eval_leaves_no_results(self, pipeline, tmp_path, capsys, fault):
@@ -1233,6 +1268,17 @@ class TestMainEntry:
         key = line.split("=")[0]
         assert capsys.readouterr().err == (f"data error: grid file {grid}: {key} is a {stage} "
                                            "key; a sweep reuses the preprocessed tree\n")
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("missing", ["preprocessed", "preprocessed/manifest.json"])
+    def test_sweep_without_preprocessed_tree_writes_nothing(self, pipeline, tmp_path,
+                                                            capsys, missing):
+        out, cfg_path = _copy_run(pipeline, tmp_path, keys=_2D_ONLY)
+        shutil.rmtree(out / missing) if missing == "preprocessed" else (out / missing).unlink()
+        grid = tmp_path / "grid.txt"
+        grid.write_text("lbp.overlap=0|1\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error:")
         assert not (out / "sweep.csv").exists()
 
     def test_sweep_into_other_grids_csv_exit_data(self, pipeline, tmp_path, capsys,
