@@ -208,6 +208,9 @@ class RunConfig:
                 raise ValueError(f"unknown feature kind {kind!r}")
             if kind in self.eval_features[:i]:
                 raise ValueError(f"eval_features names {kind!r} twice")
+        if self.fusion_a is not None and not {"2d"} < set(self.eval_features):
+            raise ValueError(f"fusion.a={self.fusion_a!r} is read only when eval.features "
+                             "names 2d and a 3-d kind; it fuses the two")
         # run.seed is the only synth seed.
         object.__setattr__(self, "synth", replace(self.synth, seed=self.seed))
 

@@ -15,7 +15,6 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -159,8 +158,8 @@ def _vertex_bins(kind: str, p_min: np.ndarray, p_max: np.ndarray,
     return hk_classify(p_min * p_max, 0.5 * (p_min + p_max), zero_eps)
 
 
-# Vertices per batched fit. The padded neighbourhood arrays grow with the
-# block size times the largest neighbourhood, so a fixed block bounds memory.
+# Vertices per batched fit. A fit holds one block's neighbourhoods at a time,
+# so its memory grows with the block size times the widest neighbourhood.
 _FIT_BLOCK = 128
 
 # Smallest certified lower bound on sigma_min / sigma_max of a fit's basis
@@ -170,6 +169,15 @@ _FIT_BLOCK = 128
 # by a wide margin and its least-squares solution is the unique one. Below
 # the bound, the SVD decides the rank.
 _CERTIFIED_CONDITION = 1e-4
+
+
+def _neighbours(tree: cKDTree, centres, radius: float):
+    """(indices, counts): the points of ``tree`` within ``radius`` of each of
+    ``centres``, as one index array ordered centre after centre and by
+    increasing point index within each centre, and the count per centre."""
+    pairs = cKDTree(centres).sparse_distance_matrix(tree, radius, output_type="ndarray")
+    keys = np.sort(pairs["i"] * tree.n + pairs["j"])
+    return keys % tree.n, np.bincount(keys // tree.n, minlength=len(centres))
 
 
 def principal_curvatures(points: np.ndarray, tree: cKDTree, vertex_idx, radius: float,
@@ -188,35 +196,33 @@ def principal_curvatures(points: np.ndarray, tree: cKDTree, vertex_idx, radius: 
     vertex_idx = np.asarray(vertex_idx, dtype=np.intp)
     n = vertex_idx.shape[0]
     p_min, p_max, valid = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
-    neighbourhoods = tree.query_ball_point(points[vertex_idx], r=radius)
-    counts = np.fromiter(map(len, neighbourhoods), dtype=np.intp, count=n)
+    counts = tree.query_ball_point(points[vertex_idx], r=radius, return_length=True)
     order = np.lexsort((vertex_idx, counts))
     order = order[counts[order] >= 10]  # the rest stay invalid
     for start in range(0, order.shape[0], _FIT_BLOCK):
         block = order[start:start + _FIT_BLOCK]
+        centres = points[vertex_idx[block]]
         p_min[block], p_max[block], valid[block] = _fit_block(
-            points, points[vertex_idx[block]], neighbourhoods[block], toward)
+            points, centres, *_neighbours(tree, centres, radius), toward)
     return p_min, p_max, valid
 
 
-def _fit_block(points, centres, neighbourhoods, toward):
-    """Principal curvatures at each of ``centres`` from the ``points`` listed
-    in its entry of ``neighbourhoods``; returns (p_min, p_max, valid).
+def _fit_block(points, centres, indices, counts, toward):
+    """Principal curvatures at each of ``centres`` from its ``counts`` entry of
+    ``points`` in ``indices`` (see _neighbours); returns (p_min, p_max, valid).
 
     The neighborhood covariance gives a local frame (normal = smallest
     principal axis, oriented along ``toward``); the height field over the
     tangent plane is fit with a full cubic bivariate polynomial by least
     squares (_certified_lstsq, else _svd_lstsq), and the Weingarten map is
     assembled from the fit's first- and second-order coefficients at the
-    origin. Neighbourhoods are padded to a common width;
-    padded rows are zero in every array below, so they add nothing to the
-    covariances and the fits.
+    origin. Neighbourhoods are padded to a common width; padded rows are
+    zero in every array below, so they add nothing to the covariances and
+    the fits, whose sums follow the order of ``indices``.
     """
-    counts = np.fromiter(map(len, neighbourhoods), dtype=np.intp, count=len(neighbourhoods))
     mask = np.arange(max(int(counts.max()), 10)) < counts[:, None]
     idx = np.zeros(mask.shape, dtype=np.intp)
-    idx[mask] = np.fromiter(chain.from_iterable(neighbourhoods), dtype=np.intp,
-                            count=int(counts.sum()))
+    idx[mask] = indices
     inside = mask[..., None]
     neighbors = np.where(inside, points[idx], 0.0)
 
@@ -353,10 +359,8 @@ def _frame_field(points, marks, config: CurvatureConfig, toward, store):
     entry is missing or damaged; without one it is always fitted.
     """
     tree = cKDTree(points)
-    regions = tree.query_ball_point(marks, r=config.landmark_region_radius)
-    sizes = np.fromiter(map(len, regions), dtype=np.intp, count=len(regions))
-    union, members = np.unique(np.fromiter(chain.from_iterable(regions), dtype=np.intp),
-                               return_inverse=True)
+    members, sizes = _neighbours(tree, marks, config.landmark_region_radius)
+    union, members = np.unique(members, return_inverse=True)
     field = None
     if store is not None:
         path = Path(store) / f"{_field_key(points, marks, config, toward)}.npy"

@@ -37,6 +37,14 @@ entries within the density radius, and ``icp_reference`` runs ICP as an
 explicit loop whose correspondences are each row's argmin and whose rigid
 fit is its own Kabsch SVD of the target-by-source covariance. They share
 only the documented rules and constants with ``preprocess3d``.
+
+``mean_difference_weights_reference`` builds the mean frame-difference
+image one pixel at a time and averages it over each landmark's disc by
+testing every pixel, with correctly rounded sums. ``warp_volume_reference``
+maps each output pixel back through the inverse similarity, worked out
+here from scale, rotation and translation, samples the input bilinearly
+(zero outside the frame) and rounds half to even. They know nothing of the
+library's mesh grids or masks.
 """
 
 import math
@@ -517,3 +525,49 @@ def icp_reference(moving, fixed, max_iter=50, tol=1e-6):
             converged = True
             break
     return rotation, translation, float(residual), converged, n_iter
+
+
+def mean_difference_weights_reference(frames, landmarks, radius_px):
+    """Per-landmark motion weights of a (T, H, W) volume: D(x, y) is the
+    mean over t > 0 of |I_t - I_0|, a landmark's weight is the mean of D
+    over the pixels within radius_px of it, and the weights are divided by
+    their mean (all 1 when that mean is 0). A disc holding no pixel raises
+    ValueError."""
+    t_len, h, w = len(frames), len(frames[0]), len(frames[0][0])
+    diff = [[sum(abs(int(frames[t][y][x]) - int(frames[0][y][x])) for t in range(1, t_len))
+             / (t_len - 1) for x in range(w)] for y in range(h)]
+    weights = []
+    for j, (lx, ly) in enumerate(landmarks):
+        disc = [diff[y][x] for y in range(h) for x in range(w)
+                if (x - lx) * (x - lx) + (y - ly) * (y - ly) <= radius_px * radius_px]
+        if not disc:
+            raise ValueError(f"landmark {j} disc lies outside the frame")
+        weights.append(math.fsum(disc) / len(disc))
+    mean = math.fsum(weights) / len(weights)
+    return [1.0] * len(weights) if mean == 0.0 else [wt / mean for wt in weights]
+
+
+def warp_volume_reference(frames, scale, rotation, translation):
+    """Each frame of a (T, H, W) volume resampled under p -> scale * R(rotation)
+    @ p + translation: output pixel p takes the input at the transform's
+    inverse of p, bilinearly sampled where that lies within [0, W-1] x [0, H-1]
+    and 0 elsewhere, rounded half to even and clipped to 0..255."""
+    t_len, h, w = len(frames), len(frames[0]), len(frames[0][0])
+    c, s = math.cos(rotation), math.sin(rotation)
+    tx, ty = translation
+    out = [[[0] * w for _ in range(h)] for _ in range(t_len)]
+    for y in range(h):
+        for x in range(w):
+            # R^T (p - t) / scale
+            src_x = (c * (x - tx) + s * (y - ty)) / scale
+            src_y = (-s * (x - tx) + c * (y - ty)) / scale
+            if not (0 <= src_x <= w - 1 and 0 <= src_y <= h - 1):
+                continue
+            x0, y0 = math.floor(src_x), math.floor(src_y)
+            x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+            for t in range(t_len):
+                f = frames[t]
+                value = _bilinear(float(f[y0][x0]), float(f[y0][x1]), float(f[y1][x0]),
+                                  float(f[y1][x1]), src_x - x0, src_y - y0)
+                out[t][y][x] = min(max(round(value), 0), 255)
+    return out

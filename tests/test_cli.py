@@ -1223,20 +1223,25 @@ class TestMainEntry:
         assert reason in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key, value, command, reason", [
-        ("weights.radius_px", "0", ["extract", "--kind", "3d-si"],
+    @pytest.mark.parametrize("keys, command, reason", [
+        ({"weights.radius_px": "0"}, ["extract", "--kind", "3d-si"],
          "weight_radius_px must be at least 1"),
-        ("run.workers", "0", ["preprocess"], "workers must be at least 1"),
-        ("eval.k", "1", ["eval"], "kfold_k must be at least 2"),
-        ("eval.repeats", "0", ["eval"], "kfold_repeats must be at least 1"),
-        ("eval.features", "", ["eval"], "eval_features names no feature kind"),
-        ("eval.features", "2d,2d", ["eval"], "eval_features names '2d' twice"),
-        ("fusion.a", "0.3", ["eval"], "fusion.a=0.3 is read only under fusion.sweep=false"),
+        ({"run.workers": "0"}, ["preprocess"], "workers must be at least 1"),
+        ({"eval.k": "1"}, ["eval"], "kfold_k must be at least 2"),
+        ({"eval.repeats": "0"}, ["eval"], "kfold_repeats must be at least 1"),
+        ({"eval.features": ""}, ["eval"], "eval_features names no feature kind"),
+        ({"eval.features": "2d,2d"}, ["eval"], "eval_features names '2d' twice"),
+        ({"fusion.a": "0.3"}, ["eval"], "fusion.a=0.3 is read only under fusion.sweep=false"),
+        ({**_2D_ONLY, "eval.features": "3d-si", "fusion.a": "0.3"}, ["eval"],
+         "fusion.a=0.3 is read only when eval.features names 2d and a 3-d kind"),
+        ({**_2D_ONLY, "fusion.a": "0.3"}, ["eval"],
+         "fusion.a=0.3 is read only when eval.features names 2d and a 3-d kind"),
     ], ids=["weights.radius_px", "run.workers", "eval.k", "eval.repeats",
-            "eval.features-empty", "eval.features-repeated", "fusion.a"])
+            "eval.features-empty", "eval.features-repeated", "fusion.a",
+            "fusion.a-without-2d", "fusion.a-without-3d"])
     def test_bad_run_value_rejected_before_any_work(self, pipeline, tmp_path, capsys,
-                                                    key, value, command, reason):
-        _, cfg_path = _copy_run(pipeline, tmp_path, (), {key: value})
+                                                    keys, command, reason):
+        _, cfg_path = _copy_run(pipeline, tmp_path, (), keys)
         assert main([*command, "--config", str(cfg_path)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: config: {reason}")
         assert not (tmp_path / "out").exists()

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,8 +12,9 @@ from scipy.spatial import cKDTree
 
 from microexp import curvature3d
 from microexp.curvature3d import (CurvatureConfig, DEFAULT_LANDMARK_SUBSET, SurfaceType,
-                                  _FIT_BLOCK, _vertex_bins, hk_classify, principal_curvatures,
-                                  quantize_si, sequence_feature, shape_index)
+                                  _FIT_BLOCK, _neighbours, _vertex_bins, hk_classify,
+                                  principal_curvatures, quantize_si, sequence_feature,
+                                  shape_index)
 from microexp.dataset import (NonObjectiveClass, ObjectiveClass, SampleData,
                               SampleRecord)
 from microexp.preprocess2d import FrameVolume
@@ -442,6 +445,47 @@ class TestCertifiedSolve:
         assert len(idx) > 2 * _FIT_BLOCK and sum(svd_rows) > 0  # three blocks, some SVD
         for whole, part in zip(fit, shuffled):
             assert np.array_equal(whole[perm], part)
+
+
+def _lattice():
+    """A 30 x 30 x 3 grid of spacing 0.01: many neighbours lie at exactly the
+    radii tested below, up to rounding."""
+    g = np.arange(30) * 0.01
+    return np.stack(np.meshgrid(g, g, g[:3], indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+class TestNeighbourArrays:
+    """_neighbours against query_ball_point's lists, and the memory of a fit."""
+
+    @pytest.mark.parametrize("cloud, radius", [
+        ("face", 0.02), ("face", 0.01),
+        ("lattice", 0.01), ("lattice", 0.02), ("lattice", math.sqrt(2) * 0.01),
+    ])
+    def test_matches_query_ball_point(self, cloud, radius):
+        if cloud == "face":
+            points = make_surface("face_proxy", n_points=4000, seed=1).cloud.points
+            centres = np.vstack([points[::3], points[1::9] + 0.003])  # off the cloud too
+        else:
+            points = centres = _lattice()
+        tree = cKDTree(points)
+        indices, counts = _neighbours(tree, centres, radius)
+        lists = tree.query_ball_point(centres, r=radius, return_sorted=False)
+        assert np.array_equal(counts, [len(members) for members in lists])
+        assert np.array_equal(indices, np.concatenate([sorted(members) for members in lists]))
+
+    def test_fit_memory_bounded_by_the_block(self):
+        points = make_surface("face_proxy", n_points=4000, seed=1).cloud.points
+        tree = cKDTree(points)
+
+        def peak(n_vertices):
+            tracemalloc.start()
+            try:
+                principal_curvatures(points, tree, np.arange(n_vertices), 0.02, _TOWARD)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4000) <= 1.25 * peak(500)
 
 
 @pytest.fixture(scope="module")

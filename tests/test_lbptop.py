@@ -8,7 +8,7 @@ from microexp.lbptop import (FeatureVector, LbpTopConfig, block_spans, lbp_top_h
                              mean_difference_weights)
 from microexp.preprocess2d import FrameVolume
 
-from .oracles import lbp_top_reference
+from .oracles import lbp_top_reference, mean_difference_weights_reference
 
 
 class TestLbpCode:
@@ -208,3 +208,26 @@ class TestMeanDifferenceWeights:
         vol = FrameVolume(np.zeros((3, 32, 32), dtype=np.uint8))
         with pytest.raises(ValueError):
             mean_difference_weights(vol, [(100, 100)], radius_px=3)
+
+    # Discs inside the frame, on its edges and corners, and around
+    # fractional landmarks. The sums run in another order than the
+    # reference's correctly rounded ones, hence the tolerance.
+    _MARKS = [(12.0, 9.0), (0.0, 0.0), (31.0, 5.5), (7.25, 23.0), (30.6, 22.4), (16.5, 11.5)]
+
+    @pytest.mark.parametrize("radius_px", [1, 3, 5])
+    def test_matches_pixel_loop_reference(self, radius_px):
+        frames = np.random.default_rng(radius_px).integers(0, 256, (4, 24, 32), dtype=np.uint8)
+        got = mean_difference_weights(FrameVolume(frames), self._MARKS, radius_px)
+        want = mean_difference_weights_reference(frames, self._MARKS, radius_px)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_reference_motionless_and_outside_agree(self):
+        frames = np.full((3, 24, 32), 90, dtype=np.uint8)
+        assert mean_difference_weights_reference(frames, self._MARKS, 3) == [1.0] * 6
+        assert np.array_equal(mean_difference_weights(FrameVolume(frames), self._MARKS, 3),
+                              np.ones(6))
+        outside = [*self._MARKS, (-5.0, 12.0)]  # a disc wholly left of the frame
+        with pytest.raises(ValueError, match="landmark 6 disc"):
+            mean_difference_weights_reference(frames, outside, 3)
+        with pytest.raises(ValueError, match="landmark 6 disc"):
+            mean_difference_weights(FrameVolume(frames), outside, 3)

@@ -7,6 +7,8 @@ from microexp.preprocess2d import (DegenerateGeometryError, FrameVolume,
                                    SimilarityTransform, crop_face,
                                    estimate_alignment, warp_volume)
 
+from .oracles import warp_volume_reference
+
 
 def _volume(t=3, h=64, w=64, fill=0):
     return FrameVolume(np.full((t, h, w), fill, dtype=np.uint8))
@@ -102,6 +104,34 @@ class TestWarpVolume:
         interior = (slice(None), slice(12, h - 12), slice(12, w - 12))
         err = np.abs(back.data[interior].astype(int) - vol.data[interior].astype(int))
         assert err.max() <= 2
+
+    # Each maps part of the output frame to source points outside the input,
+    # which must be zero-filled. With scale a power of two, no rotation and
+    # translations in quarters, every coordinate and sample is exact and many
+    # samples end in .5, so rounding half to even is checked bit for bit.
+    @pytest.mark.parametrize("scale, translation", [
+        (1.0, (3.25, -5.5)),
+        (1.0, (-0.5, 0.25)),  # the last column samples within a pixel of the edge
+        (2.0, (-4.5, 1.75)),
+        (0.5, (6.0, 2.5)),
+    ])
+    def test_exact_transforms_match_pixel_loop_reference(self, scale, translation):
+        frames = np.random.default_rng(3).integers(1, 256, (2, 20, 28), dtype=np.uint8)
+        out = warp_volume(FrameVolume(frames), SimilarityTransform(scale, 0.0, translation))
+        want = np.array(warp_volume_reference(frames, scale, 0.0, translation))
+        assert np.array_equal(out.data, want)
+        assert (want == 0).any()  # no input pixel is 0, so these are zero fill
+
+    def test_rotated_transform_matches_pixel_loop_reference(self):
+        # The library inverts the transform with other arithmetic, so a
+        # sample within rounding of a .5 boundary could round the other way.
+        frames = np.random.default_rng(4).integers(1, 256, (2, 20, 28), dtype=np.uint8)
+        scale, rotation, translation = 1.1, math.radians(20), (4.0, -3.0)
+        out = warp_volume(FrameVolume(frames), SimilarityTransform(scale, rotation, translation))
+        want = np.array(warp_volume_reference(frames, scale, rotation, translation))
+        assert np.abs(out.data.astype(int) - want).max() <= 1
+        assert np.array_equal(out.data == 0, want == 0)
+        assert (want == 0).sum() > 50
 
 
 class TestCropFace:
