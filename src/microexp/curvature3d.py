@@ -199,48 +199,68 @@ def principal_curvatures(points: np.ndarray, tree: cKDTree, vertex_idx, radius: 
     counts = tree.query_ball_point(points[vertex_idx], r=radius, return_length=True)
     order = np.lexsort((vertex_idx, counts))
     order = order[counts[order] >= 10]  # the rest stay invalid
+    coords = np.ascontiguousarray(points.T)
     for start in range(0, order.shape[0], _FIT_BLOCK):
         block = order[start:start + _FIT_BLOCK]
-        centres = points[vertex_idx[block]]
+        vertices = vertex_idx[block]
         p_min[block], p_max[block], valid[block] = _fit_block(
-            points, centres, *_neighbours(tree, centres, radius), toward)
+            coords, vertices, *_neighbours(tree, points[vertices], radius), toward)
     return p_min, p_max, valid
 
 
-def _fit_block(points, centres, indices, counts, toward):
-    """Principal curvatures at each of ``centres`` from its ``counts`` entry of
-    ``points`` in ``indices`` (see _neighbours); returns (p_min, p_max, valid).
+def _fit_block(coords, vertices, indices, counts, toward):
+    """Principal curvatures at each of ``vertices`` from its ``counts`` entry
+    of ``indices`` (see _neighbours); ``coords`` holds the cloud one row per
+    axis, so both index its columns. Returns (p_min, p_max, valid).
 
     The neighborhood covariance gives a local frame (normal = smallest
     principal axis, oriented along ``toward``); the height field over the
     tangent plane is fit with a full cubic bivariate polynomial by least
     squares (_certified_lstsq, else _svd_lstsq), and the Weingarten map is
     assembled from the fit's first- and second-order coefficients at the
-    origin. Neighbourhoods are padded to a common width; padded rows are
-    zero in every array below, so they add nothing to the covariances and
-    the fits, whose sums follow the order of ``indices``.
+    origin. Neighbourhoods are padded to a common width with the vertex
+    itself, so a padded slot's offset is exactly 0 and so is every monomial
+    there but the constant, which the padding mask zeroes: padded slots add
+    nothing to the covariances and the fits, whose sums follow the order of
+    ``indices``.
     """
     mask = np.arange(max(int(counts.max()), 10)) < counts[:, None]
-    idx = np.zeros(mask.shape, dtype=np.intp)
+    idx = np.repeat(vertices[:, None], mask.shape[1], axis=1)
     idx[mask] = indices
-    inside = mask[..., None]
-    neighbors = np.where(inside, points[idx], 0.0)
+    # (vertex, neighbour) planes: the x, y and z offsets from the vertex, then
+    # the ten monomials of _weingarten's order; the constant one, the padding
+    # mask, is shared, so planes[:4] and planes[3:] are each one operand.
+    planes = np.empty((13, *mask.shape))
+    np.take(coords, idx, axis=1, out=planes[:3])
+    planes[:3] -= coords[:, vertices, None]
+    planes[3] = mask
+    rel = planes[:3].transpose(1, 0, 2)
 
-    mean = neighbors.sum(axis=1) / np.maximum(counts, 1)[:, None]
-    centered = np.where(inside, neighbors - mean[:, None, :], 0.0)
-    _, eigvecs = np.linalg.eigh(centered.transpose(0, 2, 1) @ centered)
+    # Sums of 1, x, y, z and their products: the covariance about the mean is
+    # sum rel rel^T - s s^T / n with s the offset sum, without a centred copy.
+    sums = planes[:4].transpose(1, 0, 2) @ planes[:4].transpose(1, 2, 0)
+    total = sums[:, 3, :3]
+    _, eigvecs = np.linalg.eigh(sums[:, :3, :3] - total[:, :, None] * total[:, None, :]
+                                / counts[:, None, None])
     normal = eigvecs[:, :, 0]
     normal = np.where((normal @ toward < 0)[:, None], -normal, normal)
-    frame = np.stack([eigvecs[:, :, 2], eigvecs[:, :, 1], normal], axis=2)
-
-    rel = np.where(inside, neighbors - centres[:, None, :], 0.0)
-    scale = np.maximum(np.linalg.norm(rel, axis=2).max(axis=1), 1e-12)
-    u, v, z = np.moveaxis((rel @ frame) / scale[:, None, None], 2, 0)
-    # One contiguous slab per monomial, viewed as (vertex, neighbor, monomial);
-    # cubes as products, since np.power calls libm pow element by element.
-    uu, uv, vv = u * u, u * v, v * v
-    basis = np.stack([mask, u, v, uu, uv, vv, uu * u, uu * v, uv * v, vv * v],
-                     axis=1, dtype=np.float64).transpose(0, 2, 1)
+    squares = np.square(planes[:3])
+    scale = np.maximum(np.sqrt((squares[0] + squares[1] + squares[2]).max(axis=1)), 1e-12)
+    # Rows u, v (largest, middle axis) and height along the normal, in units
+    # of the scale.
+    frame = np.stack([eigvecs[:, :, 2], eigvecs[:, :, 1], normal], axis=1) / scale[:, None, None]
+    np.matmul(frame[:, :2], rel, out=planes[4:6].transpose(1, 0, 2))
+    z = (frame[:, 2:] @ rel)[:, 0]
+    # Cubes as products, since np.power calls libm pow element by element.
+    u, v, uu, uv, vv = planes[4], planes[5], planes[6], planes[7], planes[8]
+    np.multiply(u, u, out=uu)
+    np.multiply(u, v, out=uv)
+    np.multiply(v, v, out=vv)
+    np.multiply(uu, u, out=planes[9])
+    np.multiply(uu, v, out=planes[10])
+    np.multiply(uv, v, out=planes[11])
+    np.multiply(vv, v, out=planes[12])
+    basis = planes[3:].transpose(1, 2, 0)  # (vertex, neighbor, monomial)
 
     coeffs, full_rank = _certified_lstsq(basis, z)
     rest = ~full_rank
@@ -271,6 +291,21 @@ def _each_matrix(fn, stack):
     return out, ok
 
 
+def _lower_inverse(chol):
+    """L^-1 of each lower-triangular L in the stack ``chol``, one row at a
+    time by forward substitution; exactly lower-triangular. A zero pivot, or
+    an inverse too large for a float, leaves entries that are not finite."""
+    lower = np.ascontiguousarray(chol.transpose(1, 2, 0))  # (row, column, matrix)
+    inv = np.zeros(lower.shape)
+    eye = np.eye(lower.shape[0])[:, :, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(lower.shape[0]):
+            # Row i of L L^-1 = I: L[i, :i] L^-1[:i] + L[i, i] L^-1[i] = e_i.
+            known = np.einsum("jm,jcm->cm", lower[i, :i], inv[:i])
+            np.divide(eye[i] - known, lower[i, i], out=inv[i])
+    return inv.transpose(2, 0, 1)
+
+
 def _certified_lstsq(basis, z):
     """(coeffs, certified): least squares of ``z`` over each ``basis`` by the
     normal equations, where the Cholesky factor L of the Gram matrix
@@ -286,11 +321,12 @@ def _certified_lstsq(basis, z):
     basis_t = basis.transpose(0, 2, 1)
     gram = basis_t @ basis
     chol, factored = _each_matrix(np.linalg.cholesky, gram)
-    inv_chol, inverted = _each_matrix(np.linalg.inv, chol)
-    with np.errstate(over="ignore"):  # an inverse too large to square is not certified
+    inv_chol = _lower_inverse(chol)
+    # An L^-1 that is not finite gives a bound of 0 or NaN: not certified.
+    with np.errstate(over="ignore", invalid="ignore"):
         bound = 1.0 / np.sqrt(np.square(inv_chol).sum(axis=(1, 2))
                               * np.trace(gram, axis1=1, axis2=2))
-    certified = factored & inverted & (bound >= _CERTIFIED_CONDITION)
+    certified = factored & (bound >= _CERTIFIED_CONDITION)
     inv_chol = np.where(certified[:, None, None], inv_chol, 0.0)
 
     def solve(rhs):  # G^-1 rhs as L^-T (L^-1 rhs)

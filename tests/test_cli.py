@@ -766,13 +766,6 @@ class TestEval:
         assert details["fingerprints"] == {kind: feature_fingerprint(pipeline, kind)
                                            for kind in ("2d", "3d-si")}
 
-    def test_fusion_weight_outside_unit_interval_exits_data(self, pipeline, tmp_path, capsys):
-        out, cfg_path = _copy_run(pipeline, tmp_path, ("preprocessed", "features"), {
-            "eval.features": "2d,3d-si", "fusion.sweep": "false", "fusion.a": "1.5"})
-        assert main(["eval", "--config", str(cfg_path)]) == EXIT_DATA
-        assert "fusion weight must lie in [0, 1], got 1.5" in capsys.readouterr().err
-        assert not (out / "results.csv").exists()
-
     @pytest.mark.parametrize("fault", ["damaged_2d_file", "fusion.a=1.5"])
     def test_failed_eval_leaves_no_results(self, pipeline, tmp_path, capsys, fault):
         out, cfg_path = _copy_run(pipeline, tmp_path, ("preprocessed", "features"))

@@ -447,6 +447,78 @@ class TestCertifiedSolve:
             assert np.array_equal(whole[perm], part)
 
 
+class TestFitKernel:
+    """The block kernel's parts: L^-1 by forward substitution, the
+    certificate of a factor that failed, and whole fits on a face."""
+
+    def test_lower_inverse_matches_inv(self):
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((64, 10, 40))
+        chol = np.linalg.cholesky(rows @ rows.transpose(0, 2, 1))
+        got = curvature3d._lower_inverse(chol)
+        want = np.linalg.inv(chol)
+        size = np.abs(want).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(got - want) <= 1e-14 * size)
+        assert np.all(np.triu(got, 1) == 0.0)
+
+    def test_failed_factor_stays_uncertified(self):
+        rng = np.random.default_rng(6)
+        basis = 1e-4 * rng.standard_normal((2, 40, 10))
+        basis[1, :, 4] = 0.0  # a monomial that is 0 at every neighbour: G is singular
+        gram = basis[1].T @ basis[1]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
+        # The identity that stands in for the failed factor would pass the bound.
+        assert 1.0 / math.sqrt(10 * np.trace(gram)) >= curvature3d._CERTIFIED_CONDITION
+        coeffs, certified = curvature3d._certified_lstsq(basis, rng.standard_normal((2, 40)))
+        assert certified.tolist() == [True, False]
+        assert np.all(coeffs[1] == 0.0)
+
+    @pytest.mark.parametrize("radius", [0.01, 0.02])
+    def test_face_fits_match_the_oracle(self, radius):
+        points = make_surface("face_proxy", n_points=4000, seed=1).cloud.points
+        tree = cKDTree(points)
+        idx = np.random.default_rng(2).choice(len(points), 64, replace=False)
+        p_min, p_max, valid = principal_curvatures(points, tree, idx, radius, _TOWARD)
+        ref = [curvature_reference(points, tree, i, radius, _TOWARD) for i in idx]
+        assert valid.tolist() == [r is not None for r in ref]
+        ref = np.array([r for r in ref if r is not None])
+        size = np.abs(ref).max(axis=1)
+        assert np.all(np.abs(p_min[valid] - ref[:, 0]) <= 1e-12 * size)
+        assert np.all(np.abs(p_max[valid] - ref[:, 1]) <= 1e-12 * size)
+
+
+class TestAccuracyRuler:
+    """Fits against the face proxy's analytic curvatures at interior vertices,
+    (x/a)^2 + (y/b)^2 <= 0.35, where no fit ball reaches the rim. Each floor
+    on si and hk bin agreement and each ceiling on the median |dk| (1/m) lies
+    just outside the range measured over seeds 1-5: a better estimator must
+    raise them, and a worse one fails them."""
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("noise, radius, si_floor, hk_floor, dk_ceiling", [
+        (0.0, 0.02, 0.43, 0.63, 2.6),
+        (0.0, 0.01, 0.84, 0.86, 0.8),
+        (2e-4, 0.01, 0.69, 0.82, 2.1),
+    ])
+    def test_bins_and_curvatures_against_truth(self, seed, noise, radius, si_floor, hk_floor,
+                                               dk_ceiling):
+        surface = make_surface("face_proxy", n_points=4000, noise_sigma=noise, seed=seed)
+        points = surface.cloud.points
+        a, b = surface.meta["geometry"].axes[:2]
+        inner = np.flatnonzero((points[:, 0] / a) ** 2 + (points[:, 1] / b) ** 2 <= 0.35)
+        p_min, p_max, valid = principal_curvatures(points, cKDTree(points), inner, radius,
+                                                   _TOWARD)
+        assert valid.all()
+        truth = surface.principal[inner]
+        eps = CurvatureConfig().zero_eps
+        for kind, floor in (("si", si_floor), ("hk", hk_floor)):
+            agree = np.mean(_vertex_bins(kind, p_min, p_max, eps)
+                            == _vertex_bins(kind, truth[:, 0], truth[:, 1], eps))
+            assert agree >= floor, (kind, agree)
+        assert np.median(np.abs(np.column_stack([p_min, p_max]) - truth)) <= dk_ceiling
+
+
 def _lattice():
     """A 30 x 30 x 3 grid of spacing 0.01: many neighbours lie at exactly the
     radii tested below, up to rounding."""
