@@ -598,11 +598,12 @@ def evaluate_features(cfg: RunConfig, records, features_by_kind, cv_cache: dict 
     features, protocol, accuracy, f1.
 
     ``cv_cache``, a dict kept across calls (a fresh one by default), holds
-    each kind's cross-validation (per-run probabilities, read-only, and
-    EvalResult) under what it depends on: the kind,
-    ``feature_fingerprint(cfg, kind)``, the labels and the fold runs'
-    indices. A kind found there is not trained again, so the features of
-    each kind must be those its fingerprint names.
+    one ``learn.cross_val_runs`` dict of fitted folds per kind,
+    ``feature_fingerprint(cfg, kind)`` and labels. A fold's out-of-fold block
+    depends only on those and the fold's train and test indices, so a fold
+    found there is not trained again, whatever protocol, seed or repeat
+    count made it; the features of each kind must be those its fingerprint
+    names.
     """
     cv_cache = {} if cv_cache is None else cv_cache
     labels = _labels_of(records, cfg.label_mode)
@@ -612,15 +613,8 @@ def evaluate_features(cfg: RunConfig, records, features_by_kind, cv_cache: dict 
         fold_runs = learn.kfold_splits(labels, cfg.kfold_k, cfg.kfold_repeats, cfg.seed)
 
     def cross_validate(kind):
-        key = (kind, feature_fingerprint(cfg, kind), tuple(labels),
-               tuple(tuple((tuple(train), tuple(test)) for train, test in run)
-                     for run in fold_runs))
-        if key not in cv_cache:
-            runs, result = learn.cross_val_runs(features_by_kind[kind], labels, fold_runs)
-            for array in (*runs, result.confusion):
-                array.flags.writeable = False
-            cv_cache[key] = runs, result
-        return cv_cache[key]
+        fitted = cv_cache.setdefault((kind, feature_fingerprint(cfg, kind), tuple(labels)), {})
+        return learn.cross_val_runs(features_by_kind[kind], labels, fold_runs, fitted=fitted)
 
     radius_str = repr(cfg.curvature.neighborhood_radius)
     proba_runs: dict[str, list] = {}
@@ -746,7 +740,8 @@ def cmd_sweep(cfg: RunConfig, grid_path) -> int:
     text, done = _resume_sweep(csv_path, grid_keys)
 
     # Each distinct feature is extracted once: (kind, fingerprint) -> (n, d)
-    # matrix; each distinct cross-validation of a kind is run once (see evaluate_features).
+    # matrix; each distinct fold of a kind is fitted once, across protocols,
+    # seeds and repeat counts (see evaluate_features).
     extracted: dict[tuple[str, str], np.ndarray] = {}
     cv_cache: dict = {}
     n_failed = 0

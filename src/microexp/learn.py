@@ -293,7 +293,7 @@ def _label_classes(labels) -> tuple[str, ...]:
     return tuple(sorted({str(l) for l in labels}))
 
 
-def cross_val_proba(features, labels, folds, train_fn=None):
+def cross_val_proba(features, labels, folds, train_fn=None, fitted=None):
     """Out-of-fold class probabilities for every sample.
 
     ``folds`` is a list of (train indices, test indices) covering each
@@ -303,30 +303,41 @@ def cross_val_proba(features, labels, folds, train_fn=None):
     Returns (proba, per_fold_accuracies): ``proba`` is an ``(n, C)`` array
     whose columns are the sorted label set (zero for classes a fold's model
     never saw).
+
+    ``fitted`` (a fresh dict by default) maps a fold's ``(tuple(train),
+    tuple(test))`` to its read-only probability block and fold accuracy. A
+    fold found there is not trained again, and every new fold is added, so
+    the caller keeps one dict per feature matrix, label list and ``train_fn``.
     """
     x = _as_matrix(features)
     labels = [str(l) for l in labels]
     classes = _label_classes(labels)
     y = np.array([classes.index(l) for l in labels])
     train_fn = train_fn if train_fn is not None else train
+    fitted = {} if fitted is None else fitted
 
     proba = np.full((len(labels), len(classes)), np.nan)  # NaN: no fold has tested the row
     per_fold = []
     for train_idx, test_idx in folds:
-        model = train_fn(x, labels, rows=train_idx)
-        block = np.asarray(model.predict_proba_matrix(x[test_idx]), dtype=np.float64)
-        _check_simplex(block)
-        model_classes = tuple(model.classes)
-        if model_classes != classes:
-            unknown = sorted(set(model_classes) - set(classes))
-            if unknown:
-                raise ValueError(f"model classes {unknown} are not in the label set {classes}")
-            widened = np.zeros((len(test_idx), len(classes)))
-            widened[:, [classes.index(c) for c in model_classes]] = block
-            block = widened / widened.sum(axis=1, keepdims=True)
+        key = (tuple(map(int, train_idx)), tuple(map(int, test_idx)))
+        if key not in fitted:
+            model = train_fn(x, labels, rows=train_idx)
+            block = np.array(model.predict_proba_matrix(x[test_idx]), dtype=np.float64)
+            _check_simplex(block)
+            model_classes = tuple(model.classes)
+            if model_classes != classes:
+                unknown = sorted(set(model_classes) - set(classes))
+                if unknown:
+                    raise ValueError(f"model classes {unknown} are not in the label set {classes}")
+                widened = np.zeros((len(test_idx), len(classes)))
+                widened[:, [classes.index(c) for c in model_classes]] = block
+                block = widened / widened.sum(axis=1, keepdims=True)
+            block.flags.writeable = False
+            correct = int(np.count_nonzero(block.argmax(axis=1) == y[test_idx]))
+            fitted[key] = block, correct / len(test_idx) if len(test_idx) else 0.0
+        block, accuracy = fitted[key]
         proba[test_idx] = block
-        correct = int(np.count_nonzero(block.argmax(axis=1) == y[test_idx]))
-        per_fold.append(correct / len(test_idx) if len(test_idx) else 0.0)
+        per_fold.append(accuracy)
 
     missing = np.flatnonzero(np.isnan(proba).any(axis=1))
     if missing.size:
@@ -363,18 +374,23 @@ def _run_mean(results, per_fold=()) -> EvalResult:
                       classes=results[-1].classes, per_fold=list(per_fold))
 
 
-def cross_val_runs(features, labels, fold_runs, train_fn=None):
+def cross_val_runs(features, labels, fold_runs, train_fn=None, fitted=None):
     """Out-of-fold probabilities for each run of folds (one run for LOSO, one
     per repeat for k-fold), each from ``cross_val_proba``.
 
+    ``fitted`` is ``cross_val_proba``'s dict of fitted folds, shared by every
+    run (a fresh one by default), so a fold that recurs across repeats is
+    trained once; keep one per feature matrix, label list and ``train_fn``.
     Returns (per-run ``(n, C)`` probability arrays, EvalResult): accuracy and
     F1 are means over the runs, the confusion matrix accumulates over all
     runs, and per_fold lists every individual fold accuracy.
     """
+    x = _as_matrix(features)
     classes = _label_classes(labels)
+    fitted = {} if fitted is None else fitted
     proba_runs, results, per_fold = [], [], []
     for folds in fold_runs:
-        proba, fold_accs = cross_val_proba(features, labels, folds, train_fn)
+        proba, fold_accs = cross_val_proba(x, labels, folds, train_fn, fitted)
         proba_runs.append(proba)
         results.append(metrics([classes[i] for i in proba.argmax(axis=1)], labels))
         per_fold.extend(fold_accs)

@@ -814,25 +814,41 @@ class TestEval:
         records = dataset.load_index(Path(pipeline.out_dir) / "preprocessed" / "index.csv")
         cfg = replace(pipeline, protocol="kfold", kfold_k=3, kfold_repeats=2)
         features = {kind: load_features(cfg, kind, records) for kind in cfg.eval_features}
+        labels = cli._labels_of(records, cfg.label_mode)
+
+        def distinct_folds(seed):
+            return {(tuple(train), tuple(test))
+                    for run in learn.kfold_splits(labels, 3, 2, seed) for train, test in run}
+
         plain = evaluate_features(cfg, records, features)[0]
         cache = {}
         assert evaluate_features(cfg, records, features, cv_cache=cache)[0] == plain
+        # One dict of fitted folds per kind, fingerprint and labels.
         assert [key[0] for key in cache] == ["2d", "3d-si"]
-        for runs, result in cache.values():
-            assert len(runs) == 2
-            for array in (*runs, result.confusion):
+        for fitted in cache.values():
+            assert set(fitted) == distinct_folds(cfg.seed)
+            for block, _ in fitted.values():
                 with pytest.raises(ValueError, match="read-only"):
-                    array[0, 0] = 0.0
+                    block[0, 0] = 0.0
 
-        def untrainable(*args, **kwargs):
-            raise AssertionError("a cached kind was trained again")
+        trained = []
+        real = learn.train
 
-        monkeypatch.setattr(learn, "train", untrainable)
+        def counted(x, labels, *args, rows=None, **kwargs):
+            trained.append((x.shape[1], tuple(rows)))
+            return real(x, labels, *args, rows=rows, **kwargs)
+
+        monkeypatch.setattr(learn, "train", counted)
         assert evaluate_features(cfg, records, features, cv_cache=cache)[0] == plain
-        # Another fold plan (here: seed) is a new entry.
-        with pytest.raises(AssertionError, match="trained again"):
-            evaluate_features(replace(cfg, seed=cfg.seed + 1), records, features,
-                              cv_cache=cache)
+        assert trained == []
+        # Another seed's plan trains only the folds not fitted yet.
+        other = replace(cfg, seed=cfg.seed + 1)
+        new = distinct_folds(other.seed) - distinct_folds(cfg.seed)
+        assert new
+        rows = evaluate_features(other, records, features, cv_cache=cache)[0]
+        assert Counter(trained) == {(features[kind].shape[1], train): 1
+                                    for kind in cfg.eval_features for train, _ in new}
+        assert rows == evaluate_features(other, records, features)[0]
 
     def test_kfold_protocol_runs(self, pipeline):
         cfg = replace(pipeline, protocol="kfold", kfold_k=4, kfold_repeats=2,
@@ -971,13 +987,6 @@ class TestSweep:
 
     def test_each_kind_cross_validated_once_per_fold_plan(self, pipeline, tmp_path,
                                                           monkeypatch):
-        grid = tmp_path / "grid.txt"
-        grid.write_text("eval.protocol=loso|kfold\ncurv.radius=0.02|0.025\n",
-                        encoding="utf-8")
-        cfg = replace(pipeline, out_dir=str(tmp_path / "sweep_out"), kfold_k=3,
-                      kfold_repeats=2)
-        pre = Path(cfg.out_dir) / "preprocessed"
-        shutil.copytree(Path(pipeline.out_dir) / "preprocessed", pre)
         trained = []
         real = learn.train
 
@@ -986,24 +995,57 @@ class TestSweep:
             return real(features, labels, *args, **kwargs)
 
         monkeypatch.setattr(learn, "train", counted)
-        assert cmd_sweep(cfg, grid) == EXIT_OK
-        # One fold plan has 3 LOSO folds, the other 3 k-fold folds x 2 repeats.
-        # The 2d feature is trained once per plan, 3d-si once per plan and radius.
-        assert Counter(trained) == {2 * 2 * 3 * 256: 3 + 6, 32 * 2 * 9: 2 * (3 + 6)}
+        cfg = replace(pipeline, kfold_k=3, kfold_repeats=2)
+        records = dataset.load_index(Path(pipeline.out_dir) / "preprocessed" / "index.csv")
+        labels = cli._labels_of(records, cfg.label_mode)
+        dims = {"2d": 2 * 2 * 3 * 256, "3d-si": 32 * 2 * 9}
+        # The second grid's repeats=1 plan is the first repeat of its repeats=2 plan.
+        for name, text in [("protocol_radius", "eval.protocol=loso|kfold\n"
+                                               "curv.radius=0.02|0.025\n"),
+                           ("repeats", "eval.protocol=kfold\neval.repeats=1|2\n")]:
+            grid = tmp_path / f"{name}.txt"
+            grid.write_text(text, encoding="utf-8")
+            out = tmp_path / name
+            pre = out / "preprocessed"
+            shutil.copytree(Path(pipeline.out_dir) / "preprocessed", pre)
+            trained.clear()
+            assert cmd_sweep(replace(cfg, out_dir=str(out)), grid) == EXIT_OK
 
-        # The rows are those of a fresh evaluation of each point.
-        records = dataset.load_index(pre / "index.csv")
-        want = ["curv.radius,eval.protocol,radius,features,protocol,accuracy,f1"]
-        for point in parse_grid(grid.read_text(encoding="utf-8")):
-            point_cfg = RunConfig.from_dict({**cfg.to_dict(), **point})
-            features = {kind: [extract_sample_feature(read_sample_tree(pre, r),
-                                                      r, kind, point_cfg) for r in records]
-                        for kind in point_cfg.eval_features}
-            rows, _ = evaluate_features(point_cfg, records, features)
-            want += [",".join([point["curv.radius"], point["eval.protocol"], row["radius"],
-                               row["features"], row["protocol"], f"{row['accuracy']:.4f}",
-                               f"{row['f1']:.4f}"]) for row in rows]
-        assert (Path(cfg.out_dir) / "sweep.csv").read_text().splitlines() == want
+            # Each kind trains each distinct fold of its feature once, whatever
+            # plans the fold is in.
+            points = parse_grid(grid.read_text(encoding="utf-8"))
+            folds: dict = {}
+            for point in points:
+                point_cfg = RunConfig.from_dict({**cfg.to_dict(), **point})
+                runs = ([learn.loso_split([r.subject_id for r in records])]
+                        if point_cfg.protocol == "loso" else
+                        learn.kfold_splits(labels, 3, point_cfg.kfold_repeats, cfg.seed))
+                for kind in point_cfg.eval_features:
+                    folds.setdefault((kind, feature_fingerprint(point_cfg, kind)), set()).update(
+                        (tuple(train), tuple(test)) for run in runs for train, test in run)
+            want_counts = Counter()
+            for (kind, _), distinct in folds.items():
+                want_counts[dims[kind]] += len(distinct)
+            assert Counter(trained) == want_counts
+            if name == "repeats":  # only the longer plan's folds
+                longer = {(tuple(train), tuple(test))
+                          for run in learn.kfold_splits(labels, 3, 2, cfg.seed)
+                          for train, test in run}
+                assert list(folds.values()) == [longer, longer]
+
+            # The rows are those of a fresh evaluation of each point.
+            keys = sorted(points[0])
+            want = [",".join(keys + ["radius,features,protocol,accuracy,f1"])]
+            for point in points:
+                point_cfg = RunConfig.from_dict({**cfg.to_dict(), **point})
+                features = {kind: [extract_sample_feature(read_sample_tree(pre, r),
+                                                          r, kind, point_cfg) for r in records]
+                            for kind in point_cfg.eval_features}
+                rows, _ = evaluate_features(point_cfg, records, features)
+                want += [",".join([point[k] for k in keys] + [
+                    row["radius"], row["features"], row["protocol"], f"{row['accuracy']:.4f}",
+                    f"{row['f1']:.4f}"]) for row in rows]
+            assert (out / "sweep.csv").read_text().splitlines() == want
 
     @pytest.mark.parametrize("line, kinds, used", [
         ("curv.radius=0.02|0.025", ("2d", "3d-si"), [_onset_apex, _onset_apex]),

@@ -416,6 +416,43 @@ class TestKfold:
             assert sorted(i for _, test_idx in folds for i in test_idx) == list(range(12))
         assert kfold_splits(labels, k=3, repeats=4, seed=5) == runs
 
+    def test_each_distinct_fold_fitted_once(self):
+        # Six samples in three folds: ten repeats can draw few distinct folds.
+        x, y = _blobs(n_per=3, seed=4)
+        fold_runs = kfold_splits(y, 3, 10, seed=7)
+        trained = []
+
+        def counted(features, labels, rows):
+            trained.append(tuple(rows))
+            return train(features, labels, rows=rows)
+
+        fitted = {}
+        runs, result = cross_val_runs(x, y, fold_runs, counted, fitted)
+        distinct = {(tuple(tr), tuple(te)) for folds in fold_runs for tr, te in folds}
+        assert len(distinct) < 3 * 10
+        assert len(trained) == len(set(trained)) == len(distinct)
+        assert set(fitted) == distinct
+
+        # Bit-identical to one cross_val_proba per run with no shared dict.
+        alone = [cross_val_proba(x, y, folds) for folds in fold_runs]
+        for got, (want, _) in zip(runs, alone):
+            assert np.array_equal(got, want)
+        assert result.per_fold == [acc for _, accs in alone for acc in accs]
+        classes = sorted(set(y))
+        confusion = sum(metrics([classes[i] for i in p.argmax(axis=1)], y).confusion
+                        for p, _ in alone)
+        assert np.array_equal(result.confusion, confusion)
+
+        # A second call with the same dict trains nothing; integer-array folds
+        # hit the entries that list folds made.
+        trained.clear()
+        arrays = [[(np.array(tr), np.array(te)) for tr, te in folds] for folds in fold_runs]
+        again, repeat = cross_val_runs(x, y, arrays, counted, fitted)
+        assert trained == []
+        assert set(fitted) == distinct
+        assert all(np.array_equal(a, b) for a, b in zip(again, runs))
+        assert repeat.per_fold == result.per_fold
+
     def test_k_exceeds_samples_rejected(self):
         _, y = _blobs(n_per=2)
         with pytest.raises(ValueError, match="exceeds"):
