@@ -809,7 +809,10 @@ def _reliability(aus1: str, aus2: str, where: str = "") -> float:
 
 def cmd_reliability(coder1: str | None, coder2: str | None, pairs_path) -> int:
     if pairs_path is not None:
-        lines = Path(pairs_path).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(pairs_path).read_bytes().decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{pairs_path}: {exc}") from None
         values = []
         for line_no, line in enumerate(lines, start=1):
             if not line.strip() or (line_no == 1 and line.startswith("sample")):

@@ -107,24 +107,35 @@ def write_ply(path, cloud: PointCloudFrame) -> None:
     Path(path).write_text(_PLY_HEADER.format(n=len(pts32)) + body, encoding="ascii")
 
 
+def _read_lines(path, encoding: str) -> list[str]:
+    """The lines of a text file; a byte outside ``encoding`` is a ValueError naming the file."""
+    try:
+        return Path(path).read_bytes().decode(encoding).splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_ply(path) -> PointCloudFrame:
     """Read an ASCII PLY with x, y, z float vertex properties.
 
     Vertex rows may carry extra columns; only the first three are read.
     """
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    lines = _read_lines(path, "ascii")
     if not lines or lines[0].strip() != "ply":
         raise ValueError(f"{path}: not a PLY file")
     n_vertex = None
     body_at = None
-    for i, line in enumerate(lines[1:], start=1):
+    for line_no, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if parts[:2] == ["element", "vertex"]:
+            if len(parts) != 3 or not parts[2].isdigit():
+                raise ValueError(f"{path}:{line_no}: expected 'element vertex <count>', "
+                                 f"got {line!r}")
             n_vertex = int(parts[2])
-        elif parts and parts[0] == "format" and parts[1] != "ascii":
-            raise ValueError(f"{path}: only ASCII PLY supported")
+        elif parts[:1] == ["format"] and parts[1:2] != ["ascii"]:
+            raise ValueError(f"{path}:{line_no}: only ASCII PLY supported, got {line!r}")
         elif parts == ["end_header"]:
-            body_at = i + 1
+            body_at = line_no
             break
     if n_vertex is None or body_at is None:
         raise ValueError(f"{path}: missing vertex element or end_header")
@@ -195,7 +206,7 @@ def read_landmarks(path, dims: int) -> list[np.ndarray]:
     ``2 + dims`` fields, a non-integer frame or idx, a non-numeric
     coordinate, or a repeated (frame, idx) pair.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path, "utf-8")
     expected = _LANDMARK_HEADER[dims]
     if not lines or lines[0].strip() != expected:
         raise ValueError(f"{path}: expected header {expected!r}")

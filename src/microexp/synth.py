@@ -287,6 +287,11 @@ class SynthSpec:
             raise ValueError("need at least one subject and one sample per subject")
         if self.n_frames < 3:
             raise ValueError("need at least 3 frames for onset/apex/offset")
+        if self.n_points < 1:
+            raise ValueError(f"n_points must be at least 1, got {self.n_points}")
+        for name in ("noise_2d", "noise_3d"):  # 0 means none
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
 
 def build_landmark_template(a: float, b: float) -> np.ndarray:

@@ -1046,6 +1046,15 @@ class TestSweep:
                     row["radius"], row["features"], row["protocol"], f"{row['accuracy']:.4f}",
                     f"{row['f1']:.4f}"]) for row in rows]
             assert (out / "sweep.csv").read_text().splitlines() == want
+            if name == "repeats":  # eval writes the rows of the repeats=2 point
+                eval_out, cfg_path = _copy_run(pipeline, tmp_path / "eval",
+                                               ("preprocessed", "features"),
+                                               {"eval.protocol": "kfold", "eval.k": "3",
+                                                "eval.repeats": "2"})
+                assert main(["eval", "--config", str(cfg_path)]) == EXIT_OK
+                assert (eval_out / "results.csv").read_text().splitlines() == [
+                    line.split(",", 2)[2] for line in want
+                    if line.startswith(("eval.protocol,", "kfold,2,"))]
 
     @pytest.mark.parametrize("line, kinds, used", [
         ("curv.radius=0.02|0.025", ("2d", "3d-si"), [_onset_apex, _onset_apex]),
@@ -1133,13 +1142,15 @@ class TestMainEntry:
         assert "mean: 0.8333" in out
 
     @pytest.mark.parametrize("pairs_text, reason", [
-        ("sample,coder1,coder2\ns1,4,4+7\ns2,1+2\n", ":3: expected 3 fields"),
-        ("s1,,\n", ":1: reliability is undefined when both coders scored no AUs"),
-        ("s1,1+x,1\n", ":1: bad action unit 'x'"),
-    ], ids=["two-fields", "no-aus", "bad-au"])
+        (b"sample,coder1,coder2\ns1,4,4+7\ns2,1+2\n", ":3: expected 3 fields"),
+        (b"s1,,\n", ":1: reliability is undefined when both coders scored no AUs"),
+        (b"s1,1+x,1\n", ":1: bad action unit 'x'"),
+        (b"sample,c1,c2\ns1,1+2,\xff\n", ": 'utf-8' codec can't decode byte 0xff in position 20: "
+         "invalid start byte\n"),
+    ], ids=["two-fields", "no-aus", "bad-au", "not-utf-8"])
     def test_reliability_bad_pairs_row_exit_data(self, tmp_path, capsys, pairs_text, reason):
         pairs = tmp_path / "pairs.csv"
-        pairs.write_text(pairs_text)
+        pairs.write_bytes(pairs_text)
         assert main(["reliability", "--pairs", str(pairs)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {pairs}{reason}")
 
@@ -1221,6 +1232,12 @@ class TestMainEntry:
         # Landmark indices address the 49-point markup: 0..48, no negatives.
         ("landmarks.subset=0,60", "landmarks.subset: landmark index 60 outside 0..48"),
         ("landmarks.subset=0,-1", "landmarks.subset: landmark index -1 outside 0..48"),
+        # synth refuses a cloud without points and a negative or NaN noise;
+        # noise 0 means none.
+        ("synth.points=-5", "n_points must be at least 1, got -5"),
+        ("synth.points=0", "n_points must be at least 1, got 0"),
+        ("synth.noise_2d=-1.0", "noise_2d must be finite and >= 0, got -1.0"),
+        ("synth.noise_3d=nan", "noise_3d must be finite and >= 0, got nan"),
         # The markup indices are preprocess2d constants now: a config that
         # still sets one is refused for the key, whatever its value.
         *(pytest.param(f"{key}={value}", f"unknown config keys: {key}", id=f"{key}={value}-{key}")

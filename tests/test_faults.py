@@ -197,6 +197,17 @@ FAULTS = {
                              r"{path}: expected \d+ vertex rows, found \d+", CLOUDS),
     "cloud-non-numeric": sample_file("01/1_1", "clouds/cloud_0004.ply", line(7, b"0.1 abc 0.2"),
                                      r"{path}:8: non-numeric vertex row '0\.1 abc 0\.2'", CLOUDS),
+    "cloud-count-missing": sample_file("01/1_1", "clouds/cloud_0004.ply",
+                                       line(2, b"element vertex"), "{path}:3: expected 'element "
+                                       "vertex <count>', got 'element vertex'", CLOUDS),
+    "cloud-count-non-integer": sample_file("01/1_1", "clouds/cloud_0004.ply",
+                                           line(2, b"element vertex abc"), "{path}:3: expected "
+                                           "'element vertex <count>', got 'element vertex abc'",
+                                           CLOUDS),
+    "cloud-not-ascii": sample_file("01/1_1", "clouds/cloud_0004.ply",
+                                   edit(lambda data: data + b"\xe9"), r"{path}: 'ascii' codec "
+                                   r"can't decode byte 0xe9 in position \d+: ordinal not in "
+                                   r"range\(128\)", CLOUDS),
     # Frame 1 is neither onset nor apex: only preprocess reads its cloud.
     "cloud-unread-damaged": sample_file("01/1_1", "clouds/cloud_0001.ply", line(0, b"x"),
                                         "{path}: not a PLY file", ("preprocess",)),
@@ -214,6 +225,9 @@ FAULTS = {
     "landmarks-non-numeric": sample_file("02/2_2", "landmarks3d.csv", line(1, b"0,0,abc,0.5,0.5"),
                                          "{path}:2: non-numeric coordinate in '0,0,abc,0.5,0.5'",
                                          CLOUDS),
+    "landmarks-not-utf8": sample_file("02/2_2", "landmarks3d.csv", line(1, b"0,0,\xff,0.5,0.5"),
+                                      r"{path}: 'utf-8' codec can't decode byte 0xff in position "
+                                      r"\d+: invalid start byte", CLOUDS),
     "landmarks-cut": sample_file("02/2_2", "landmarks3d.csv",  # at a row: 4 frames and a part
                                  edit(lambda data: b"".join(data.splitlines(True)[:221])),
                                  "{path}: landmarks of 5 frames, but the video has 9", CLOUDS),

@@ -277,6 +277,27 @@ class TestMalformedRows:
         with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ") + message):
             fileio.read_ply(path)
 
+    # Every header fault is a ValueError naming the file and the line, which
+    # the batch commands report; an IndexError would escape them.
+    @pytest.mark.parametrize("header_line, line, message", [
+        ("element vertex", 3, "expected 'element vertex <count>', got 'element vertex'"),
+        ("element vertex abc", 3, "expected 'element vertex <count>', got 'element vertex abc'"),
+        ("element vertex -2", 3, "expected 'element vertex <count>', got 'element vertex -2'"),
+        ("element vertex 2 3", 3, "expected 'element vertex <count>', got 'element vertex 2 3'"),
+        ("format", 2, "only ASCII PLY supported, got 'format'"),
+        ("format binary_little_endian 1.0", 2,
+         "only ASCII PLY supported, got 'format binary_little_endian 1.0'"),
+    ], ids=["count-missing", "count-non-integer", "count-negative", "count-extra-field",
+            "format-bare", "format-binary"])
+    def test_ply_header(self, tmp_path, header_line, line, message):
+        path = tmp_path / "cloud_0000.ply"
+        header = ["ply", "format ascii 1.0", "element vertex 2", "property float x",
+                  "property float y", "property float z", "end_header"]
+        header[line - 1] = header_line
+        path.write_text("\n".join(header) + "\n1 2 3\n4 5 6\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}") + "$"):
+            fileio.read_ply(path)
+
 
 class TestLandmarks:
     def test_round_trip_3d(self, tmp_path, rng):

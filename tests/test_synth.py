@@ -172,3 +172,4 @@ class TestMakeDataset:
             SynthSpec(signal="4d")
         with pytest.raises(ValueError):
             SynthSpec(n_frames=2)
+        SynthSpec(noise_2d=0.0, noise_3d=0.0)  # no noise is legal
