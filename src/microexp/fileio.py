@@ -204,7 +204,8 @@ def read_landmarks(path, dims: int) -> list[np.ndarray]:
 
     Raises ValueError naming the file and line for a row without exactly
     ``2 + dims`` fields, a non-integer frame or idx, a non-numeric
-    coordinate, or a repeated (frame, idx) pair.
+    coordinate, a repeated (frame, idx) pair, or a pair out of place: frames
+    must run 0, 1, 2, ... and so must each frame's indices.
     """
     lines = _read_lines(path, "utf-8")
     expected = _LANDMARK_HEADER[dims]
@@ -218,18 +219,21 @@ def read_landmarks(path, dims: int) -> list[np.ndarray]:
         table = np.loadtxt(rows, dtype=row_type, delimiter=",", ndmin=1, comments=None)
         order = np.lexsort((table["idx"], table["frame"]))
         frame, idx = table["frame"][order], table["idx"][order]
-        if np.any((frame[1:] == frame[:-1]) & (idx[1:] == idx[:-1])):
-            raise ValueError("repeated (frame, idx)")
+        same = frame[1:] == frame[:-1]
+        steps = np.where(same, idx[1:] == idx[:-1] + 1,
+                         (frame[1:] == frame[:-1] + 1) & (idx[1:] == 0))
+        if frame[0] != 0 or idx[0] != 0 or not steps.all():
+            raise ValueError("repeated or skipped (frame, idx)")
     except ValueError as exc:
         _raise_bad_landmark_row(path, lines, dims)
         raise ValueError(f"{path}: {exc}") from exc
     coords = table["xyz"][order]
-    starts = np.flatnonzero(frame[1:] != frame[:-1]) + 1
-    return np.split(coords, starts)
+    return np.split(coords, np.flatnonzero(~same) + 1)
 
 
 def _raise_bad_landmark_row(path, lines, dims) -> None:
-    """Raise a ValueError naming the first malformed or repeated landmark row."""
+    """Raise a ValueError naming the first malformed or repeated landmark row,
+    or else the first (frame, idx) out of place."""
     seen: dict[tuple[int, int], int] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -251,6 +255,14 @@ def _raise_bad_landmark_row(path, lines, dims) -> None:
             raise ValueError(f"{path}:{line_no}: frame {key[0]} idx {key[1]} "
                              f"repeats line {seen[key]}")
         seen[key] = line_no
+    last = None
+    for key in sorted(seen):
+        expected = ((0, 0) if last is None else (last[0], last[1] + 1) if key[0] == last[0]
+                    else (last[0] + 1, 0))
+        if key != expected:
+            raise ValueError(f"{path}:{seen[key]}: expected frame {expected[0]} idx "
+                             f"{expected[1]}, got frame {key[0]} idx {key[1]}")
+        last = key
 
 
 # --- feature vectors ------------------------------------------------------
@@ -325,7 +337,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {line_no}: expected key=value, got {raw!r}")
+            raise ValueError(f"line {line_no}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
@@ -336,7 +348,11 @@ def format_config(values: dict[str, str]) -> str:
 
 
 def load_config(path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    """The pairs of a config file; a ValueError's message starts with the path."""
+    try:
+        return parse_config_text(Path(path).read_bytes().decode("utf-8"))
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_config(path, values: dict[str, str]) -> None:

@@ -89,48 +89,30 @@ def block_spans(extent: int, n_blocks: int, overlap: int) -> list[tuple[int, int
             for i in range(n_blocks)]
 
 
-def _shifted_sample(data: np.ndarray, ts: np.ndarray, ys: np.ndarray, xs: np.ndarray,
-                    u_axis: int, v_axis: int, du: float, dv: float) -> np.ndarray:
-    """Volume values at (ts, ys, xs) shifted by du along u_axis and dv along
-    v_axis, bilinear over the (u, v) pair in the canonical term order."""
-    base = [ts, ys, xs]
-    iu, iv = math.floor(du), math.floor(dv)
-    fu, fv = du - iu, dv - iv
+def _plane_codes(data: np.ndarray, radii: tuple[int, int, int], u_axis: int, v_axis: int,
+                 p_count: int) -> np.ndarray:
+    """LBP codes on one plane for every valid center. ``radii`` holds the
+    radius along each axis of ``data``; samples are read from views of
+    ``data`` shifted by whole voxels, which stay inside the volume because a
+    fractional offset lies strictly inside the radius."""
+    def view(su: int, sv: int) -> np.ndarray:
+        shift = [0, 0, 0]
+        shift[u_axis], shift[v_axis] = su, sv
+        return data[tuple(slice(r + s, n - r + s) for r, s, n in zip(radii, shift, data.shape))]
 
-    lo = list(base)
-    lo[u_axis] = base[u_axis] + iu
-    lo[v_axis] = base[v_axis] + iv
-    hi_u = np.minimum(lo[u_axis] + 1, data.shape[u_axis] - 1)
-    hi_v = np.minimum(lo[v_axis] + 1, data.shape[v_axis] - 1)
-
-    def corner(u_hi: bool, v_hi: bool) -> np.ndarray:
-        idx = list(lo)
-        if u_hi:
-            idx[u_axis] = hi_u
-        if v_hi:
-            idx[v_axis] = hi_v
-        return data[np.ix_(*idx)]
-
-    g00 = corner(False, False)
-    if fu == 0.0 and fv == 0.0:
-        return g00
-    g01 = corner(True, False)
-    g10 = corner(False, True)
-    g11 = corner(True, True)
-    return g00 + fu * (g01 - g00) + fv * (g10 - g00) + fu * fv * (((g00 - g01) - g10) + g11)
-
-
-def _plane_codes(data: np.ndarray, ts: np.ndarray, ys: np.ndarray, xs: np.ndarray,
-                 u_axis: int, v_axis: int, ru: int, rv: int, p_count: int) -> np.ndarray:
-    """LBP codes on one plane for every valid center, as an int array of
-    shape (len(ts), len(ys), len(xs))."""
-    center = data[np.ix_(ts, ys, xs)]
+    center = view(0, 0)
     codes = np.zeros(center.shape, dtype=np.int64)
     for p in range(p_count):
         theta = 2.0 * math.pi * p / p_count
-        du = _snap(ru * math.cos(theta))
-        dv = _snap(rv * math.sin(theta))
-        sample = _shifted_sample(data, ts, ys, xs, u_axis, v_axis, du, dv)
+        du = _snap(radii[u_axis] * math.cos(theta))
+        dv = _snap(radii[v_axis] * math.sin(theta))
+        iu, iv = math.floor(du), math.floor(dv)
+        fu, fv = du - iu, dv - iv
+        g00 = sample = view(iu, iv)
+        if fu != 0.0 or fv != 0.0:
+            g01, g10, g11 = view(iu + 1, iv), view(iu, iv + 1), view(iu + 1, iv + 1)
+            sample = (g00 + fu * (g01 - g00) + fv * (g10 - g00)
+                      + fu * fv * (((g00 - g01) - g10) + g11))
         codes |= (sample - center >= 0).astype(np.int64) << p
     return codes
 
@@ -148,15 +130,11 @@ def lbp_top_histogram(volume: FrameVolume, config: LbpTopConfig) -> FeatureVecto
         raise ValueError(f"volume {volume.shape} too small for radii {config.radii}")
 
     data = volume.data.astype(np.float64)
-    ts = np.arange(rt, t_len - rt)
-    ys = np.arange(ry, h - ry)
-    xs = np.arange(rx, w - rx)
-
-    # axes: 0 = t, 1 = y, 2 = x
+    radii = (rt, ry, rx)  # axes: 0 = t, 1 = y, 2 = x
     planes = [
-        _plane_codes(data, ts, ys, xs, u_axis=2, v_axis=1, ru=rx, rv=ry, p_count=config.neighbors[0]),
-        _plane_codes(data, ts, ys, xs, u_axis=2, v_axis=0, ru=rx, rv=rt, p_count=config.neighbors[1]),
-        _plane_codes(data, ts, ys, xs, u_axis=1, v_axis=0, ru=ry, rv=rt, p_count=config.neighbors[2]),
+        _plane_codes(data, radii, u_axis=2, v_axis=1, p_count=config.neighbors[0]),
+        _plane_codes(data, radii, u_axis=2, v_axis=0, p_count=config.neighbors[1]),
+        _plane_codes(data, radii, u_axis=1, v_axis=0, p_count=config.neighbors[2]),
     ]
 
     bx, by = config.blocks

@@ -639,6 +639,38 @@ class TestExtract:
             assert not np.array_equal(
                 extract_sample_feature(mirrored, record, kind, cfg).values, want)
 
+    def test_3d_features_invariant_to_pose(self, tmp_path):
+        # Every raw cloud and 3-d landmark moved, or turned about z: the nose
+        # tip, the crop and the registration follow the face, and the
+        # curvature features (whose fingerprints name only the config) are
+        # byte for byte those of the tree as synth wrote it.
+        cfg = tmp_path / "run.cfg"
+        fileio.save_config(cfg, {"synth.subjects": "2", "synth.samples": "2",
+                                 "synth.points": "700"})
+        assert main(["synth", "--config", str(cfg), "--root", str(tmp_path / "data")]) == EXIT_OK
+        c, s = np.cos(np.radians(20.0)), np.sin(np.radians(20.0))
+        poses = {"as-written": lambda p: p, "moved": lambda p: p + [0.05, -0.02, 0.1],
+                 "turned": lambda p: p @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T}
+        features = {}
+        for name, pose in poses.items():
+            data, out = tmp_path / name / "data", tmp_path / name / "out"
+            shutil.copytree(tmp_path / "data", data)
+            for path in data.rglob("cloud_*.ply"):
+                cloud = fileio.read_ply(path)
+                fileio.write_ply(path, replace(cloud, points=pose(cloud.points)))
+            for path in data.rglob("landmarks3d.csv"):
+                marks = fileio.read_landmarks(path, dims=3)
+                fileio.write_landmarks(path, [pose(m) for m in marks], dims=3)
+            argv = ["--config", str(cfg), "--root", str(data), "--out", str(out)]
+            assert main(["preprocess", *argv]) == EXIT_OK
+            for kind in ("3d-si", "3d-hk"):
+                assert main(["extract", "--kind", kind, *argv]) == EXIT_OK
+            features[name] = {p.relative_to(out): p.read_bytes()
+                              for p in (out / "features").rglob("*.csv")}
+        assert len(features["as-written"]) == 8
+        assert features["moved"] == features["as-written"]
+        assert features["turned"] == features["as-written"]
+
     def test_2d_feature_length(self, pipeline):
         path = next((Path(pipeline.out_dir) / "features" / "2d").glob("*/*.csv"))
         fv = fileio.read_feature_csv(path)
@@ -1244,15 +1276,20 @@ class TestMainEntry:
           for key, value in (("landmarks.inner_eye_left", 60),
                              ("landmarks.inner_eye_right", 49),
                              ("landmarks.nasal_spine", -3))),
+        # A file that cannot be read as key=value lines is named, with the line.
+        pytest.param("eval.k=3\nnot a pair", "{cfg}: line 2: expected key=value, got 'not a pair'",
+                     id="not-a-pair"),
+        pytest.param(b"eval.k=3\n\xff", "{cfg}: 'utf-8' codec can't decode byte 0xff in "
+                     "position 9: invalid start byte", id="not-utf8"),
     ])
     def test_bad_config_value_exit_data(self, tmp_path, capsys, line, reason):
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(line + "\n", encoding="utf-8")
+        cfg_path.write_bytes((line if isinstance(line, bytes) else line.encode()) + b"\n")
         assert main(["eval", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:")
-        assert reason in err
+        assert reason.format(cfg=cfg_path) in err
         assert not (tmp_path / "out").exists()
 
     def test_bad_tip_at_rejected_before_any_sample(self, pipeline, tmp_path, capsys):
@@ -1302,7 +1339,8 @@ class TestMainEntry:
         grid = tmp_path / "grid.txt"
         grid.write_text("no equals here\n", encoding="utf-8")
         assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "out")]) == EXIT_DATA
-        assert capsys.readouterr().err.startswith(f"data error: grid file {grid}")
+        assert capsys.readouterr().err == (f"data error: grid file {grid}: line 1: expected "
+                                           "key=value, got 'no equals here'\n")
 
     @pytest.mark.parametrize("line", ["curv.radius=", "curv.radius=|"])
     def test_grid_axis_without_values_exit_data(self, tmp_path, capsys, line):

@@ -225,6 +225,15 @@ FAULTS = {
     "landmarks-non-numeric": sample_file("02/2_2", "landmarks3d.csv", line(1, b"0,0,abc,0.5,0.5"),
                                          "{path}:2: non-numeric coordinate in '0,0,abc,0.5,0.5'",
                                          CLOUDS),
+    # Frame 8 renumbered 9, and frame 0's idx 48 renumbered 60.
+    "landmarks-frame-skipped": sample_file("02/2_2", "landmarks3d.csv",
+                                           edit(lambda data: data.replace(b"\n8,", b"\n9,")),
+                                           "{path}:394: expected frame 8 idx 0, got frame 9 idx 0",
+                                           CLOUDS),
+    "landmarks-idx-skipped": sample_file("02/2_2", "landmarks3d.csv",
+                                         edit(lambda data: data.replace(b"\n0,48,", b"\n0,60,")),
+                                         "{path}:50: expected frame 0 idx 48, got frame 0 idx 60",
+                                         CLOUDS),
     "landmarks-not-utf8": sample_file("02/2_2", "landmarks3d.csv", line(1, b"0,0,\xff,0.5,0.5"),
                                       r"{path}: 'utf-8' codec can't decode byte 0xff in position "
                                       r"\d+: invalid start byte", CLOUDS),

@@ -178,6 +178,11 @@ class TestLandmarksAgainstOracle:
         fileio.write_landmarks(fast, per_frame, dims=dims)
         write_landmarks_reference(slow, per_frame, dims=dims)
         assert fast.read_bytes() == slow.read_bytes()
+        if any(not len(a) and len(b) for a, b in zip(per_frame, per_frame[1:])):
+            # a frame without rows leaves a gap in the frame numbers
+            with pytest.raises(ValueError, match=r"expected frame \d+ idx 0, got frame"):
+                fileio.read_landmarks(fast, dims=dims)
+            return
         got = fileio.read_landmarks(fast, dims=dims)
         want = read_landmarks_reference(fast, dims=dims)
         assert len(got) == len(want)
@@ -186,7 +191,7 @@ class TestLandmarksAgainstOracle:
 
     def test_unordered_rows_sorted_like_oracle(self, tmp_path):
         path = tmp_path / "lm.csv"
-        path.write_text("frame,idx,x,y\n2,1,0.5,-0.0\n\n0,3,1e-45,2\n2,0,3,4\n0,1,5,6\n")
+        path.write_text("frame,idx,x,y\n1,1,0.5,-0.0\n\n0,1,1e-45,2\n1,0,3,4\n0,0,5,6\n")
         got = fileio.read_landmarks(path, dims=2)
         want = read_landmarks_reference(path, dims=2)
         assert len(got) == len(want) == 2
@@ -244,6 +249,11 @@ class TestMalformedRows:
         ("0,a,1,2,3\n", 2, "frame and idx must be integers"),
         ("0,0,1,x,3\n", 2, "non-numeric coordinate"),
         ("0,0,1,2,3\n\n0,1,1,2,3\n0,0,4,5,6\n", 5, "frame 0 idx 0 repeats line 2"),
+        # Frames run 0, 1, 2, ... and so do each frame's indices.
+        ("0,0,1,2,3\n2,0,1,2,3\n", 3, "expected frame 1 idx 0, got frame 2 idx 0"),
+        ("1,0,1,2,3\n", 2, "expected frame 0 idx 0, got frame 1 idx 0"),
+        ("0,0,1,2,3\n0,1,1,2,3\n1,1,4,5,6\n", 4, "expected frame 1 idx 0, got frame 1 idx 1"),
+        ("0,2,1,2,3\n0,0,1,2,3\n", 2, "expected frame 0 idx 1, got frame 0 idx 2"),
     ])
     def test_landmark_rows(self, tmp_path, body, line, message):
         path = tmp_path / "landmarks3d.csv"

@@ -71,14 +71,15 @@ class TestLbpCode:
     @pytest.mark.parametrize("p_count", [4, 6, 8, 12, 16])
     def test_tie_heavy_volume_matches_oracle(self, p_count):
         # Few gray levels make many neighbors tie with their center, where a
-        # one-ulp difference in the bilinear weights flips a bit.
+        # one-ulp difference in the bilinear weights flips a bit. Unequal
+        # radii sample ellipses, as the default lbp.radii=1,1,4 does on XT/YT.
         vol = np.random.default_rng(p_count).integers(0, 4, (7, 16, 16), dtype=np.uint8)
-        for radius in (1, 2, 3):
-            radii, neighbors = (radius,) * 3, (p_count,) * 3
+        neighbors = (p_count,) * 3
+        for radii in ((1, 1, 1), (2, 2, 2), (3, 3, 3), (1, 2, 3), (3, 1, 2)):
             cfg = LbpTopConfig(radii=radii, neighbors=neighbors, blocks=(1, 1))
             fast = lbp_top_histogram(FrameVolume(vol), cfg).values
             slow = np.array(lbp_top_reference(vol, radii, neighbors, (1, 1), 0))
-            assert np.array_equal(fast, slow), radius
+            assert np.array_equal(fast, slow), radii
 
 
 class TestBlockSpans:
