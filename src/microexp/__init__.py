@@ -19,6 +19,6 @@ from .preprocess2d import (CropResult, FrameVolume, SimilarityTransform, crop_fa
                            estimate_alignment, warp_volume)
 from .preprocess3d import (IcpResult, PointCloudFrame, RigidTransform, denoise,
                            find_nose_tip, icp_align, register_sequence, spherical_crop)
-from .synth import SurfaceSample, SynthSpec, make_dataset, make_surface
+from .synth import SynthSpec, make_dataset
 
 __version__ = "0.1.0"

@@ -188,12 +188,17 @@ def write_landmarks(path, per_frame, dims: int) -> None:
     """Write per-frame landmark arrays as CSV rows frame,idx,x,y[,z].
 
     Coordinates are written as ``repr`` of their float64 value, the shortest
-    text that reads back to the same float.
+    text that reads back to the same float. A frame without landmarks is a
+    ValueError naming the path and the frame, raised before the file is
+    opened: it would leave a gap in the frame numbers that ``read_landmarks``
+    refuses.
     """
     row = "%d,%d" + ",%r" * dims + "\n"
     blocks = [_LANDMARK_HEADER[dims] + "\n"]
     for t, marks in enumerate(per_frame):
         coords = np.asarray(marks, dtype=np.float64)[:, :dims].tolist()
+        if not coords:
+            raise ValueError(f"{path}: frame {t} holds no landmarks")
         blocks.append((row * len(coords)) % tuple(
             v for j, xyz in enumerate(coords) for v in (t, j, *xyz)))
     Path(path).write_text("".join(blocks), encoding="utf-8")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from microexp.synth import SynthSpec, make_dataset, make_surface
+from microexp.synth import SynthSpec, make_dataset
+
+from .surfaces import make_surface
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and no
 # per-example deadline (the file-format properties write files, which a slow

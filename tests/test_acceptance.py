@@ -21,9 +21,10 @@ from microexp.learn import (cross_val_proba, cross_val_runs, fuse, kfold_splits,
 from microexp.lbptop import LbpTopConfig, lbp_top_histogram, mean_difference_weights
 from microexp.preprocess2d import FrameVolume
 from microexp.preprocess3d import PointCloudFrame, RigidTransform, icp_align
-from microexp.synth import SynthSpec, make_dataset, make_surface, _random_rotation
+from microexp.synth import SynthSpec, make_dataset
 
 from .oracles import lbp_top_reference
+from .surfaces import _random_rotation, make_surface
 
 TOWARD = np.array([0.0, 0.0, -1.0])
 

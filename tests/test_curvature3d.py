@@ -19,11 +19,12 @@ from microexp.dataset import (NonObjectiveClass, ObjectiveClass, SampleData,
                               SampleRecord)
 from microexp.preprocess2d import FrameVolume
 from microexp.preprocess3d import PointCloudFrame
-from microexp.synth import SynthSpec, make_dataset, make_surface
+from microexp.synth import SynthSpec, make_dataset
 
 from .oracles import (curvature_reference, hk_bin_reference, hk_sign_reference,
                       landmark_histogram_reference, shape_index_reference,
                       si_bin_reference, si_quantize_reference)
+from .surfaces import _random_rotation, make_surface
 
 
 def _record(onset=0, apex=0, offset=1):
@@ -258,8 +259,6 @@ class TestSequenceFeature:
 
 class TestRotationInvariance:
     def test_magnitudes_stable_under_rotation(self, sphere_cap, rng):
-        from microexp.synth import _random_rotation
-
         idx = rng.choice(len(sphere_cap.cloud.points), 20, replace=False)
         base = np.sort(np.abs(_fit(sphere_cap.cloud, idx, 0.01)[:2]), axis=0)
         rot = _random_rotation(np.random.default_rng(5))

@@ -175,14 +175,16 @@ class TestLandmarksAgainstOracle:
             hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(dims)),
                        elements=csv_values), max_size=4))
         fast, slow = scratch / "fast.csv", scratch / "slow.csv"
+        empty = [t for t, marks in enumerate(per_frame) if not len(marks)]
+        if empty:
+            # its file would read back short, or not at all (a gap in the frames)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{fast}: frame {empty[0]} holds no landmarks") + "$"):
+                fileio.write_landmarks(fast, per_frame, dims=dims)
+            return
         fileio.write_landmarks(fast, per_frame, dims=dims)
         write_landmarks_reference(slow, per_frame, dims=dims)
         assert fast.read_bytes() == slow.read_bytes()
-        if any(not len(a) and len(b) for a, b in zip(per_frame, per_frame[1:])):
-            # a frame without rows leaves a gap in the frame numbers
-            with pytest.raises(ValueError, match=r"expected frame \d+ idx 0, got frame"):
-                fileio.read_landmarks(fast, dims=dims)
-            return
         got = fileio.read_landmarks(fast, dims=dims)
         want = read_landmarks_reference(fast, dims=dims)
         assert len(got) == len(want)
@@ -325,6 +327,18 @@ class TestLandmarks:
         back = fileio.read_landmarks(path, dims=2)
         assert len(back) == 3
         assert np.array_equal(back[1], per_frame[1])
+
+    @pytest.mark.parametrize("empty_at", [0, 1, 2])
+    def test_frame_without_landmarks_refused_before_writing(self, tmp_path, empty_at):
+        # An empty frame before another would leave a gap that read_landmarks
+        # refuses; one at the end would read back as one frame fewer.
+        per_frame = [np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3))]
+        per_frame[empty_at] = np.empty((0, 3))
+        path = tmp_path / "lm.csv"
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: frame {empty_at} holds no landmarks") + "$"):
+            fileio.write_landmarks(path, per_frame, dims=3)
+        assert not path.exists()
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "lm.csv"

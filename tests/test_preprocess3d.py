@@ -8,9 +8,9 @@ from microexp import preprocess3d
 from microexp.preprocess3d import (PointCloudFrame, RigidTransform,
                                    denoise, find_nose_tip, icp_align,
                                    register_sequence, spherical_crop)
-from microexp.synth import make_surface
 
 from .oracles import denoise_reference, icp_reference, nose_tip_reference
+from .surfaces import make_surface
 
 
 def _rotation(axis, angle):

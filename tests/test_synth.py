@@ -6,7 +6,9 @@ from hypothesis.extra import numpy as hnp
 
 from microexp.dataset import objective_label, nonobjective_label
 from microexp.synth import (_CLASS_PRESETS, _DEFAULT_FACE_BUMPS, FaceGeometry, SynthSpec,
-                            build_landmark_template, make_dataset, make_surface)
+                            build_landmark_template, make_dataset)
+
+from .surfaces import make_surface, nose_tip
 
 
 class TestMakeSurface:
@@ -89,7 +91,7 @@ class TestFaceGeometry:
 
     def test_nose_tip_is_global_minimum(self):
         geo = FaceGeometry(bumps=((0.0, 0.0, 0.012, 0.010),))
-        tip = geo.nose_tip()
+        tip = nose_tip(geo)
         rng = np.random.default_rng(0)
         xs = rng.uniform(-0.03, 0.03, 500)
         ys = rng.uniform(-0.04, 0.04, 500)
