@@ -9,9 +9,9 @@ and LOSO / repeated stratified k-fold evaluation.
 
 from .curvature3d import (CurvatureConfig, SurfaceType, hk_classify, principal_curvatures,
                           quantize_si, sequence_feature, shape_index)
-from .dataset import (MappingTable, NonObjectiveClass, ObjectiveClass, SampleData,
-                      SampleRecord, coder_reliability, load_index, nonobjective_label,
-                      objective_label, save_index)
+from .dataset import (NonObjectiveClass, ObjectiveClass, SampleData, SampleRecord,
+                      coder_reliability, load_index, nonobjective_label, objective_label,
+                      save_index)
 from .learn import (EvalResult, cross_val_runs, fuse, kfold_splits, loso_split, metrics,
                     select_fusion_weight, train)
 from .lbptop import FeatureVector, LbpTopConfig, lbp_top_histogram, mean_difference_weights

@@ -255,13 +255,12 @@ def stage_fingerprint(cfg: RunConfig, stage: str, base: str = "") -> str:
     return hashlib.sha1(";".join([base, *values]).encode()).hexdigest()[:12]
 
 
-def feature_fingerprint(cfg: RunConfig, kind: str, preprocess_fp: str | None = None) -> str:
-    """Fingerprint of ``kind``'s features extracted under ``cfg`` from a
-    preprocessed tree whose manifest fingerprint is ``preprocess_fp`` (by
-    default, the one ``cfg`` itself preprocesses to)."""
-    if preprocess_fp is None:
-        preprocess_fp = stage_fingerprint(cfg, "preprocess")
-    return stage_fingerprint(cfg, "extract-2d" if kind == "2d" else "extract-3d", preprocess_fp)
+def feature_fingerprint(cfg: RunConfig, kind: str) -> str:
+    """Fingerprint of ``kind``'s features extracted under ``cfg`` from the
+    preprocessed tree ``cfg`` itself preprocesses to: its extract stage's
+    keys hashed over that tree's manifest fingerprint."""
+    return stage_fingerprint(cfg, "extract-2d" if kind == "2d" else "extract-3d",
+                             stage_fingerprint(cfg, "preprocess"))
 
 
 # --- dataset tree I/O -------------------------------------------------------
@@ -271,8 +270,12 @@ def sample_dir(root, record: SampleRecord) -> Path:
 
 
 def write_sample_tree(root, record: SampleRecord, sample: SampleData) -> None:
+    """Write one sample's directory whole, so that no file of an earlier,
+    longer sample stays behind."""
     d = sample_dir(root, record)
-    d.mkdir(parents=True, exist_ok=True)
+    if d.exists():
+        shutil.rmtree(d)
+    d.mkdir(parents=True)
     fileio.write_volume(d / "frames", sample.video)
     fileio.write_cloud_sequence(d / "clouds", sample.clouds)
     if sample.landmarks2d is not None:

@@ -4,11 +4,7 @@ reliability.
 The annotation index is a CSV file with header
 ``subject,sample,onset,apex,offset,aus,objective,nonobjective`` where the
 ``aus`` column is a ``+``-joined list of FACS action-unit numbers (e.g.
-``4+5+7``). AU-combination-to-emotion tables are plain-text rule files, one
-class per line, ``CLASS: 6+12 | 6+7+12 | ...``; a combination prefixed with
-``>=`` matches any AU set containing it ("at least" semantics), otherwise
-the match is exact. Rules are applied in file order, first match wins, and
-anything unmatched falls through to Others.
+``4+5+7``).
 """
 
 from __future__ import annotations
@@ -84,6 +80,11 @@ class SampleRecord:
     nonobjective_label: NonObjectiveClass
 
     def __post_init__(self):
+        # Each id names one directory of a sample tree, which a rewrite removes.
+        for name in ("subject_id", "sample_id"):
+            part = getattr(self, name)
+            if part in ("", ".", "..") or "/" in part:
+                raise ValueError(f"{name} must be one directory name, got {part!r}")
         if min(self.onset, self.apex, self.offset) < 0:
             raise ValueError("frame indices must be non-negative")
         if not (self.onset <= self.apex <= self.offset):
@@ -191,87 +192,43 @@ def save_index(records, path) -> None:
     fileio.write_atomic(path, buf.getvalue())
 
 
-@dataclass(frozen=True)
-class AuRule:
-    """One AU-combination row of a labeling table."""
+# The objective table, read literally row by row (including the rows that
+# look typeset-shifted in the source material). Its combinations are all
+# distinct, so an exact lookup gives the class of the one row that names a set.
+_OBJECTIVE_ROWS = {
+    ObjectiveClass.HAPPINESS: "6 | 12 | 6+12 | 6+7+12 | 7+12",
+    ObjectiveClass.SURPRISE: "1+2 | 5 | 25 | 1+2+25 | 25+26 | 5+24",
+    ObjectiveClass.ANGER: "23 | 4 | 4+7 | 4+5 | 4+5+7",
+    ObjectiveClass.DISGUST: "17+24 | 4+6+7 | 4+38",
+    ObjectiveClass.SADNESS: "10 | 9 | 4+9 | 4+40 | 4+5+40 | 4+7+9 | 4+9+17 | 4+7+10 | 4+5+7+9 | 7+10",
+}
+_OBJECTIVE = {parse_aus(combo): label
+              for label, row in _OBJECTIVE_ROWS.items() for combo in row.split("|")}
 
-    label: str
-    combination: frozenset[int]
-    at_least: bool = False  # subset match instead of exact equality
-
-    def matches(self, aus: frozenset[int]) -> bool:
-        if self.at_least:
-            return aus >= self.combination
-        return aus == self.combination
-
-
-@dataclass(frozen=True)
-class MappingTable:
-    """Ordered first-match-wins AU-combination rules with a fallback class."""
-
-    rules: tuple[AuRule, ...]
-    fallback: str = "Others"
-
-    def classify(self, aus) -> str:
-        aus = frozenset(aus)
-        for rule in self.rules:
-            if rule.matches(aus):
-                return rule.label
-        return self.fallback
-
-    @classmethod
-    def from_text(cls, text: str, fallback: str = "Others") -> "MappingTable":
-        rules = []
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise ValueError(f"line {line_no}: expected 'CLASS: combos', got {raw!r}")
-            label, combos = line.split(":", 1)
-            label = label.strip()
-            for combo in combos.split("|"):
-                combo = combo.strip()
-                if not combo:
-                    continue
-                at_least = combo.startswith(">=")
-                if at_least:
-                    combo = combo[2:].strip()
-                rules.append(AuRule(label=label, combination=parse_aus(combo), at_least=at_least))
-        return cls(rules=tuple(rules), fallback=fallback)
-
-
-# Default objective table, read literally row by row (including the rows
-# that look typeset-shifted in the source material).
-DEFAULT_OBJECTIVE_MAPPING = """\
-Happiness: 6 | 12 | 6+12 | 6+7+12 | 7+12
-Surprise: 1+2 | 5 | 25 | 1+2+25 | 25+26 | 5+24
-Anger: 23 | 4 | 4+7 | 4+5 | 4+5+7
-Disgust: 17+24 | 4+6+7 | 4+38
-Sadness: 10 | 9 | 4+9 | 4+40 | 4+5+40 | 4+7+9 | 4+9+17 | 4+7+10 | 4+5+7+9 | 7+10
-"""
-
-# Non-objective table. Positive mirrors the happiness combinations; Negative
-# is the union of the anger/disgust/sadness combinations (no fear rows exist
-# in the objective table); Surprise rows carry "at least" semantics.
-DEFAULT_NONOBJECTIVE_MAPPING = """\
-Positive: 6 | 12 | 6+12 | 6+7+12 | 7+12
-Negative: 23 | 4 | 4+7 | 4+5 | 4+5+7 | 17+24 | 4+6+7 | 4+38 | 10 | 9 | 4+9 | 4+40 | 4+5+40 | 4+7+9 | 4+9+17 | 4+7+10 | 4+5+7+9 | 7+10
-Surprise: >=1+2 | >=25 | >=2
-"""
-
-DEFAULT_OBJECTIVE_TABLE = MappingTable.from_text(DEFAULT_OBJECTIVE_MAPPING)
-DEFAULT_NONOBJECTIVE_TABLE = MappingTable.from_text(DEFAULT_NONOBJECTIVE_MAPPING)
+# The objective classes whose combinations the non-objective Negative row
+# repeats (the objective table has no fear row).
+_NEGATIVE = {ObjectiveClass.ANGER, ObjectiveClass.DISGUST, ObjectiveClass.SADNESS}
 
 
 def objective_label(aus) -> ObjectiveClass:
-    """Objective emotion class for an AU set (first matching rule, else Others)."""
-    return ObjectiveClass(DEFAULT_OBJECTIVE_TABLE.classify(aus))
+    """Objective emotion class for an AU set: its row's class, else Others."""
+    return _OBJECTIVE.get(frozenset(aus), ObjectiveClass.OTHERS)
 
 
 def nonobjective_label(aus) -> NonObjectiveClass:
-    """Non-objective emotion class for an AU set."""
-    return NonObjectiveClass(DEFAULT_NONOBJECTIVE_TABLE.classify(aus))
+    """Non-objective emotion class for an AU set: Positive for a happiness
+    combination, Negative for an anger, disgust or sadness one, Surprise for
+    any other set holding AU 2 or 25 (the printed "at least 1+2, 25 or 2"
+    rows), else Others."""
+    aus = frozenset(aus)
+    objective = objective_label(aus)
+    if objective is ObjectiveClass.HAPPINESS:
+        return NonObjectiveClass.POSITIVE
+    if objective in _NEGATIVE:
+        return NonObjectiveClass.NEGATIVE
+    if aus & {2, 25}:
+        return NonObjectiveClass.SURPRISE
+    return NonObjectiveClass.OTHERS
 
 
 def coder_reliability(coder1, coder2) -> float:

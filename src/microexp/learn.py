@@ -293,13 +293,14 @@ def _label_classes(labels) -> tuple[str, ...]:
     return tuple(sorted({str(l) for l in labels}))
 
 
-def cross_val_proba(features, labels, folds, train_fn=None, fitted=None):
+def cross_val_proba(features, labels, folds, fitted=None):
     """Out-of-fold class probabilities for every sample.
 
     ``folds`` is a list of (train indices, test indices) covering each
     sample exactly once on the test side; each fold's model is
-    ``train_fn(x, labels, rows=train_idx)`` for the whole ``(n, d)`` matrix
-    ``x`` and all labels (default ``train``), which fits rows ``train_idx``.
+    ``train(x, labels, rows=train_idx)`` for the whole ``(n, d)`` matrix
+    ``x`` and all labels, which fits rows ``train_idx``; replacing
+    ``learn.train`` replaces every fold's trainer.
     Returns (proba, per_fold_accuracies): ``proba`` is an ``(n, C)`` array
     whose columns are the sorted label set (zero for classes a fold's model
     never saw).
@@ -307,13 +308,12 @@ def cross_val_proba(features, labels, folds, train_fn=None, fitted=None):
     ``fitted`` (a fresh dict by default) maps a fold's ``(tuple(train),
     tuple(test))`` to its read-only probability block and fold accuracy. A
     fold found there is not trained again, and every new fold is added, so
-    the caller keeps one dict per feature matrix, label list and ``train_fn``.
+    the caller keeps one dict per feature matrix and label list.
     """
     x = _as_matrix(features)
     labels = [str(l) for l in labels]
     classes = _label_classes(labels)
     y = np.array([classes.index(l) for l in labels])
-    train_fn = train_fn if train_fn is not None else train
     fitted = {} if fitted is None else fitted
 
     proba = np.full((len(labels), len(classes)), np.nan)  # NaN: no fold has tested the row
@@ -321,7 +321,7 @@ def cross_val_proba(features, labels, folds, train_fn=None, fitted=None):
     for train_idx, test_idx in folds:
         key = (tuple(map(int, train_idx)), tuple(map(int, test_idx)))
         if key not in fitted:
-            model = train_fn(x, labels, rows=train_idx)
+            model = train(x, labels, rows=train_idx)
             block = np.array(model.predict_proba_matrix(x[test_idx]), dtype=np.float64)
             _check_simplex(block)
             model_classes = tuple(model.classes)
@@ -374,13 +374,13 @@ def _run_mean(results, per_fold=()) -> EvalResult:
                       classes=results[-1].classes, per_fold=list(per_fold))
 
 
-def cross_val_runs(features, labels, fold_runs, train_fn=None, fitted=None):
+def cross_val_runs(features, labels, fold_runs, fitted=None):
     """Out-of-fold probabilities for each run of folds (one run for LOSO, one
     per repeat for k-fold), each from ``cross_val_proba``.
 
     ``fitted`` is ``cross_val_proba``'s dict of fitted folds, shared by every
     run (a fresh one by default), so a fold that recurs across repeats is
-    trained once; keep one per feature matrix, label list and ``train_fn``.
+    trained once; keep one per feature matrix and label list.
     Returns (per-run ``(n, C)`` probability arrays, EvalResult): accuracy and
     F1 are means over the runs, the confusion matrix accumulates over all
     runs, and per_fold lists every individual fold accuracy.
@@ -390,7 +390,7 @@ def cross_val_runs(features, labels, fold_runs, train_fn=None, fitted=None):
     fitted = {} if fitted is None else fitted
     proba_runs, results, per_fold = [], [], []
     for folds in fold_runs:
-        proba, fold_accs = cross_val_proba(x, labels, folds, train_fn, fitted)
+        proba, fold_accs = cross_val_proba(x, labels, folds, fitted)
         proba_runs.append(proba)
         results.append(metrics([classes[i] for i in proba.argmax(axis=1)], labels))
         per_fold.extend(fold_accs)

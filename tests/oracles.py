@@ -45,6 +45,13 @@ maps each output pixel back through the inverse similarity, worked out
 here from scale, rotation and translation, samples the input bilinearly
 (zero outside the frame) and rounds half to even. They know nothing of the
 library's mesh grids or masks.
+
+``objective_label_reference`` and ``nonobjective_label_reference`` read the
+printed FACS tables as they are printed: every row's AU combinations in
+order, Negative restating the anger, disgust and sadness combinations, and
+Surprise's "at least" rows. A set takes the class of the first combination
+it matches, else Others. They know nothing of the library's lookup or of
+how it derives one label from the other.
 """
 
 import math
@@ -571,3 +578,41 @@ def warp_volume_reference(frames, scale, rotation, translation):
                                   float(f[y1][x1]), src_x - x0, src_y - y0)
                 out[t][y][x] = min(max(round(value), 0), 255)
     return out
+
+
+# (class, AU combinations) in printed order.
+OBJECTIVE_ROWS = (
+    ("Happiness", ({6}, {12}, {6, 12}, {6, 7, 12}, {7, 12})),
+    ("Surprise", ({1, 2}, {5}, {25}, {1, 2, 25}, {25, 26}, {5, 24})),
+    ("Anger", ({23}, {4}, {4, 7}, {4, 5}, {4, 5, 7})),
+    ("Disgust", ({17, 24}, {4, 6, 7}, {4, 38})),
+    ("Sadness", ({10}, {9}, {4, 9}, {4, 40}, {4, 5, 40}, {4, 7, 9}, {4, 9, 17}, {4, 7, 10},
+                 {4, 5, 7, 9}, {7, 10})),
+)
+
+# (class, AU combinations, "at least": a superset matches too) in printed order.
+NONOBJECTIVE_ROWS = (
+    ("Positive", ({6}, {12}, {6, 12}, {6, 7, 12}, {7, 12}), False),
+    ("Negative", ({23}, {4}, {4, 7}, {4, 5}, {4, 5, 7}, {17, 24}, {4, 6, 7}, {4, 38}, {10}, {9},
+                  {4, 9}, {4, 40}, {4, 5, 40}, {4, 7, 9}, {4, 9, 17}, {4, 7, 10}, {4, 5, 7, 9},
+                  {7, 10}), False),
+    ("Surprise", ({1, 2}, {25}, {2}), True),
+)
+
+
+def objective_label_reference(aus) -> str:
+    aus = set(aus)
+    for label, combos in OBJECTIVE_ROWS:
+        for combo in combos:
+            if aus == combo:
+                return label
+    return "Others"
+
+
+def nonobjective_label_reference(aus) -> str:
+    aus = set(aus)
+    for label, combos, at_least in NONOBJECTIVE_ROWS:
+        for combo in combos:
+            if aus >= combo if at_least else aus == combo:
+                return label
+    return "Others"

@@ -39,6 +39,12 @@ def _pipeline_cfg(base_dir: Path, **overrides) -> RunConfig:
     return RunConfig(**defaults)
 
 
+def _tree_bytes(root: Path, skip=()) -> dict:
+    """Every file under ``root`` but those named in ``skip``: relative path -> bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+            if p.is_file() and p.name not in skip}
+
+
 # A value other than the default for every key but landmarks.subset.
 NON_DEFAULT_VALUES = {
     "data.root": "d1",
@@ -264,14 +270,20 @@ class TestRunConfig:
         assert (stage_fingerprint(changed, "preprocess") !=
                 stage_fingerprint(base, "preprocess")) == (stage == "preprocess")
         for kind, extract_stage in (("2d", "extract-2d"), ("3d-si", "extract-3d")):
-            assert (feature_fingerprint(changed, kind, "0123456789ab") !=
-                    feature_fingerprint(base, kind, "0123456789ab")) == (stage == extract_stage)
+            assert (stage_fingerprint(changed, extract_stage, "0123456789ab") !=
+                    stage_fingerprint(base, extract_stage, "0123456789ab")) == \
+                (stage == extract_stage)
+            assert (feature_fingerprint(changed, kind) != feature_fingerprint(base, kind)) == \
+                (stage in ("preprocess", extract_stage))
 
     def test_feature_fingerprint_hashes_manifest_fingerprint(self):
         cfg = RunConfig.from_dict({"landmarks.subset": "3,1,4"})
         assert re.fullmatch(r"[0-9a-f]{12}", feature_fingerprint(cfg, "3d-si"))
-        for kind in ("2d", "3d-si"):
-            assert feature_fingerprint(cfg, kind, "a") != feature_fingerprint(cfg, kind, "b")
+        for kind, extract_stage in (("2d", "extract-2d"), ("3d-si", "extract-3d")):
+            assert feature_fingerprint(cfg, kind) == stage_fingerprint(
+                cfg, extract_stage, stage_fingerprint(cfg, "preprocess"))
+            assert stage_fingerprint(cfg, extract_stage, "a") != \
+                stage_fingerprint(cfg, extract_stage, "b")
 
     def test_unknown_keys_all_named(self):
         with pytest.raises(ValueError, match="unknown config keys: eval.protcol, synth.n_points"):
@@ -443,12 +455,38 @@ class TestSynthAndPreprocess:
             cli.write_sample_tree(whole, record, sample)
         dataset.save_index(records, whole / "index.csv")
 
-        def files(root):
-            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-        written = files(Path(cfg.dataset_root))
+        written = _tree_bytes(Path(cfg.dataset_root))
         assert len(written) == 1 + 6 * (2 * 9 + 2)  # index; per sample 9 frames, 9 clouds
-        assert written == files(whole)
+        assert written == _tree_bytes(whole)
+
+    def test_shorter_synth_leaves_no_frame_of_the_longer(self, tmp_path):
+        spec = SynthSpec(n_subjects=2, samples_per_subject=2, n_points=700, signal="both",
+                         seed=6)
+        assert cmd_synth(_pipeline_cfg(tmp_path, synth=spec)) == EXIT_OK
+        cfg = _pipeline_cfg(tmp_path, synth=replace(spec, n_frames=5))
+        assert cmd_synth(cfg) == EXIT_OK
+        fresh = replace(cfg, dataset_root=str(tmp_path / "fresh"))
+        assert cmd_synth(fresh) == EXIT_OK
+        written = _tree_bytes(Path(cfg.dataset_root))
+        assert len(written) == 1 + 4 * (2 * 5 + 2)  # index; per sample 5 frames, 5 clouds
+        assert written == _tree_bytes(Path(fresh.dataset_root))
+        assert cmd_preprocess(cfg) == EXIT_OK
+
+    def test_shorter_preprocess_leaves_no_frame_of_the_longer(self, tmp_path):
+        spec = SynthSpec(n_subjects=2, samples_per_subject=2, n_points=700, signal="both",
+                         seed=6)
+        longer = _pipeline_cfg(tmp_path, dataset_root=str(tmp_path / "long"), synth=spec)
+        cfg = _pipeline_cfg(tmp_path, dataset_root=str(tmp_path / "short"),
+                            synth=replace(spec, n_frames=5))
+        fresh = replace(cfg, out_dir=str(tmp_path / "fresh"))
+        assert cmd_synth(longer) == cmd_synth(cfg) == EXIT_OK
+        assert cmd_preprocess(longer) == EXIT_OK
+        for run in (cfg, fresh):
+            assert cmd_preprocess(run) == EXIT_OK
+            assert cmd_extract(run, "2d") == EXIT_OK
+        # The manifests differ in run.out alone.
+        assert _tree_bytes(Path(cfg.out_dir), skip={"manifest.json"}) == \
+            _tree_bytes(Path(fresh.out_dir), skip={"manifest.json"})
 
     @pytest.mark.parametrize("earlier_run", [False, True])
     def test_interrupted_synth_leaves_no_index(self, tmp_path, monkeypatch, capsys,

@@ -1,12 +1,15 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from microexp.dataset import (DEFAULT_NONOBJECTIVE_TABLE, DEFAULT_OBJECTIVE_TABLE,
-                              IndexFormatError, MappingTable, NonObjectiveClass,
-                              ObjectiveClass, SampleRecord, coder_reliability, format_aus,
-                              load_index, nonobjective_label, objective_label, parse_aus,
-                              save_index)
+from microexp.dataset import (IndexFormatError, NonObjectiveClass, ObjectiveClass,
+                              SampleRecord, coder_reliability, format_aus, load_index,
+                              nonobjective_label, objective_label, parse_aus, save_index)
+
+from .oracles import (NONOBJECTIVE_ROWS, OBJECTIVE_ROWS, nonobjective_label_reference,
+                      objective_label_reference)
 
 HEADER = "subject,sample,onset,apex,offset,aus,objective,nonobjective"
 
@@ -32,6 +35,12 @@ class TestIndex:
     def test_offset_before_onset_rejected(self, tmp_path):
         path = _write_index(tmp_path, ["01,1_1,10,10,5,4,Anger,Negative"])
         with pytest.raises(IndexFormatError, match="row 2"):
+            load_index(path)
+
+    @pytest.mark.parametrize("ids", [",1_1", "01,", "..,1_1", "01,.", "01,a/b"])
+    def test_id_that_is_not_one_directory_rejected(self, tmp_path, ids):
+        path = _write_index(tmp_path, [f"{ids},5,8,14,1+2,Surprise,Surprise"])
+        with pytest.raises(IndexFormatError, match="row 2: .*must be one directory name"):
             load_index(path)
 
     def test_three_rows_order_preserved(self, tmp_path):
@@ -110,16 +119,29 @@ class TestLabeling:
             assert objective_label(aus) in ObjectiveClass
             assert nonobjective_label(aus) in NonObjectiveClass
 
-    def test_rule_order_first_match_wins(self):
-        table = MappingTable.from_text("A: 1+2\nB: >=1\n")
-        assert table.classify({1, 2}) == "A"
-        assert table.classify({1, 3}) == "B"
-
     def test_default_tables_parse(self):
-        assert len(DEFAULT_OBJECTIVE_TABLE.rules) == 5 + 6 + 5 + 3 + 10
+        combos = [frozenset(c) for _, row in OBJECTIVE_ROWS for c in row]
+        assert len(combos) == len(set(combos)) == 5 + 6 + 5 + 3 + 10
         # the printed rows are read literally
         assert objective_label({9}) is ObjectiveClass.SADNESS
-        assert any(r.at_least for r in DEFAULT_NONOBJECTIVE_TABLE.rules)
+        assert objective_label_reference({9}) == "Sadness"
+        assert [at_least for *_, at_least in NONOBJECTIVE_ROWS] == [False, False, True]
+        assert nonobjective_label({2, 26, 99}) is NonObjectiveClass.SURPRISE
+
+    def test_labels_equal_the_printed_tables_on_every_subset(self):
+        # Every subset of the AUs the tables name, plus one they never name.
+        named = sorted({au for _, row in OBJECTIVE_ROWS for c in row for au in c} |
+                       {au for _, row, _ in NONOBJECTIVE_ROWS for c in row for au in c})
+        assert len(named) == 16
+        pool = named + [99]
+        disagreements = []
+        for n in range(len(pool) + 1):
+            for aus in itertools.combinations(pool, n):
+                got = objective_label(aus).value, nonobjective_label(aus).value
+                want = objective_label_reference(aus), nonobjective_label_reference(aus)
+                if got != want:
+                    disagreements.append((aus, got, want))
+        assert disagreements == []
 
 
 class TestReliability:

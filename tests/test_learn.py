@@ -303,19 +303,20 @@ class _FixedModel:
 
 
 class TestCrossValProba:
-    def test_class_missing_from_a_fold_gets_a_zero_column(self):
+    def test_class_missing_from_a_fold_gets_a_zero_column(self, monkeypatch):
         # fold 0 trains on a and c only; fold 1 on every class
         x = np.arange(8.0)[:, None]
         y = ["a", "b", "c", "a", "b", "c", "a", "c"]
         folds = [([0, 2, 3, 5, 6, 7], [1, 4]), ([1, 2, 3, 4, 5, 6, 7], [0])] + \
             [([i for i in range(8) if i != j], [j]) for j in (2, 3, 5, 6, 7)]
 
-        def train_fn(features, labels, rows):
+        def fake_train(features, labels, rows):
             classes = sorted({labels[i] for i in rows})
             row = [0.6, 0.4] if classes == ["a", "c"] else [0.2, 0.3, 0.5]
             return _FixedModel(classes, row)
 
-        proba, per_fold = cross_val_proba(x, y, folds, train_fn=train_fn)
+        monkeypatch.setattr(learn, "train", fake_train)
+        proba, per_fold = cross_val_proba(x, y, folds)
         assert proba.shape == (8, 3)
         assert np.array_equal(proba[[1, 4]], [[0.6, 0.0, 0.4]] * 2)
         assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-12)
@@ -323,12 +324,12 @@ class TestCrossValProba:
 
     @pytest.mark.parametrize("row", [[0.7, 0.7], [1.2, -0.2], [np.nan, 0.5],
                                      [0.5, 0.5 + 3e-9], [-3e-12, 1.0 + 3e-12]])
-    def test_non_simplex_rows_rejected(self, row):
+    def test_non_simplex_rows_rejected(self, row, monkeypatch):
         x, y = _blobs(n_per=4)
         folds = loso_split([i % 2 for i in range(len(y))])
+        monkeypatch.setattr(learn, "train", lambda f, l, rows: _FixedModel(("neg", "pos"), row))
         with pytest.raises(ValueError, match="probabilities"):
-            cross_val_proba(x, y, folds,
-                            train_fn=lambda f, l, rows: _FixedModel(("neg", "pos"), row))
+            cross_val_proba(x, y, folds)
 
     def test_uncovered_samples_rejected(self):
         x, y = _blobs(n_per=4)
@@ -337,12 +338,13 @@ class TestCrossValProba:
         with pytest.raises(ValueError, match=r"cover samples \[1\]$"):
             cross_val_proba(x, y, folds)
 
-    def test_unknown_model_class_rejected(self):
+    def test_unknown_model_class_rejected(self, monkeypatch):
         x, y = _blobs(n_per=4)
         folds = loso_split([i % 2 for i in range(len(y))])
+        monkeypatch.setattr(learn, "train",
+                            lambda f, l, rows: _FixedModel(("neg", "zzz"), [0.5, 0.5]))
         with pytest.raises(ValueError, match="label set"):
-            cross_val_proba(x, y, folds,
-                            train_fn=lambda f, l, rows: _FixedModel(("neg", "zzz"), [0.5, 0.5]))
+            cross_val_proba(x, y, folds)
 
     def test_array_folds_scored_like_list_folds(self):
         x, y = _blobs(n_per=4, seed=1)
@@ -367,7 +369,7 @@ class TestCrossValProba:
                                    rtol=0, atol=1e-15)
 
 
-def _perfect_train_fn(all_features, all_labels):
+def _perfect_train(all_features, all_labels):
     lookup = _PerfectModel(all_features, all_labels)
 
     def fn(features, labels, rows):
@@ -376,8 +378,8 @@ def _perfect_train_fn(all_features, all_labels):
     return fn
 
 
-def _kfold_result(x, y, k, repeats, seed, train_fn=None):
-    return cross_val_runs(x, y, kfold_splits(y, k, repeats, seed), train_fn)[1]
+def _kfold_result(x, y, k, repeats, seed):
+    return cross_val_runs(x, y, kfold_splits(y, k, repeats, seed))[1]
 
 
 class TestKfold:
@@ -398,10 +400,10 @@ class TestKfold:
         assert max(sizes) - min(sizes) <= 1
         assert sorted(i for f in folds for i in f) == list(range(22))
 
-    def test_perfect_stub_scores_one(self):
+    def test_perfect_stub_scores_one(self, monkeypatch):
         x, y = _blobs(n_per=10, seed=1)
-        result = _kfold_result(x, y, k=4, repeats=2, seed=0,
-                               train_fn=_perfect_train_fn(x, y))
+        monkeypatch.setattr(learn, "train", _perfect_train(x, y))
+        result = _kfold_result(x, y, k=4, repeats=2, seed=0)
         assert result.accuracy == 1.0
 
     def test_splits_partition_each_repeat(self):
@@ -416,7 +418,7 @@ class TestKfold:
             assert sorted(i for _, test_idx in folds for i in test_idx) == list(range(12))
         assert kfold_splits(labels, k=3, repeats=4, seed=5) == runs
 
-    def test_each_distinct_fold_fitted_once(self):
+    def test_each_distinct_fold_fitted_once(self, monkeypatch):
         # Six samples in three folds: ten repeats can draw few distinct folds.
         x, y = _blobs(n_per=3, seed=4)
         fold_runs = kfold_splits(y, 3, 10, seed=7)
@@ -426,8 +428,9 @@ class TestKfold:
             trained.append(tuple(rows))
             return train(features, labels, rows=rows)
 
+        monkeypatch.setattr(learn, "train", counted)
         fitted = {}
-        runs, result = cross_val_runs(x, y, fold_runs, counted, fitted)
+        runs, result = cross_val_runs(x, y, fold_runs, fitted)
         distinct = {(tuple(tr), tuple(te)) for folds in fold_runs for tr, te in folds}
         assert len(distinct) < 3 * 10
         assert len(trained) == len(set(trained)) == len(distinct)
@@ -447,7 +450,7 @@ class TestKfold:
         # hit the entries that list folds made.
         trained.clear()
         arrays = [[(np.array(tr), np.array(te)) for tr, te in folds] for folds in fold_runs]
-        again, repeat = cross_val_runs(x, y, arrays, counted, fitted)
+        again, repeat = cross_val_runs(x, y, arrays, fitted)
         assert trained == []
         assert set(fitted) == distinct
         assert all(np.array_equal(a, b) for a, b in zip(again, runs))
